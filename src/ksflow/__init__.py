@@ -35,6 +35,7 @@ from .solver import (
     flux_form_rhs,
     nondivergence_rhs,
     run,
+    run_cartesian,
     run_semilinear,
     semilinear_heat_rhs,
     step,

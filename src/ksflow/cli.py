@@ -30,8 +30,6 @@ def cmd_simulate(args) -> int:
     from .harness import simulate
 
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = args.out or cfg.out
     ok, verdicts = simulate(cfg, out_dir)
     for line in verdict_block(verdicts):
@@ -171,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a configured radial flow")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--quiet", action="store_true")
     sim.set_defaults(fn=cmd_simulate)
 
@@ -179,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", action="append",
                      help="suite name, repeatable (default: all)")
     ver.add_argument("--gamma", type=float, action="append",
-                     help="power-law exponent, repeatable")
+                     help="power-law exponent, repeatable; used by the "
+                          "commutators, qks, derivatives, dissipation and "
+                          "marginal suites, ignored by frames, flows and maxwell")
     ver.add_argument("--samples", type=int, default=1 << 20)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None)

@@ -8,8 +8,10 @@ config file can never silently misspell a knob.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
-from .solver import SolverConfig
+from .grids import FieldError
+from .solver import SolverConfig, SolverError
 
 DEFAULT_MONITORS = (
     "mass",
@@ -24,21 +26,29 @@ DEFAULT_MONITORS = (
     "envelope",
 )
 
+
+def _names(text: str) -> tuple:
+    """A comma-separated list of names, blanks dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+#: section -> key -> parser.  Parsing and the report echo both follow this
+#: table, in this order.  The [solver] keys are the SolverConfig fields; the
+#: other keys are RunConfig attributes, renamed where _ATTRIBUTE says so.
 _SCHEMA = {
     "run": {"scenario": str, "seed": int, "out": str},
-    "solver": {
-        "gamma": float,
-        "n_cells": int,
-        "r_max": float,
-        "dt": float,
-        "t_end": float,
-        "scheme": str,
-        "output_stride": int,
-        "positivity": str,
-    },
+    "solver": get_type_hints(SolverConfig),
     "initial": {"kind": str, "sigma": float, "mass": float, "amplitude": float},
-    "monitors": {"enabled": str},
+    "monitors": {"enabled": _names},
 }
+_ATTRIBUTE = {"kind": "initial_kind", "enabled": "monitors"}
+
+
+def _format(value) -> str:
+    """The echo form of a config value (floats by repr, so they parse back exactly)."""
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class ConfigError(ValueError):
@@ -48,6 +58,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     scenario: str = "run"
+    # recorded in the report only: the radial solver draws no random numbers
     seed: int = 0
     out: str = "out"
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -58,33 +69,20 @@ class RunConfig:
     monitors: tuple = DEFAULT_MONITORS
 
     def echo_lines(self) -> list:
-        """The config as it will be reproduced verbatim in the run report."""
-        lines = [
-            "[run]",
-            f"scenario = {self.scenario}",
-            f"seed = {self.seed}",
-            f"out = {self.out}",
-            "",
-            "[solver]",
-            f"gamma = {self.solver.gamma!r}",
-            f"n_cells = {self.solver.n_cells}",
-            f"r_max = {self.solver.r_max!r}",
-            f"dt = {self.solver.dt!r}",
-            f"t_end = {self.solver.t_end!r}",
-            f"scheme = {self.solver.scheme}",
-            f"output_stride = {self.solver.output_stride}",
-            f"positivity = {self.solver.positivity}",
-            "",
-            "[initial]",
-            f"kind = {self.initial_kind}",
-            f"sigma = {self.sigma!r}",
-        ]
-        if self.amplitude is not None:
-            lines.append(f"amplitude = {self.amplitude!r}")
-        else:
-            lines.append(f"mass = {self.mass!r}")
-        lines += ["", "[monitors]", "enabled = " + ", ".join(self.monitors)]
-        return lines
+        """The config as it will be reproduced verbatim in the run report.
+
+        The initial data echo one of amplitude (when set) and mass.
+        """
+        lines = []
+        for section, keys in _SCHEMA.items():
+            owner = self.solver if section == "solver" else self
+            lines += ["", f"[{section}]"]
+            for key in keys:
+                value = getattr(owner, _ATTRIBUTE.get(key, key))
+                if value is None or (key == "mass" and self.amplitude is not None):
+                    continue
+                lines.append(f"{key} = {_format(value)}")
+        return lines[1:]
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -114,33 +112,26 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
-    solver_kwargs = {k: v for (s, k), v in values.items() if s == "solver"}
-    cfg = RunConfig(
-        scenario=values.get(("run", "scenario"), "run"),
-        seed=values.get(("run", "seed"), 0),
-        out=values.get(("run", "out"), "out"),
-        solver=SolverConfig(**solver_kwargs),
-        initial_kind=values.get(("initial", "kind"), "gaussian"),
-        sigma=values.get(("initial", "sigma"), 1.0),
-    )
     if ("initial", "amplitude") in values and ("initial", "mass") in values:
         raise ConfigError("give either mass or amplitude for the initial data, not both")
-    if ("initial", "amplitude") in values:
-        cfg.amplitude = values[("initial", "amplitude")]
-        cfg.mass = None
-    elif ("initial", "mass") in values:
-        cfg.mass = values[("initial", "mass")]
+    solver_kwargs = {}
+    run_kwargs = {}
+    for (section, key), value in values.items():
+        target = solver_kwargs if section == "solver" else run_kwargs
+        target[_ATTRIBUTE.get(key, key)] = value
+    if "amplitude" in run_kwargs:
+        run_kwargs["mass"] = None
+    try:
+        solver = SolverConfig(**solver_kwargs)
+        solver.grid()  # the grid is validated here, not at the first step
+    except (SolverError, FieldError) as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(solver=solver, **run_kwargs)
     if cfg.initial_kind not in ("gaussian", "zero"):
         raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
-    if ("monitors", "enabled") in values:
-        requested = tuple(
-            name.strip() for name in values[("monitors", "enabled")].split(",")
-            if name.strip()
-        )
-        unknown = set(requested) - set(DEFAULT_MONITORS)
-        if unknown:
-            raise ConfigError(f"unknown monitors: {sorted(unknown)}")
-        cfg.monitors = requested
+    unknown = set(cfg.monitors) - set(DEFAULT_MONITORS)
+    if unknown:
+        raise ConfigError(f"unknown monitors: {sorted(unknown)}")
     return cfg
 
 

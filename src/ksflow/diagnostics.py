@@ -155,6 +155,11 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
     # coefficient (2+gamma) vanishes, so the bound ratio is always recorded
     if h is None and not zero and -3.0 <= gamma <= -2.0:
         h = coeff_h(f, pot)
+    # the max-point monitor's inputs: Laplacian and h[f] at the argmax of f,
+    # unless the argmax sits in the last two cells (boundary-affected)
+    idx = int(np.argmax(f.values))
+    boundary = idx >= f.grid.n_cells - 2
+    lap_at_max = 0.0 if zero or boundary else float(radial_laplacian(f).values[idx])
     row = {
         "t": float(t),
         # the finite-volume mass (exact shell volumes) is the quantity the
@@ -182,6 +187,10 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
         "_mass_drift": float(mass_drift),
         "_boundary_budget": float(boundary_budget),
         "_clips": int(clips),
+        "_sup_a": float(a.values.max()),
+        "_argmax_boundary": boundary,
+        "_lap_at_argmax": lap_at_max,
+        "_h_at_argmax": 0.0 if h is None else float(h.values[idx]),
     }
     if not zero:
         if gamma == -3.0:
@@ -253,20 +262,10 @@ def fisher_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
 
 
 def entropy_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
-    t = np.array(traj.column("t"))
-    H = traj.column("entropy")
-    increments = np.diff(H)
-    scale = np.maximum(np.abs(H[:-1]), 1e-300)
-    excess = increments / scale
-    worst = float(excess.max()) if len(excess) else 0.0
-    violations = int(np.sum(excess > tol_rel))
-    return {
-        "monitor": "entropy_monotone",
-        "worst_relative_increment": worst,
-        "violations": violations,
-        "tol": tol_rel,
-        "passed": violations == 0,
-    }
+    """Flags any per-step entropy increment above tol_rel * |H(t_k)|."""
+    return _monotonicity_report(
+        "entropy_monotone", np.array(traj.column("t")), traj.column("entropy"), tol_rel
+    )
 
 
 def energy_identity_residual(traj: Trajectory, gamma: float) -> dict:
@@ -299,33 +298,28 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> 
     """At each output time: the discrete Laplacian at the argmax is <= tol and
     the observed growth of max f is <= the reaction term there, up to tol.
 
-    Boundary argmax locations are flagged and skipped.
+    Boundary argmax locations are flagged and skipped.  Reads the snapshot rows.
     """
-    pot = PowerLaw(gamma)
     t = np.array(traj.column("t"))
     lap_ok = True
     growth_ok = True
     skipped = 0
-    maxima = np.array([float(f.values.max()) for f in traj.fields])
+    maxima = traj.column("linf_norm")
     scale = max(maxima.max(), 1e-300)
-    for k, f in enumerate(traj.fields):
-        if f.values.max() <= 0.0:
+    for k, row in enumerate(traj.rows):
+        if maxima[k] <= 0.0:
             continue
-        idx = int(np.argmax(f.values))
-        if idx >= f.grid.n_cells - 2:
+        if row["_argmax_boundary"]:
             skipped += 1
             continue
-        lap = radial_laplacian(f).values[idx]
-        if lap > tol * scale:
+        if row["_lap_at_argmax"] > tol * scale:
             lap_ok = False
         if 0 < k:
             rate = (maxima[k] - maxima[k - 1]) / (t[k] - t[k - 1])
             if 2.0 + gamma == 0.0:
                 reaction = 0.0
             else:
-                reaction = float(
-                    -(2.0 + gamma) * coeff_h(f, pot).values[idx] * f.values[idx]
-                )
+                reaction = -(2.0 + gamma) * row["_h_at_argmax"] * maxima[k]
             if rate > reaction + tol * scale + 1e-12:
                 growth_ok = False
     return {
@@ -337,18 +331,23 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> 
     }
 
 
+#: k -> the row columns holding E_k and E_{k-2}
+_MOMENT_COLUMNS = {4: ("e4", "energy"), 6: ("e6", "e4")}
+
+
 def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
                         tol_rel: float = 1e-6) -> dict:
     """dE_k/dt <= k(k+1) sup a[f] E_{k-2} + tol along the run, plus the
     envelope-shape fit E_k(t) <= C (E_k(0) t^{(k-2)/2} + t^{k/2}) over t > 0.
+
+    k is 4 or 6, the moments the snapshot rows record.
     """
-    if k % 2 != 0 or k < 4:
-        raise ValueError("moment growth check expects even k >= 4")
-    pot = PowerLaw(gamma)
+    if k not in _MOMENT_COLUMNS:
+        raise ValueError(f"moment growth check expects k = 4 or 6, got {k}")
     t = np.array(traj.column("t"))
-    ek = np.array([integrate_radial(f, float(k)) for f in traj.fields])
-    ekm2 = np.array([integrate_radial(f, float(k - 2)) for f in traj.fields])
-    sup_a = np.array([float(coeff_a(f, pot).values.max()) for f in traj.fields])
+    ek = traj.column(_MOMENT_COLUMNS[k][0])
+    ekm2 = traj.column(_MOMENT_COLUMNS[k][1])
+    sup_a = traj.column("_sup_a")
     ok = True
     margin = np.inf
     for j in range(1, len(t) - 1):

@@ -9,6 +9,7 @@ All operations are pure functions of immutable snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,9 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform cell-centered radial grid with n_cells cells on (0, r_max]."""
+    """Uniform cell-centered radial grid with n_cells cells on (0, r_max].
+
+    Its geometry arrays are computed once, on first use, and are read-only."""
 
     n_cells: int
     r_max: float
@@ -41,30 +44,30 @@ class RadialGrid:
     def dr(self) -> float:
         return self.r_max / self.n_cells
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dr
+        return _read_only((np.arange(self.n_cells) + 0.5) * self.dr)
 
-    @property
+    @cached_property
     def faces(self) -> np.ndarray:
         """Face radii r_{i+1/2} = i*dr, length n_cells + 1 (first face at 0)."""
-        return np.arange(self.n_cells + 1) * self.dr
+        return _read_only(np.arange(self.n_cells + 1) * self.dr)
 
-    @property
+    @cached_property
+    def face_areas(self) -> np.ndarray:
+        """Sphere areas 4*pi*r_{i+1/2}^2 at the faces (zero at the origin)."""
+        return _read_only(4.0 * np.pi * self.faces**2)
+
+    @cached_property
     def cell_volumes(self) -> np.ndarray:
         """Exact shell volumes (4*pi/3) (r_{i+1/2}^3 - r_{i-1/2}^3)."""
         f = self.faces
-        return (4.0 * np.pi / 3.0) * (f[1:] ** 3 - f[:-1] ** 3)
+        return _read_only((4.0 * np.pi / 3.0) * (f[1:] ** 3 - f[:-1] ** 3))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RadialGrid)
-            and self.n_cells == other.n_cells
-            and self.r_max == other.r_max
-        )
 
-    def __hash__(self):
-        return hash((self.n_cells, self.r_max))
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 class RadialField:
@@ -204,9 +207,6 @@ class CartesianGrid3:
         x = self.axis
         return np.meshgrid(x, x, x, indexing="ij")
 
-    def __hash__(self):
-        return hash((self.n, self.half_width))
-
 
 class CartesianField3:
     """Density samples on a CartesianGrid3 lattice."""
@@ -307,10 +307,18 @@ def write_checkpoint(path, f, gamma: float = float("nan"), time: float = 0.0):
         fh.write(data)
 
 
+#: field kind -> (grid class, field class, size key, width key, dimensions)
+_CHECKPOINT_KINDS = {
+    "radial": (RadialGrid, RadialField, "n_cells", "r_max", 1),
+    "cartesian": (CartesianGrid3, CartesianField3, "n", "half_width", 3),
+}
+
+
 def read_checkpoint(path):
     """Read a checkpoint written by write_checkpoint.
 
-    Returns (field, gamma, time).
+    Returns (field, gamma, time).  A header without a required key, or a
+    payload whose length disagrees with it, raises FieldError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -327,19 +335,20 @@ def read_checkpoint(path):
     meta = dict(line.split(None, 1) for line in head[1:])
     if meta.get("byte_order") != "little" or meta.get("dtype") != "float64":
         raise FieldError(f"{path}: unsupported binary encoding")
+    if meta.get("kind") not in _CHECKPOINT_KINDS:
+        raise FieldError(f"{path}: unknown field kind {meta.get('kind')!r}")
+    grid_cls, field_cls, size_key, width_key, ndim = _CHECKPOINT_KINDS[meta["kind"]]
+    missing = [k for k in ("gamma", "time", "count", size_key, width_key) if k not in meta]
+    if missing:
+        raise FieldError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    size = int(meta[size_key])
+    grid = grid_cls(size, float(meta[width_key]))
     count = int(meta["count"])
-    values = np.frombuffer(blob, dtype="<f8", count=count).astype(float)
-    signed = bool(int(meta.get("signed", "0")))
-    gamma = float(meta["gamma"])
-    time = float(meta["time"])
-    if meta["kind"] == "radial":
-        grid = RadialGrid(int(meta["n_cells"]), float(meta["r_max"]))
-        return RadialField(grid, values, signed=signed), gamma, time
-    if meta["kind"] == "cartesian":
-        grid = CartesianGrid3(int(meta["n"]), float(meta["half_width"]))
-        return (
-            CartesianField3(grid, values.reshape((grid.n,) * 3), signed=signed),
-            gamma,
-            time,
+    if count != size**ndim or len(blob) != 8 * count:
+        raise FieldError(
+            f"{path}: payload of {len(blob)} bytes, count {count}; "
+            f"the grid needs {size**ndim} float64 values"
         )
-    raise FieldError(f"{path}: unknown field kind {meta['kind']!r}")
+    values = np.frombuffer(blob, dtype="<f8").astype(float).reshape((size,) * ndim)
+    signed = bool(int(meta.get("signed", "0")))
+    return field_cls(grid, values, signed=signed), float(meta["gamma"]), float(meta["time"])

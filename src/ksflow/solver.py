@@ -30,7 +30,6 @@ from scipy.linalg import solve_banded
 
 from .grids import (
     CartesianField3,
-    CartesianGrid3,
     FieldError,
     RadialField,
     RadialGrid,
@@ -40,12 +39,16 @@ from .grids import (
 )
 from .kernels import PowerLaw, cartesian_convolve, coeff_a, coeff_h
 
-_SCHEMES = ("semi-implicit-fv", "explicit-fv", "explicit-cartesian")
+_SCHEMES = ("semi-implicit-fv", "explicit-fv")
 _POSITIVITY = ("assert", "clip-and-log")
 
 #: negatives above this (relative) depth are treated as roundoff and floored
 #: silently; anything deeper triggers the configured positivity policy.
 _ROUNDOFF_FLOOR = 1e-13
+
+#: the reaction guard may halve dt this often in one step (2^16 sub-steps);
+#: a state that needs more is an error rather than a near-endless loop
+_MAX_HALVINGS = 16
 
 
 class SolverError(RuntimeError):
@@ -62,9 +65,6 @@ class SolverConfig:
     scheme: str = "semi-implicit-fv"
     output_stride: int = 50
     positivity: str = "assert"
-    seed: int = 0
-    cart_n: int = 32
-    cart_half_width: float = 8.0
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -91,15 +91,10 @@ class SolverConfig:
     def grid(self) -> RadialGrid:
         return RadialGrid(self.n_cells, self.r_max)
 
-    def cart_grid(self) -> CartesianGrid3:
-        return CartesianGrid3(self.cart_n, self.cart_half_width)
-
 
 @dataclass
 class StepReport:
-    time: float
     dt_used: float
-    max_value: float
     mass_drift: float
     clips: int = 0
     halvings: int = 0
@@ -108,12 +103,6 @@ class StepReport:
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
-
-def _face_geometry(grid: RadialGrid):
-    faces = grid.faces
-    areas = 4.0 * np.pi * faces**2
-    return areas, grid.cell_volumes
-
 
 def _face_fluxes(f: np.ndarray, a: np.ndarray, dr: float):
     """Interior face fluxes (length n-1): diffusion and drift parts."""
@@ -132,11 +121,10 @@ def flux_form_rhs(f: RadialField, pot, a: RadialField | None = None) -> RadialFi
     if a is None:
         a = coeff_a(f, pot)
     grid = f.grid
-    areas, vols = _face_geometry(grid)
     diff, drift = _face_fluxes(f.values, a.values, grid.dr)
     flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = (diff + drift) * areas[1:-1]
-    rhs = (flux[1:] - flux[:-1]) / vols
+    flux[1:-1] = (diff + drift) * grid.face_areas[1:-1]
+    rhs = (flux[1:] - flux[:-1]) / grid.cell_volumes
     return RadialField(grid, rhs, signed=True)
 
 
@@ -187,10 +175,10 @@ def semilinear_heat_rhs(u: RadialField) -> RadialField:
 def _implicit_diffusion_solve(f_star, a_vals, grid, dt):
     """Solve (I - dt * D_a) f' = f_star, D_a the conservative diffusion stencil."""
     n = grid.n_cells
-    areas, vols = _face_geometry(grid)
+    vols = grid.cell_volumes
     a_face = np.zeros(n + 1)
     a_face[1:-1] = 0.5 * (a_vals[1:] + a_vals[:-1])
-    k = dt * areas * a_face / grid.dr  # k[0] = 0, k[n] = 0 (zero-flux)
+    k = dt * grid.face_areas * a_face / grid.dr  # k[0] = 0, k[n] = 0 (zero-flux)
     k[-1] = 0.0
     lower = -k[1:-1] / vols[1:]
     upper = -k[1:-1] / vols[:-1]
@@ -222,23 +210,37 @@ def _apply_positivity(values, policy, floor_scale):
 
 
 def _reaction_substeps(dt, rate):
-    """Number of halvings so that (dt / 2^k) * rate <= 0.5."""
+    """Number of halvings k so that (dt / 2^k) * rate <= 0.5.
+
+    Raises SolverError when k would exceed _MAX_HALVINGS.
+    """
     halvings = 0
-    while dt * rate > 0.5 and halvings < 40:
+    while dt * rate > 0.5:
+        if halvings == _MAX_HALVINGS:
+            raise SolverError(
+                f"reaction guard needs more than {_MAX_HALVINGS} halvings of "
+                f"dt (rate {rate:.3e})"
+            )
         dt *= 0.5
         halvings += 1
     return halvings
 
 
-def step(f: RadialField, config: SolverConfig, mass0: float | None = None,
-         _coeffs=None) -> tuple[RadialField, StepReport]:
-    """Advance one dt with the configured radial scheme."""
+def _coefficients(f: RadialField, config: SolverConfig):
+    """a[f] and h[f]; h is None where the reaction coefficient 2+gamma vanishes."""
     pot = config.potential
-    if _coeffs is None:
-        a = coeff_a(f, pot)
-        h = None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
-    else:
-        a, h = _coeffs
+    return coeff_a(f, pot), None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
+
+
+def step(f: RadialField, a: RadialField, h: RadialField | None,
+         config: SolverConfig, mass0: float | None = None
+         ) -> tuple[RadialField, StepReport]:
+    """Advance f one dt with the configured radial scheme under the frozen
+    coefficients a = a[f] and h = h[f] (None when 2 + gamma = 0).
+
+    The result is a validated RadialField: non-finite values raise FieldError.
+    """
+    pot = config.potential
     rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.values.max())
     halvings = _reaction_substeps(config.dt, rate)
     sub_dt = config.dt / (1 << halvings)
@@ -250,10 +252,9 @@ def step(f: RadialField, config: SolverConfig, mass0: float | None = None,
     clips = 0
     for _ in range(1 << halvings):
         if config.scheme == "semi-implicit-fv":
-            areas = 4.0 * np.pi * f.grid.faces**2
             _, drift = _face_fluxes(vals, a.values, f.grid.dr)
             dflux = np.zeros(f.grid.n_cells + 1)
-            dflux[1:-1] = drift * areas[1:-1]
+            dflux[1:-1] = drift * f.grid.face_areas[1:-1]
             f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
             vals = _implicit_diffusion_solve(f_star, a.values, f.grid, sub_dt)
         else:  # explicit-fv
@@ -264,9 +265,7 @@ def step(f: RadialField, config: SolverConfig, mass0: float | None = None,
     out = RadialField(f.grid, vals)
     mass = float(np.dot(vols, vals))
     report = StepReport(
-        time=float("nan"),
         dt_used=sub_dt,
-        max_value=float(vals.max()),
         mass_drift=(mass - mass0) / mass0 if mass0 else 0.0,
         clips=clips,
         halvings=halvings,
@@ -277,13 +276,12 @@ def step(f: RadialField, config: SolverConfig, mass0: float | None = None,
 def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajectory:
     """Advance f_in to t_end, recording diagnostics every output_stride steps.
 
+    The coefficients are evaluated once per step, for the step and the row.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
     from . import diagnostics  # deferred: diagnostics consumes solver types
 
-    if config.scheme == "explicit-cartesian":
-        return _run_cartesian(config, f_in)
     if f_in.grid != config.grid():
         raise SolverError("initial field grid does not match the configuration")
     pot = config.potential
@@ -298,29 +296,24 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     boundary_budget = 0.0
     zero_field = mass0 == 0.0
 
-    a = coeff_a(f, pot)
-    h = None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
+    a, h = _coefficients(f, config)
     traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, pot, a=a, h=h,
                                                  mass_drift=0.0,
                                                  boundary_budget=0.0))
-    last_good = f
     for k in range(1, n_steps + 1):
         if not zero_field:
             boundary_budget += boundary_flux_estimate(f, a) * config.dt
         try:
-            f, rep = step(f, config, mass0=mass0, _coeffs=(a, h))
+            f, rep = step(f, a, h, config, mass0=mass0)
         except (FieldError, SolverError) as exc:
-            # non-finite values or a degenerate solve: keep the last good state
+            # non-finite values or a degenerate solve: f is the last good state
             if checkpoint_path is not None:
-                write_checkpoint(checkpoint_path, last_good, gamma=config.gamma,
+                write_checkpoint(checkpoint_path, f, gamma=config.gamma,
                                  time=(k - 1) * config.dt)
             raise SolverError(
                 f"step {k} aborted ({exc}); last good state retained"
             ) from exc
-        last_good = f
-        a = coeff_a(f, pot)
-        if h is not None:
-            h = coeff_h(f, pot)
+        a, h = _coefficients(f, config)
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
             mass = float(np.dot(vols, f.values))
@@ -343,7 +336,6 @@ def run_semilinear(config: SolverConfig, u_in: RadialField,
     (t, max u) rows and the detector time (None if it never fires).
     """
     grid = u_in.grid
-    vols = grid.cell_volumes
     n_steps = int(round(config.t_end / config.dt))
     ones = np.ones(grid.n_cells)
     traj = Trajectory()
@@ -374,11 +366,9 @@ def run_semilinear(config: SolverConfig, u_in: RadialField,
 # explicit 3D evolution (short horizons, non-radial experiments)
 # ---------------------------------------------------------------------------
 
-def cartesian_rhs(f3: CartesianField3, gamma: float,
-                  a3: CartesianField3 | None = None) -> CartesianField3:
-    """Conservative flux-form RHS on the box; zero flux at the box faces."""
-    if a3 is None:
-        a3 = cartesian_convolve(f3, 2.0 + gamma)
+def cartesian_rhs(f3: CartesianField3, a3: CartesianField3) -> CartesianField3:
+    """Conservative flux-form RHS on the box under the diffusion coefficient
+    a3 = a[f3]; zero flux at the box faces."""
     h = f3.grid.h
     f = f3.values
     a = a3.values
@@ -396,14 +386,20 @@ def cartesian_rhs(f3: CartesianField3, gamma: float,
     return CartesianField3(f3.grid, rhs, signed=True)
 
 
-def _run_cartesian(config: SolverConfig, f_in: CartesianField3) -> Trajectory:
+def run_cartesian(config: SolverConfig, f_in: CartesianField3) -> Trajectory:
+    """Explicit conservative evolution of a 3D field on its own box.
+
+    Reads gamma, dt, t_end, output_stride and positivity from the config; its
+    radial settings (n_cells, r_max, scheme) do not apply.  The box is limited
+    to n <= 64 points per axis and dt to the explicit diffusion limit.
+    """
     from . import diagnostics
 
     if not isinstance(f_in, CartesianField3):
-        raise SolverError("explicit-cartesian scheme requires a CartesianField3")
-    if config.cart_n > 64:
-        raise SolverError("cartesian evolution is restricted to n <= 64")
+        raise SolverError("run_cartesian requires a CartesianField3")
     grid = f_in.grid
+    if grid.n > 64:
+        raise SolverError(f"cartesian evolution is restricted to n <= 64, got {grid.n}")
     n_steps = int(round(config.t_end / config.dt))
     f = f_in
     a3 = cartesian_convolve(f, 2.0 + config.gamma)
@@ -416,7 +412,7 @@ def _run_cartesian(config: SolverConfig, f_in: CartesianField3) -> Trajectory:
     traj.append(0.0, f, diagnostics.snapshot_row3(0.0, f, mass_drift=0.0))
     mass0 = f.mass()
     for k in range(1, n_steps + 1):
-        rhs = cartesian_rhs(f, config.gamma, a3=a3)
+        rhs = cartesian_rhs(f, a3)
         vals = f.values + config.dt * rhs.values
         vals, _ = _apply_positivity(vals, config.positivity, vals.max())
         f = CartesianField3(grid, vals)

@@ -1,7 +1,17 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksflow.cli import main
-from ksflow.config import ConfigError, parse_config_text
+from ksflow.config import (
+    DEFAULT_MONITORS,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config_text,
+)
+from ksflow.solver import SolverConfig
 from ksflow.report import write_csv
 from ksflow.svgplot import render_lines
 
@@ -23,6 +33,14 @@ kind = gaussian
 sigma = 1.0
 mass = 1.0
 """
+
+
+def with_solver_line(line):
+    """REFERENCE_CONFIG with one [solver] key set to the given line."""
+    key = line.partition("=")[0]
+    kept = [ln for ln in REFERENCE_CONFIG.splitlines() if not ln.startswith(key)]
+    text = "\n".join(kept) + "\n"
+    return text.replace("[solver]\n", f"[solver]\n{line}\n")
 
 
 class TestConfig:
@@ -47,6 +65,46 @@ class TestConfig:
         bad = REFERENCE_CONFIG + "\n[initial]\namplitude = 2.0\n"
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    def test_echo_of_reference_config(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "reference.cfg")
+        assert cfg.echo_lines() == [
+            "[run]", "scenario = reference", "seed = 0", "out = out", "",
+            "[solver]", "gamma = -3.0", "n_cells = 512", "r_max = 12.0",
+            "dt = 0.0001", "t_end = 0.5", "scheme = semi-implicit-fv",
+            "output_stride = 50", "positivity = assert", "",
+            "[initial]", "kind = gaussian", "sigma = 1.0", "mass = 1.0", "",
+            "[monitors]", "enabled = " + ", ".join(DEFAULT_MONITORS),
+        ]
+
+    @settings(deadline=None)
+    @given(
+        scenario=st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True),
+        seed=st.integers(-2**63, 2**63),
+        gamma=st.floats(-3.0, -2.0),
+        n_cells=st.integers(4, 4096),
+        r_max=st.floats(1e-3, 1e3),
+        dt=st.floats(1e-9, 1.0),
+        t_end=st.floats(1e-6, 1e3),
+        scheme=st.sampled_from(["semi-implicit-fv", "explicit-fv"]),
+        output_stride=st.integers(1, 10**6),
+        positivity=st.sampled_from(["assert", "clip-and-log"]),
+        kind=st.sampled_from(["gaussian", "zero"]),
+        sigma=st.floats(1e-3, 1e3),
+        size=st.one_of(st.tuples(st.floats(0.0, 1e3), st.none()),
+                       st.tuples(st.none(), st.floats(0.0, 1e3))),
+        monitors=st.lists(st.sampled_from(DEFAULT_MONITORS), unique=True),
+    )
+    def test_echo_parses_back_to_the_same_config(
+            self, scenario, seed, gamma, n_cells, r_max, dt, t_end, scheme,
+            output_stride, positivity, kind, sigma, size, monitors):
+        solver = SolverConfig(gamma=gamma, n_cells=n_cells, r_max=r_max, dt=dt,
+                              t_end=t_end, scheme=scheme,
+                              output_stride=output_stride, positivity=positivity)
+        cfg = RunConfig(scenario=scenario, seed=seed, out=scenario, solver=solver,
+                        initial_kind=kind, sigma=sigma, mass=size[0],
+                        amplitude=size[1], monitors=tuple(monitors))
+        assert parse_config_text("\n".join(cfg.echo_lines())) == cfg
 
 
 class TestSimulate:
@@ -81,6 +139,23 @@ class TestSimulate:
         cfg_path.write_text(REFERENCE_CONFIG + "\nnonsense = 1\n")
         rc = main(["simulate", "--config", str(cfg_path), "--quiet"])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["scheme = foo", "n_cells = 3",
+                                      "scheme = explicit-cartesian"])
+    def test_bad_solver_value_exits_two_with_one_line(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(with_solver_line(line))
+        rc = main(["simulate", "--config", str(cfg_path), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_seed_option_removed(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(REFERENCE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--seed", "3", "--quiet"])
+        assert exc.value.code == 2
 
 
 class TestVerifyLifted:

@@ -180,6 +180,26 @@ class TestTrajectoryMonitors:
         assert dg.energy_identity_residual(traj, -3.0)["skipped"]
         assert dg.l3_bound_check(traj)["skipped"]
 
+    def test_rows_carry_the_maxpoint_and_moment_inputs(self):
+        from ksflow.grids import radial_laplacian
+        from ksflow.kernels import PowerLaw, coeff_a, coeff_h
+
+        cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.01,
+                           output_stride=20)
+        traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        pot = PowerLaw(-2.5)
+        for f, row in zip(traj.fields, traj.rows):
+            idx = int(np.argmax(f.values))
+            assert not row["_argmax_boundary"]
+            assert row["_sup_a"] == coeff_a(f, pot).values.max()
+            assert row["_h_at_argmax"] == coeff_h(f, pot).values[idx]
+            assert row["_lap_at_argmax"] == radial_laplacian(f).values[idx]
+        traj.fields.clear()  # the monitors read the rows only
+        assert dg.maxpoint_growth_check(traj, -2.5)["passed"]
+        assert dg.moment_growth_check(traj, -2.5, k=6)["monitor"] == "moment_growth_k6"
+        with pytest.raises(ValueError, match="k = 4 or 6"):
+            dg.moment_growth_check(traj, -2.5, k=8)
+
     def test_moment_growth_zero_field(self):
         cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.01,
                            output_stride=5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ksflow.grids import (
     FieldError,
@@ -217,3 +219,57 @@ class TestCheckpoints:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(FieldError):
             read_checkpoint(p)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        p = tmp_path / "short.ckpt"
+        write_checkpoint(p, gaussian_field(RadialGrid(64, 6.0), sigma=1.0), gamma=-3.0)
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(FieldError, match="payload"):
+            read_checkpoint(p)
+
+    def test_header_without_count_rejected(self, tmp_path):
+        p = tmp_path / "nocount.ckpt"
+        write_checkpoint(p, gaussian_field(RadialGrid(64, 6.0), sigma=1.0), gamma=-3.0)
+        raw = p.read_bytes()
+        p.write_bytes(raw.replace(b"count 64\n", b""))
+        with pytest.raises(FieldError, match="lacks count"):
+            read_checkpoint(p)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        n_cells=st.integers(4, 64),
+        r_max=st.floats(1e-3, 1e3),
+        gamma=st.floats(-3.0, -2.0),
+        time=st.floats(0.0, 1e3),
+    )
+    def test_nonnegative_radial_fields_roundtrip_bit_for_bit(
+            self, tmp_path, data, n_cells, r_max, gamma, time):
+        values = data.draw(hnp.arrays(np.float64, n_cells,
+                                      elements=st.floats(0.0, 1e300)))
+        f = RadialField(RadialGrid(n_cells, r_max), values)
+        p = tmp_path / "prop.ckpt"
+        write_checkpoint(p, f, gamma=gamma, time=time)
+        g, gamma_back, time_back = read_checkpoint(p)
+        assert g.values.tobytes() == f.values.tobytes()
+        assert g.grid == f.grid and not g.signed
+        assert (gamma_back, time_back) == (gamma, time)
+
+
+class TestGridGeometry:
+    def test_computed_once_and_read_only(self):
+        grid = RadialGrid(32, 4.0)
+        for name in ("centers", "faces", "face_areas", "cell_volumes"):
+            arr = getattr(grid, name)
+            assert getattr(grid, name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert np.array_equal(grid.face_areas, 4.0 * np.pi * grid.faces**2)
+
+    def test_equality_and_hash_from_fields(self):
+        a, b = RadialGrid(32, 4.0), RadialGrid(32, 4.0)
+        a.faces  # a cached array must not enter equality or hashing
+        assert a == b and hash(a) == hash(b)
+        assert a != RadialGrid(32, 4.5) and a != RadialGrid(33, 4.0)
+        assert CartesianGrid3(8, 4.0) == CartesianGrid3(8, 4.0)
+        assert hash(CartesianGrid3(8, 4.0)) == hash(CartesianGrid3(8, 4.0))

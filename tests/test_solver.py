@@ -10,11 +10,17 @@ from ksflow.solver import (
     flux_form_rhs,
     nondivergence_rhs,
     run,
+    run_cartesian,
     run_semilinear,
     semilinear_heat_rhs,
     step,
 )
-from ksflow.kernels import coeff_a
+from ksflow.kernels import coeff_a, coeff_h
+
+
+def coefficients(f, cfg):
+    """a[f] and h[f], frozen over one step."""
+    return coeff_a(f, cfg.potential), coeff_h(f, cfg.potential)
 
 
 def heat_kernel(grid, t, sigma0=1.0, mass=1.0):
@@ -32,6 +38,8 @@ class TestConfig:
             SolverConfig(scheme="spectral")
         with pytest.raises(SolverError):
             SolverConfig(positivity="ignore")
+        with pytest.raises(SolverError):
+            SolverConfig(scheme="explicit-cartesian")
 
 
 class TestFluxFormRHS:
@@ -111,7 +119,7 @@ class TestStep:
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=1e-4, t_end=0.01,
                            output_stride=10)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
-        f1, rep = step(f0, cfg)
+        f1, rep = step(f0, *coefficients(f0, cfg), cfg)
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_dt_to_zero_recovers_rhs(self):
@@ -122,7 +130,7 @@ class TestStep:
         errs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=dt, t_end=1.0)
-            f1, _ = step(f0, cfg)
+            f1, _ = step(f0, *coefficients(f0, cfg), cfg)
             quotient = (f1.values - f0.values) / dt
             errs.append(np.max(np.abs(quotient - rhs)))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
@@ -131,7 +139,7 @@ class TestStep:
     def test_reaction_guard_halves_dt(self):
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=5e-3, t_end=1.0)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=60.0)
-        _, rep = step(f0, cfg)
+        _, rep = step(f0, *coefficients(f0, cfg), cfg)
         # dt * 4 pi * 60 = 3.8 > 0.5 requires at least 3 halvings
         assert rep.halvings >= 3
         assert rep.dt_used * 4 * np.pi * 60.0 <= 0.5 * 1.05
@@ -149,13 +157,26 @@ class TestStep:
         floored, clips = _apply_positivity(shallow.copy(), "assert", 1.0)
         assert clips == 0 and floored.min() == 0.0
 
+    def test_reaction_guard_budget_fails_instead_of_hanging(self):
+        from ksflow.solver import _MAX_HALVINGS, _reaction_substeps
+
+        # run_semilinear at dt = 1e-4 needs 8 halvings just below its 1e6 detector
+        assert _reaction_substeps(1e-4, 0.999e6) == 8
+        assert _reaction_substeps(1e-4, 0.5 * 2.0**_MAX_HALVINGS / 1e-4) == _MAX_HALVINGS
+        with pytest.raises(SolverError, match=f"more than {_MAX_HALVINGS} halvings"):
+            _reaction_substeps(1e-4, 1e20)
+        cfg = SolverConfig(gamma=-3.0, n_cells=64, dt=1e-4, t_end=1.0)
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=1e20)
+        with pytest.raises(SolverError, match="halvings"):
+            step(f0, *coefficients(f0, cfg), cfg)
+
     def test_explicit_fv_agrees_with_semi_implicit_at_small_dt(self):
         f0 = gaussian_field(RadialGrid(256, 12.0), sigma=1.0, mass=1.0)
         outs = {}
         for scheme in ("semi-implicit-fv", "explicit-fv"):
             cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-5, t_end=1.0,
                                scheme=scheme)
-            f1, rep = step(f0, cfg)
+            f1, rep = step(f0, *coefficients(f0, cfg), cfg)
             outs[scheme] = f1.values
             assert abs(rep.mass_drift) <= 1e-12
         diff = np.max(np.abs(outs["explicit-fv"] - outs["semi-implicit-fv"]))
@@ -263,10 +284,8 @@ class TestCartesianRun:
         a = gaussian_field3(grid, sigma=1.0, mass=0.6, center=(1.0, 0.5, 0.0))
         b = gaussian_field3(grid, sigma=1.4, mass=0.4, center=(-0.8, 0.0, 0.3))
         f0 = CartesianField3(grid, a.values + b.values)
-        cfg = SolverConfig(gamma=-2.5, scheme="explicit-cartesian", dt=2e-3,
-                           t_end=0.04, output_stride=5, cart_n=32,
-                           cart_half_width=8.0)
-        traj = run(cfg, f0)
+        cfg = SolverConfig(gamma=-2.5, dt=2e-3, t_end=0.04, output_stride=5)
+        traj = run_cartesian(cfg, f0)
         fisher = traj.column("fisher")
         ent = traj.column("entropy")
         assert np.all(np.diff(fisher) < 0)
@@ -279,7 +298,20 @@ class TestCartesianRun:
 
         grid = CartesianGrid3(16, 6.0)
         f0 = gaussian_field3(grid, sigma=1.0, mass=1.0)
-        cfg = SolverConfig(gamma=-2.5, scheme="explicit-cartesian", dt=1.0,
-                           t_end=2.0, cart_n=16, cart_half_width=6.0)
+        cfg = SolverConfig(gamma=-2.5, dt=1.0, t_end=2.0)
         with pytest.raises(SolverError):
-            run(cfg, f0)
+            run_cartesian(cfg, f0)
+
+    def test_box_size_limit_read_from_the_field(self):
+        from ksflow.grids import CartesianField3, CartesianGrid3
+
+        f0 = CartesianField3(CartesianGrid3(128, 8.0), np.zeros((128,) * 3))
+        with pytest.raises(SolverError, match="n <= 64"):
+            run_cartesian(SolverConfig(gamma=-2.5), f0)
+
+    def test_radial_run_rejects_cartesian_field(self):
+        from ksflow.grids import CartesianGrid3, gaussian_field3
+
+        f0 = gaussian_field3(CartesianGrid3(16, 6.0), sigma=1.0)
+        with pytest.raises(SolverError, match="grid does not match"):
+            run(SolverConfig(gamma=-2.5), f0)
