@@ -1,12 +1,14 @@
 """Flat key = value run configuration with section headers.
 
 No nesting: every line is `key = value` under a `[section]` header, blank
-lines and #-comments allowed.  Unknown sections or keys are errors, so a
-config file can never silently misspell a knob.
+lines and #-comments allowed.  Unknown sections or keys and a key given twice
+in one section are errors, so a config file can never silently misspell or
+override a knob.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -85,9 +87,20 @@ class RunConfig:
         return lines[1:]
 
 
+def _check_initial(cfg: RunConfig) -> None:
+    """sigma > 0, mass >= 0 and amplitude >= 0, all finite (None: not given)."""
+    for key, bound in (("sigma", "> 0"), ("mass", ">= 0"), ("amplitude", ">= 0")):
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        if not (math.isfinite(value) and (value > 0.0 if bound == "> 0" else value >= 0.0)):
+            raise ConfigError(f"[initial] {key} must be finite and {bound}, got {value!r}")
+
+
 def parse_config_text(text: str) -> RunConfig:
     section = None
     values: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +119,10 @@ def parse_config_text(text: str) -> RunConfig:
         val = val.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if (section, key) in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} in [{section}] repeats "
+                              f"line {lines[(section, key)]}")
+        lines[(section, key)] = lineno
         caster = _SCHEMA[section][key]
         try:
             values[(section, key)] = caster(val)
@@ -129,6 +146,7 @@ def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig(solver=solver, **run_kwargs)
     if cfg.initial_kind not in ("gaussian", "zero"):
         raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
+    _check_initial(cfg)
     unknown = set(cfg.monitors) - set(DEFAULT_MONITORS)
     if unknown:
         raise ConfigError(f"unknown monitors: {sorted(unknown)}")

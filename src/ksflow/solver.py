@@ -104,12 +104,9 @@ class StepReport:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _face_fluxes(f: np.ndarray, a: np.ndarray, dr: float):
-    """Interior face fluxes (length n-1): diffusion and drift parts."""
-    f_face = 0.5 * (f[1:] + f[:-1])
-    diff = 0.5 * (a[1:] + a[:-1]) * (f[1:] - f[:-1]) / dr
-    drift = -f_face * (a[1:] - a[:-1]) / dr
-    return diff, drift
+def _drift_flux(f: np.ndarray, a: np.ndarray, dr: float) -> np.ndarray:
+    """Interior face drift flux (length n-1), -f grad a."""
+    return -(0.5 * (f[1:] + f[:-1])) * (a[1:] - a[:-1]) / dr
 
 
 def flux_form_rhs(f: RadialField, pot, a: RadialField | None = None) -> RadialField:
@@ -121,9 +118,10 @@ def flux_form_rhs(f: RadialField, pot, a: RadialField | None = None) -> RadialFi
     if a is None:
         a = coeff_a(f, pot)
     grid = f.grid
-    diff, drift = _face_fluxes(f.values, a.values, grid.dr)
+    vals, avals = f.values, a.values
+    diff = 0.5 * (avals[1:] + avals[:-1]) * (vals[1:] - vals[:-1]) / grid.dr
     flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = (diff + drift) * grid.face_areas[1:-1]
+    flux[1:-1] = (diff + _drift_flux(vals, avals, grid.dr)) * grid.face_areas[1:-1]
     rhs = (flux[1:] - flux[:-1]) / grid.cell_volumes
     return RadialField(grid, rhs, signed=True)
 
@@ -252,9 +250,8 @@ def step(f: RadialField, a: RadialField, h: RadialField | None,
     clips = 0
     for _ in range(1 << halvings):
         if config.scheme == "semi-implicit-fv":
-            _, drift = _face_fluxes(vals, a.values, f.grid.dr)
             dflux = np.zeros(f.grid.n_cells + 1)
-            dflux[1:-1] = drift * f.grid.face_areas[1:-1]
+            dflux[1:-1] = _drift_flux(vals, a.values, f.grid.dr) * f.grid.face_areas[1:-1]
             f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
             vals = _implicit_diffusion_solve(f_star, a.values, f.grid, sub_dt)
         else:  # explicit-fv

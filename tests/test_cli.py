@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ksflow
 from ksflow.cli import main
 from ksflow.config import (
     DEFAULT_MONITORS,
@@ -60,6 +64,29 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config_text("[nope]\nx = 1\n")
+
+    def test_repeated_key_rejected(self):
+        text = REFERENCE_CONFIG + "\n[solver]\nn_cells = 128\n"
+        with pytest.raises(ConfigError, match=r"line 19: key 'n_cells' in \[solver\] repeats line 7"):
+            parse_config_text(text)
+
+    def test_same_key_in_another_section_allowed(self):
+        cfg = parse_config_text(REFERENCE_CONFIG + "\n[run]\nout = elsewhere\n")
+        assert cfg.out == "elsewhere"
+
+    @pytest.mark.parametrize("line", ["sigma = -1.0", "sigma = 0.0", "sigma = nan",
+                                      "mass = -1.0", "mass = inf",
+                                      "amplitude = -2.0", "amplitude = nan"])
+    def test_bad_initial_value_rejected(self, line):
+        key = line.partition(" ")[0]
+        text = REFERENCE_CONFIG.replace("sigma = 1.0\nmass = 1.0\n", line + "\n")
+        with pytest.raises(ConfigError, match=rf"\[initial\] {key} must be finite"):
+            parse_config_text(text)
+
+    def test_zero_mass_and_amplitude_allowed(self):
+        assert parse_config_text(REFERENCE_CONFIG.replace("mass = 1.0", "mass = 0.0")).mass == 0.0
+        text = REFERENCE_CONFIG.replace("mass = 1.0", "amplitude = 0.0")
+        assert parse_config_text(text).amplitude == 0.0
 
     def test_mass_and_amplitude_conflict(self):
         bad = REFERENCE_CONFIG + "\n[initial]\namplitude = 2.0\n"
@@ -150,6 +177,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", ["[solver]\nn_cells = 128", "[initial]\nsigma = -1.0",
+                                       "[initial]\nmass = -1.0",
+                                       "[initial]\namplitude = -2.0"])
+    def test_config_errors_exit_two_with_one_line(self, tmp_path, capsys, extra):
+        # a repeated key, and initial data that used to reach gaussian_field
+        text = REFERENCE_CONFIG.replace("sigma = 1.0\nmass = 1.0\n", "") + f"\n{extra}\n"
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_seed_option_removed(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(REFERENCE_CONFIG)
@@ -227,3 +269,13 @@ class TestPlot:
                    "--out-file", str(out)])
         assert rc == 0
         assert out.read_text().startswith("<svg")
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # the radial operator runs on numpy.fft, which numpy has already loaded;
+    # scipy.fft would add ~0.1 s to every command's start-up
+    src = str(Path(ksflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, ksflow.cli; sys.exit('scipy.fft' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ksflow.grids import (
     CartesianGrid3,
@@ -21,10 +23,66 @@ from ksflow.kernels import (
     coeff_h,
     gamma_ratio,
     interior_mass_fraction,
+    kernel_matrix,
     radial_convolve,
 )
 
 GRID = RadialGrid(1024, 12.0)
+
+#: exponents across the ranges the solver (mu in [-3, -2] and [-1, 0]) and the
+#: probes convolve with; mu = -2, the eps-limit, is gated on its own
+GATED_MU = (-2.9, -2.5, -1.0, -0.5, -0.1)
+
+
+def _power_kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
+    """Dense W with (f * |.|^mu)(r_i) = sum_j W[i, j] f_j.
+
+    Entries integrate s [ (r+s)^{nu} - |r-s|^{nu} ] (nu = mu + 2) in closed
+    form over each source cell, splitting the diagonal cell at s = r.
+    """
+    nu = mu + 2.0
+    r = grid.centers[:, None]            # (n, 1) targets
+    lo = grid.faces[:-1][None, :]        # (1, n) source cell bounds
+    hi = grid.faces[1:][None, :]
+
+    # int s (r+s)^nu ds, antiderivative (r+s)^{nu+2}/(nu+2) - r (r+s)^{nu+1}/(nu+1)
+    def near_part(s):
+        t = r + s
+        return t ** (nu + 2.0) / (nu + 2.0) - r * t ** (nu + 1.0) / (nu + 1.0)
+
+    # int s |r-s|^nu ds: antiderivatives on either side of s = r
+    def below(s):  # s <= r
+        t = r - s
+        return t ** (nu + 2.0) / (nu + 2.0) - r * t ** (nu + 1.0) / (nu + 1.0)
+
+    def above(s):  # s >= r
+        t = s - r
+        return t ** (nu + 2.0) / (nu + 2.0) + r * t ** (nu + 1.0) / (nu + 1.0)
+
+    a_part = near_part(hi) - near_part(lo)
+    lo_b = np.minimum(lo, r)
+    hi_b = np.minimum(hi, r)
+    lo_a = np.maximum(lo, r)
+    hi_a = np.maximum(hi, r)
+    b_part = (below(hi_b) - below(lo_b)) + (above(hi_a) - above(lo_a))
+    return (2.0 * np.pi / (r * nu)) * (a_part - b_part)
+
+
+def dense_oracle(grid: RadialGrid, mu: float) -> np.ndarray:
+    """The dense closed-form matrix, with the symmetric eps-limit at mu = -2."""
+    if abs(mu + 2.0) < 1e-9:
+        eps = 1e-3
+        return 0.5 * (_power_kernel_matrix(grid, -2.0 + eps)
+                      + _power_kernel_matrix(grid, -2.0 - eps))
+    return _power_kernel_matrix(grid, mu)
+
+
+def oracle_profiles(grid: RadialGrid):
+    """A sigma = 1 Gaussian and two seeded uniform-random non-negative profiles."""
+    rng = np.random.default_rng(2024)
+    return [gaussian_field(grid, sigma=1.0, mass=1.0)] + [
+        RadialField(grid, rng.uniform(0.0, 1.0, grid.n_cells)) for _ in range(2)
+    ]
 
 
 def conv_oracle_1d(f_profile, mu, r_targets, s_max=14.0, n=40_000):
@@ -145,6 +203,84 @@ class TestRadialConvolve:
         rhs = 1.5 * radial_convolve(a, -1.0).values + 0.5 * radial_convolve(b, -1.0).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(rhs)
         assert np.all(lhs >= 0)
+
+
+class TestSpectralOperator:
+    """radial_convolve against the dense closed form it replaces."""
+
+    @pytest.mark.parametrize("n_cells", [512, 2048])
+    @pytest.mark.parametrize("mu", [*GATED_MU, -2.0])
+    def test_matches_dense_closed_form(self, n_cells, mu):
+        grid = RadialGrid(n_cells, 12.0)
+        W = dense_oracle(grid, mu)
+        # the mu = -2 limit amplifies rounding by 1/eps in both paths
+        tol = 1e-8 if mu == -2.0 else 1e-10
+        for f in oracle_profiles(grid):
+            expected = W @ f.values
+            got = radial_convolve(f, mu).values
+            assert np.max(np.abs(got - expected) / expected) <= tol
+
+    def test_wide_grid(self):
+        # the FFT rounding is relative to the kernel's size at 2 r_max, so the
+        # pointwise error grows with r_max / sigma
+        grid = RadialGrid(2048, 160.0)
+        f = gaussian_field(grid, sigma=1.0, mass=1.0)
+        expected = dense_oracle(grid, -0.1) @ f.values
+        got = radial_convolve(f, -0.1).values
+        assert np.max(np.abs(got - expected) / expected) <= 1e-7
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_cells=st.integers(8, 512),
+        r_max=st.floats(0.5, 20.0),
+        mu=st.sampled_from([*GATED_MU, -2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_random_profiles(self, n_cells, r_max, mu, seed):
+        grid = RadialGrid(n_cells, r_max)
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, n_cells)
+        expected = dense_oracle(grid, mu) @ values
+        got = radial_convolve(RadialField(grid, values), mu).values
+        tol = 1e-8 if mu == -2.0 else 1e-10
+        assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        n_cells=st.integers(8, 512),
+        r_max=st.floats(0.5, 20.0),
+        mu=st.sampled_from([*GATED_MU, -2.0]),
+    )
+    def test_property_any_nonnegative_profile(self, data, n_cells, r_max, mu):
+        # mass in a few cells near the origin is the sigma ~ dr end of the
+        # r_max / sigma growth: the FFT rounding is then ~eps (2n)^{mu+3} of
+        # the largest output (1.3e-7 for a unit spike in cell 0 of 489 cells
+        # at mu = -0.1, where the dense path itself is off by ~1e-8)
+        grid = RadialGrid(n_cells, r_max)
+        values = data.draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
+        # both paths are linear; scaled to a unit peak, no output is subnormal,
+        # where neither path has relative precision left
+        values = values / values.max() if values.any() else values
+        expected = dense_oracle(grid, mu) @ values
+        got = radial_convolve(RadialField(grid, values), mu).values
+        concentrated = 16 * np.finfo(float).eps * (2 * n_cells) ** (mu + 3.0)
+        tol = 1e-8 if mu == -2.0 else max(1e-10, concentrated)
+        assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+
+    def test_large_grid_is_small_and_accurate(self):
+        from scipy.special import erf
+
+        grid = RadialGrid(65536, 12.0)
+        assert kernel_matrix(grid, -1.0).nbytes <= 8 * 2**20
+        f = gaussian_field(grid, sigma=1.0, mass=1.0)
+        exact = erf(grid.centers / np.sqrt(2.0)) / grid.centers
+        assert np.max(np.abs(radial_convolve(f, -1.0).values - exact)) <= 1e-8
+
+    def test_cached_read_only(self):
+        grid = RadialGrid(96, 7.0)
+        spectrum = kernel_matrix(grid, -2.5)
+        assert kernel_matrix(RadialGrid(96, 7.0), -2.5) is spectrum
+        assert not spectrum.flags.writeable
 
 
 class TestCoefficients:
