@@ -21,7 +21,6 @@ from .kernels import (
     PowerLaw,
     RatioWindow,
     SoftenedPowerLaw,
-    Tabulated,
     cartesian_convolve,
     coeff_a,
     coeff_h,

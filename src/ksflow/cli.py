@@ -14,6 +14,7 @@ Exit status: 0 when every enabled assertion passes, 1 on assertion failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,6 +25,19 @@ from .report import all_passed, fmt, verdict_block, write_csv, write_run_report
 def _print(quiet, *args):
     if not quiet:
         print(*args)
+
+
+def _first_bad_number(checks) -> bool:
+    """Print one line for the first (flag, value, ok, requirement) that fails."""
+    for flag, value, ok, requirement in checks:
+        if not ok:
+            print(f"{flag} must be {requirement}, got {value!r}", file=sys.stderr)
+            return True
+    return False
+
+
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def cmd_simulate(args) -> int:
@@ -45,6 +59,8 @@ def cmd_verify_lifted(args) -> int:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if _first_bad_number([("--samples", args.samples, args.samples >= 1, "at least 1")]):
         return 2
     rows = []
     for name in names:
@@ -73,6 +89,8 @@ def cmd_probe(args) -> int:
     from .probes import PROBE_LEMMAS, ProbeError, probe_inequality
 
     lemmas = args.lemma or list(PROBE_LEMMAS)
+    if _first_bad_number([("--members", args.members, args.members >= 1, "at least 1")]):
+        return 2
     rows = []
     verdicts = []
     try:
@@ -102,10 +120,25 @@ def cmd_probe(args) -> int:
 
 
 def cmd_compare_blowup(args) -> int:
+    from .grids import FieldError
     from .harness import blowup_verdicts, compare_blowup
+    from .solver import SolverError
 
-    result = compare_blowup(args.amplitude, sigma=args.sigma,
-                            horizon=args.horizon, dt_list=tuple(args.dt))
+    if _first_bad_number([
+        ("--amplitude", args.amplitude,
+         math.isfinite(args.amplitude) and args.amplitude >= 0, "finite and >= 0"),
+        ("--sigma", args.sigma, _positive(args.sigma), "finite and > 0"),
+        ("--horizon", args.horizon, _positive(args.horizon), "finite and > 0"),
+        *(("--dt", dt, _positive(dt), "finite and > 0") for dt in args.dt),
+    ]):
+        return 2
+    try:
+        result = compare_blowup(args.amplitude, sigma=args.sigma,
+                                horizon=args.horizon, dt_list=tuple(args.dt))
+    except (FieldError, SolverError) as exc:
+        # e.g. a horizon that is not a whole number of steps
+        print(f"compare-blowup rejected: {exc}", file=sys.stderr)
+        return 2
     verdicts = blowup_verdicts(result)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -131,12 +164,17 @@ def cmd_compare_blowup(args) -> int:
 def cmd_plot(args) -> int:
     from .svgplot import write_svg
 
-    with open(args.csv, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(args.csv, "r", encoding="ascii") as fh:
+            lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(fh, start=1)
+                     if ln.strip()]
+    except UnicodeDecodeError as exc:
+        print(f"CSV is not ASCII: {exc}", file=sys.stderr)
+        return 2
     if not lines:
         write_svg(args.out_file, [], title=os.path.basename(args.csv))
         return 0
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     wanted = args.columns.split(",")
     missing = [c for c in wanted if c not in header]
     if missing:
@@ -146,16 +184,24 @@ def cmd_plot(args) -> int:
     if x_name not in header:
         print(f"x column {x_name!r} not in CSV", file=sys.stderr)
         return 2
-    data = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, cell in zip(header, ln.split(",")):
-            data[name].append(cell)
+    data = {name: [] for name in (x_name, *wanted)}
+    for number, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            print(f"CSV line {number} has {len(cells)} cells, the header "
+                  f"{len(header)}", file=sys.stderr)
+            return 2
+        for name, cell in zip(header, cells):
+            if name in data:
+                try:
+                    data[name].append(float(cell))
+                except ValueError:
+                    print(f"CSV line {number}: {name} = {cell!r} is not a number",
+                          file=sys.stderr)
+                    return 2
 
-    def as_floats(cells):
-        return [float(c) for c in cells]
-
-    xs = as_floats(data[x_name])
-    series = [(c, xs, as_floats(data[c])) for c in wanted]
+    xs = data[x_name]
+    series = [(c, xs, data[c]) for c in wanted]
     write_svg(args.out_file, series, title=os.path.basename(args.csv),
               log_y=args.log_y)
     return 0

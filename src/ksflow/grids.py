@@ -317,22 +317,31 @@ _CHECKPOINT_KINDS = {
 def read_checkpoint(path):
     """Read a checkpoint written by write_checkpoint.
 
-    Returns (field, gamma, time).  A header without a required key, or a
-    payload whose length disagrees with it, raises FieldError.
+    Returns (field, gamma, time).  A malformed header (bad magic or version,
+    a line without a value, a non-numeric or missing required value) or a
+    payload whose length disagrees with it raises FieldError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     end = raw.find(b"end-header\n")
     if end < 0:
         raise FieldError(f"{path}: not a ksflow checkpoint (missing end-header)")
-    head = raw[:end].decode("ascii").splitlines()
+    try:
+        head = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise FieldError(f"{path}: checkpoint header is not ASCII") from None
     blob = raw[end + len(b"end-header\n"):]
-    magic = head[0].split()
-    if magic[0] != _CHECKPOINT_MAGIC:
-        raise FieldError(f"{path}: bad magic {magic[0]!r}")
-    if int(magic[1]) != _CHECKPOINT_VERSION:
-        raise FieldError(f"{path}: unsupported checkpoint version {magic[1]}")
-    meta = dict(line.split(None, 1) for line in head[1:])
+    magic = head[0].split() if head else []
+    if len(magic) != 2 or magic[0] != _CHECKPOINT_MAGIC:
+        raise FieldError(f"{path}: bad magic line {head[0] if head else ''!r}")
+    if magic[1] != str(_CHECKPOINT_VERSION):
+        raise FieldError(f"{path}: unsupported checkpoint version {magic[1]!r}")
+    meta = {}
+    for line in head[1:]:
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise FieldError(f"{path}: header line {line!r} has no value")
+        meta[parts[0]] = parts[1]
     if meta.get("byte_order") != "little" or meta.get("dtype") != "float64":
         raise FieldError(f"{path}: unsupported binary encoding")
     if meta.get("kind") not in _CHECKPOINT_KINDS:
@@ -341,14 +350,17 @@ def read_checkpoint(path):
     missing = [k for k in ("gamma", "time", "count", size_key, width_key) if k not in meta]
     if missing:
         raise FieldError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    size = int(meta[size_key])
-    grid = grid_cls(size, float(meta[width_key]))
-    count = int(meta["count"])
+    try:
+        size, count = int(meta[size_key]), int(meta["count"])
+        width, gamma, time = (float(meta[k]) for k in (width_key, "gamma", "time"))
+        signed = bool(int(meta.get("signed", "0")))
+    except ValueError as exc:
+        raise FieldError(f"{path}: malformed checkpoint header value ({exc})") from None
+    grid = grid_cls(size, width)
     if count != size**ndim or len(blob) != 8 * count:
         raise FieldError(
             f"{path}: payload of {len(blob)} bytes, count {count}; "
             f"the grid needs {size**ndim} float64 values"
         )
     values = np.frombuffer(blob, dtype="<f8").astype(float).reshape((size,) * ndim)
-    signed = bool(int(meta.get("signed", "0")))
-    return field_cls(grid, values, signed=signed), float(meta["gamma"]), float(meta["time"])
+    return field_cls(grid, values, signed=signed), gamma, time

@@ -103,41 +103,6 @@ class SoftenedPowerLaw:
         return g * q ** (0.5 * g - 2.0) * (q + (g - 2.0) * r**2)
 
 
-class Tabulated:
-    """Interaction potential given by positive samples alpha(r_k), alpha'(r_k).
-
-    Evaluation is by monotone linear interpolation; alpha'' falls back to a
-    central difference of the sampled derivative unless given.
-    """
-
-    def __init__(self, r, alpha, alpha_prime, alpha_second=None):
-        r = np.asarray(r, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        alpha_prime = np.asarray(alpha_prime, dtype=float)
-        if r.ndim != 1 or len(r) < 2 or np.any(np.diff(r) <= 0):
-            raise KernelError("tabulated radii must be strictly increasing")
-        if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
-            raise KernelError("tabulated alpha samples must be strictly positive")
-        self.r = r
-        self._alpha = alpha
-        self._alpha_prime = alpha_prime
-        if alpha_second is None:
-            alpha_second = np.gradient(alpha_prime, r)
-        self._alpha_second = np.asarray(alpha_second, dtype=float)
-
-    def _interp(self, table, r):
-        return np.interp(np.asarray(r, dtype=float), self.r, table)
-
-    def alpha(self, r):
-        return self._interp(self._alpha, r)
-
-    def alpha_prime(self, r):
-        return self._interp(self._alpha_prime, r)
-
-    def alpha_second(self, r):
-        return self._interp(self._alpha_second, r)
-
-
 @dataclass(frozen=True)
 class RatioWindow:
     """Admissible window for the log-derivative Gamma = r alpha'/alpha."""
@@ -282,47 +247,15 @@ def radial_convolve(f: RadialField, mu: float) -> RadialField:
     return RadialField(f.grid, out, signed=f.signed)
 
 
-def _tabulated_convolve(f: RadialField, pot) -> RadialField:
-    """f * [alpha(|.|)|.|^2] for a tabulated potential.
-
-    Uses the same 1D reduction with the kernel primitive P(t) = int_0^t
-    u^3 alpha(u) du accumulated by trapezoid on a refined table; the cell-pair
-    integral int s [P(r+s) - P(|r-s|)] ds is then a smooth integrand handled
-    by per-cell Gauss-Legendre.
-    """
-    grid = f.grid
-    t = np.linspace(0.0, 2.0 * grid.r_max, 8 * grid.n_cells + 1)
-    integrand = t**3 * pot.alpha(np.maximum(t, 1e-300))
-    integrand[0] = 0.0
-    P_table = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))])
-
-    def P(x):
-        return np.interp(x, t, P_table)
-
-    nodes, weights = np.polynomial.legendre.leggauss(6)
-    lo = grid.faces[:-1]
-    dr = grid.dr
-    out = np.empty(grid.n_cells)
-    r = grid.centers
-    for i, ri in enumerate(r):
-        s = lo[None, :] + 0.5 * dr * (nodes[:, None] + 1.0)   # (6, n)
-        vals = s * (P(ri + s) - P(np.abs(ri - s)))
-        cell = 0.5 * dr * np.sum(weights[:, None] * vals, axis=0)
-        out[i] = (2.0 * np.pi / ri) * np.dot(cell, f.values)
-    if not f.signed:
-        out = np.maximum(out, 0.0)
-    return RadialField(grid, out, signed=f.signed)
-
-
 def coeff_a(f: RadialField, pot) -> RadialField:
     """Diffusion coefficient a[f] = f * alpha(|.|)|.|^2 (>= 0 everywhere).
 
     Power law: a[f] = f * |.|^{2+gamma}; gamma = -2 gives the constant mass and
     the flow degenerates to the heat equation.
     """
-    if isinstance(pot, PowerLaw):
-        return radial_convolve(f, 2.0 + pot.gamma)
-    return _tabulated_convolve(f, pot)
+    if not isinstance(pot, PowerLaw):
+        raise KernelError("a[f] is defined for power-law potentials only")
+    return radial_convolve(f, 2.0 + pot.gamma)
 
 
 def coeff_h(f: RadialField, pot) -> RadialField:

@@ -31,12 +31,8 @@ from .operators import (
 from .functionals import (
     IntegrabilityError,
     McEstimate,
-    commutation_rhs,
-    estimate,
     estimate_many,
     fisher_functional,
-    full_gradient_rhs,
     pair_first_variation,
-    pair_with_operator,
 )
 from .suites import SUITES

@@ -46,16 +46,18 @@ def _z(x: np.ndarray) -> np.ndarray:
     return x[:, :3] - x[:, 3:]
 
 
+_NU = {f"NU{i}": np.eye(6)[i - 1] + np.eye(6)[i + 2] for i in (1, 2, 3)}
+
+
 def vf_eval(name, x: np.ndarray) -> np.ndarray:
     """Evaluate a frame field at points x of shape (n, 6).
 
     `name` is one of FRAME_NAMES or a constant vector of length 6.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    if isinstance(name, (np.ndarray, list, tuple)):
-        e = np.asarray(name, dtype=float).reshape(6)
-        return np.broadcast_to(e, (n, 6)).copy()
+    if isinstance(name, (np.ndarray, list, tuple)) or name in _NU:
+        e = _NU[name] if isinstance(name, str) else np.asarray(name, dtype=float).reshape(6)
+        return np.broadcast_to(e, (x.shape[0], 6)).copy()
     z = _z(x)
     if name == "B0":
         return np.concatenate([z, -z], axis=1)
@@ -67,47 +69,63 @@ def vf_eval(name, x: np.ndarray) -> np.ndarray:
         if np.any(r == 0.0):
             raise FrameError("N is undefined on the diagonal v = w")
         return np.concatenate([z, -z], axis=1) / (np.sqrt(2.0) * r)
-    if name in ("NU1", "NU2", "NU3"):
-        i = int(name[2]) - 1
-        e = np.zeros(6)
-        e[i] = 1.0
-        e[i + 3] = 1.0
-        return np.broadcast_to(e, (n, 6)).copy()
     raise FrameError(f"unknown frame field {name!r}")
 
 
+def _read_only(J: np.ndarray) -> np.ndarray:
+    J.setflags(write=False)
+    return J
+
+
+def _block_jacobian(C: np.ndarray) -> np.ndarray:
+    """[[C, -C], [-C, C]]: the Jacobian of (C z, -C z) with z = v - w."""
+    return _read_only(np.block([[C, -C], [-C, C]]))
+
+
+_ZERO_JACOBIAN = _read_only(np.zeros((6, 6)))
+_CONSTANT_JACOBIANS = {
+    "B0": _block_jacobian(np.eye(3)),
+    **{f"B{k + 1}": _block_jacobian(_CROSS[k]) for k in range(3)},
+    **{name: _ZERO_JACOBIAN for name in _NU},
+}
+
+
 def vf_jacobian(name, x: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian (n, 6, 6) of a frame field; D(const) = 0."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    if isinstance(name, (np.ndarray, list, tuple)) or name.startswith("NU"):
-        return np.zeros((n, 6, 6))
-    if name == "B0":
-        J = np.zeros((6, 6))
-        J[:3, :3] = np.eye(3)
-        J[:3, 3:] = -np.eye(3)
-        J[3:, :3] = -np.eye(3)
-        J[3:, 3:] = np.eye(3)
-        return np.broadcast_to(J, (n, 6, 6)).copy()
-    if name in ("B1", "B2", "B3"):
-        C = _CROSS[int(name[1]) - 1]
-        J = np.zeros((6, 6))
-        J[:3, :3] = C
-        J[:3, 3:] = -C
-        J[3:, :3] = -C
-        J[3:, 3:] = C
-        return np.broadcast_to(J, (n, 6, 6)).copy()
+    """Analytic Jacobian D_ij = d v_i / d x_j of a frame field at x.
+
+    Shape rule: the fields with a constant Jacobian (B0, B1-B3, NU1-NU3 and
+    constant vectors, whose Jacobian is 0) return one read-only (6, 6) array,
+    whatever the number of points; only N returns (n, 6, 6).  Contract with
+    `_grad_along`, which takes either shape.
+    """
+    if isinstance(name, (np.ndarray, list, tuple)):
+        return _ZERO_JACOBIAN
+    if name in _CONSTANT_JACOBIANS:
+        return _CONSTANT_JACOBIANS[name]
     if name == "N":
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         z = _z(x)
         r = np.linalg.norm(z, axis=1)
         b0 = np.concatenate([z, -z], axis=1)
         nvec = b0 / (np.sqrt(2.0) * r[:, None])
-        Jb0 = vf_jacobian("B0", x)
         return (
-            Jb0 / (np.sqrt(2.0) * r[:, None, None])
+            _CONSTANT_JACOBIANS["B0"] / (np.sqrt(2.0) * r[:, None, None])
             - np.einsum("ni,nj->nij", b0, nvec) / (r**2)[:, None, None]
         )
     raise FrameError(f"unknown frame field {name!r}")
+
+
+def _grad_along(J: np.ndarray, v: np.ndarray, grad: np.ndarray,
+                hess: np.ndarray) -> np.ndarray:
+    """grad(v . grad F) = J^T grad F + (Hess F) v, shape (n, 6).
+
+    v is a field's values (n, 6) and J its Jacobian, (6, 6) for a constant
+    one or (n, 6, 6).  The one contraction of frame fields with mixture
+    derivatives: commutators, second directional derivatives, Q_L and the
+    first-variation pairings all go through it.
+    """
+    jt_grad = grad @ J if J.ndim == 2 else np.einsum("nji,nj->ni", J, grad)
+    return jt_grad + np.einsum("nij,nj->ni", hess, v)
 
 
 def vf_divergence(name, x: np.ndarray) -> np.ndarray:
@@ -129,21 +147,22 @@ def commutator_field(a, b, x: np.ndarray) -> np.ndarray:
     vb = vf_eval(b, x)
     Ja = vf_jacobian(a, x)
     Jb = vf_jacobian(b, x)
-    return np.einsum("nij,nj->ni", Jb, va) - np.einsum("nij,nj->ni", Ja, vb)
+    return (np.einsum("...ij,...j->...i", Jb, va)
+            - np.einsum("...ij,...j->...i", Ja, vb))
+
+
+def _bracket(va, Ja, vb, Jb, grad, hess) -> np.ndarray:
+    """a.grad(b.grad F) - b.grad(a.grad F) from field values and Jacobians."""
+    return (np.einsum("ni,ni->n", va, _grad_along(Jb, vb, grad, hess))
+            - np.einsum("ni,ni->n", vb, _grad_along(Ja, va, grad, hess)))
 
 
 def commutator_apply(a, b, F: Mixture6, x: np.ndarray) -> np.ndarray:
     """[a, b] . grad F = a.grad(b.grad F) - b.grad(a.grad F), all analytic."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _, grad, hess = F.eval(x)
-    va = vf_eval(a, x)
-    vb = vf_eval(b, x)
-    Ja = vf_jacobian(a, x)
-    Jb = vf_jacobian(b, x)
-    # grad(b . grad F) = Db^T grad F + Hess F b
-    gb = np.einsum("nji,nj->ni", Jb, grad) + np.einsum("nij,nj->ni", hess, vb)
-    ga = np.einsum("nji,nj->ni", Ja, grad) + np.einsum("nij,nj->ni", hess, va)
-    return np.einsum("ni,ni->n", va, gb) - np.einsum("ni,ni->n", vb, ga)
+    return _bracket(vf_eval(a, x), vf_jacobian(a, x),
+                    vf_eval(b, x), vf_jacobian(b, x), grad, hess)
 
 
 def a_matrix(z: np.ndarray) -> np.ndarray:
@@ -168,7 +187,7 @@ def frame_identities(x: np.ndarray) -> dict:
         / scale
     )
     Jb0 = vf_jacobian("B0", x)
-    res_div = np.max(np.abs(np.einsum("nii->n", Jb0) - 6.0))
+    res_div = abs(np.trace(Jb0) - 6.0)
     block = np.zeros((6, 6))
     block[:3, :3] = np.eye(3)
     block[3:, 3:] = np.eye(3)

@@ -12,6 +12,12 @@ parallel in principle.
 
 Independent left/right estimates of an identity use distinct stream ids, so
 "agreement within 3 standard errors" compares genuinely independent noise.
+
+One stream has one integrand: a function of (x, F, grad F, Hess F) on a
+chunk that returns a dict of named per-sample arrays, one per estimated
+quantity.  Whatever several of them share (frame values, Jacobians,
+operator values) is computed once per chunk as a plain local.  The pointwise
+helpers here (`_fisher_values`, `_pairings`) build those arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from ..kernels import PowerLaw
 from . import operators as ops
-from .frames import commutator_field, vf_divergence, vf_eval, vf_jacobian
+from .frames import _grad_along, vf_eval, vf_jacobian
 from .gaussians import Mixture6
 
 CHUNK_SIZE = 1 << 17
@@ -52,31 +58,32 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, chunk)))
 
 
-def estimate_many(F: Mixture6, integrands: dict, n_samples: int, seed: int,
+def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
                   stream: int = 0, order: int = 2) -> dict:
-    """Estimate mass * E[g] for every named integrand on shared sample chunks.
+    """Estimate mass * E[g] for every quantity g of one stream's integrand.
 
-    integrands maps name -> fn(x, F_val, grad, hess) returning per-sample
-    values.  order=1 skips the Hessian for gradient-only integrands.
-    Returns name -> McEstimate.
+    integrand(x, F_val, grad, hess) returns name -> per-sample values on one
+    chunk, the same names on every chunk.  order=1 skips the Hessian (hess is
+    None) for gradient-only integrands.  Returns name -> McEstimate.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     mass = F.mass
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sums = {k: 0.0 for k in integrands}
-    sq_sums = {k: 0.0 for k in integrands}
+    sums: dict = {}
+    sq_sums: dict = {}
     drawn = 0
     for c in range(n_chunks):
         m = min(CHUNK_SIZE, n_samples - drawn)
         rng = _chunk_rng(seed, stream, c)
         x = F.sample(m, rng)
         F_val, grad, hess = F.eval(x, order=order)
-        for name, fn in integrands.items():
-            vals = fn(x, F_val, grad, hess)
-            sums[name] += float(np.sum(vals))
-            sq_sums[name] += float(np.sum(vals * vals))
+        for name, vals in integrand(x, F_val, grad, hess).items():
+            sums[name] = sums.get(name, 0.0) + float(np.sum(vals))
+            sq_sums[name] = sq_sums.get(name, 0.0) + float(np.sum(vals * vals))
         drawn += m
     out = {}
-    for name in integrands:
+    for name in sums:
         mean = sums[name] / n_samples
         var = max(sq_sums[name] / n_samples - mean**2, 0.0)
         out[name] = McEstimate(
@@ -88,23 +95,12 @@ def estimate_many(F: Mixture6, integrands: dict, n_samples: int, seed: int,
     return out
 
 
-def estimate(F: Mixture6, integrand, n_samples: int, seed: int,
-             stream: int = 0, order: int = 2) -> McEstimate:
-    return estimate_many(F, {"g": integrand}, n_samples, seed, stream, order)["g"]
-
-
 # ---------------------------------------------------------------------------
 # weights and directions
 # ---------------------------------------------------------------------------
 
 def weight_values(weight, pot, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar weight at x.
-
-    `weight` is ONE, ALPHA, SQRT_ALPHA_OVER_R2, BETA1, BETA2, a pair
-    ("GEN", p, q) meaning alpha^p |z|^q, or a callable of (pot, x).
-    """
-    if callable(weight):
-        return weight(pot, x)
+    """Evaluate a scalar weight (one of WEIGHT_NAMES) at x."""
     if weight == "ONE":
         return np.ones(np.atleast_2d(x).shape[0])
     r, a, ap, _ = ops.alpha_bundle(pot, x)
@@ -116,14 +112,11 @@ def weight_values(weight, pot, x: np.ndarray) -> np.ndarray:
         return ops.beta1(pot, x)
     if weight == "BETA2":
         return ops.beta2(pot, x)
-    if isinstance(weight, tuple) and weight[0] == "GEN":
-        _, p, q = weight
-        return a**p * r**q
     raise ValueError(f"unknown weight {weight!r}")
 
 
 def _weight_diagonal_exponent(weight, gamma: float) -> float:
-    if weight == "ONE" or callable(weight):
+    if weight == "ONE":
         return 0.0
     if weight == "ALPHA":
         return gamma
@@ -131,9 +124,6 @@ def _weight_diagonal_exponent(weight, gamma: float) -> float:
         return 0.5 * gamma - 2.0
     if weight in ("BETA1", "BETA2"):
         return 0.5 * gamma
-    if isinstance(weight, tuple) and weight[0] == "GEN":
-        _, p, q = weight
-        return gamma * p + q
     raise ValueError(f"unknown weight {weight!r}")
 
 
@@ -161,30 +151,71 @@ def check_integrability(weight, direction, pot):
         )
 
 
-
 def _is_full(direction) -> bool:
     return isinstance(direction, str) and direction == "FULL"
 
-def _direction_values(direction, pot, x: np.ndarray) -> np.ndarray:
+
+def _direction_values(direction, pot, x: np.ndarray):
+    """Values (n, 6) of a direction; None for FULL (the whole gradient)."""
+    if _is_full(direction):
+        return None
     if isinstance(direction, str) and direction == "L0":
         return ops.sqrt_alpha_b0(pot, x)
     return vf_eval(direction, x)
 
 
-def integrand_fisher(weight="ONE", direction="FULL", pot=None):
-    """Integrand of I_e^beta(F) = int beta |e . grad log F|^2 F."""
+def _weight(weight, pot, x: np.ndarray):
+    return 1.0 if weight == "ONE" else weight_values(weight, pot, x)
 
-    def g(x, F_val, grad, hess):
-        beta = weight_values(weight, pot, x) if weight != "ONE" else 1.0
-        if _is_full(direction):
-            s = np.einsum("ni,ni->n", grad, grad) / F_val**2
+
+def _transport_field(b, pot, x):
+    """(values, jacobian) for b = frame name, constant vector, or "L0"."""
+    if isinstance(b, str) and b == "L0":
+        return ops.sqrt_alpha_b0(pot, x), ops.sqrt_alpha_b0_jacobian(pot, x)
+    return vf_eval(b, x), vf_jacobian(b, x)
+
+
+# ---------------------------------------------------------------------------
+# pointwise integrands
+# ---------------------------------------------------------------------------
+
+def _fisher_values(e, beta, F_val, grad) -> np.ndarray:
+    """beta |e . grad log F|^2 per sample; |grad log F|^2 when e is None."""
+    if e is None:
+        s = np.einsum("ni,ni->n", grad, grad) / F_val**2
+    else:
+        s = np.einsum("ni,ni->n", e, grad) ** 2 / F_val**2
+    return beta * s
+
+
+def _pairings(vb, Jb, F_val, grad, hess, terms: dict) -> dict:
+    """Per-unit-F integrands of < (I_e^beta)'(F), L_b F > for one field b.
+
+    vb, Jb are b's values and Jacobian; terms maps name -> (e, beta), e the
+    direction values or None for the full gradient.  Per sample,
+
+        [2 beta (e.grad F)(e.grad(b.grad F))/F - beta (e.grad F)^2 (b.grad F)/F^2] / F,
+
+    with grad(b.grad F) and b.grad F computed once for all the terms.
+    """
+    gbF = _grad_along(Jb, vb, grad, hess)
+    bF = np.einsum("ni,ni->n", vb, grad)
+    out = {}
+    for name, (e, beta) in terms.items():
+        if e is None:
+            first = 2.0 * np.einsum("ni,ni->n", grad, gbF) / F_val
+            second = np.einsum("ni,ni->n", grad, grad) * bF / F_val**2
         else:
-            e = _direction_values(direction, pot, x)
-            s = np.einsum("ni,ni->n", e, grad) ** 2 / F_val**2
-        return beta * s
+            eF = np.einsum("ni,ni->n", e, grad)
+            first = 2.0 * eF * np.einsum("ni,ni->n", e, gbF) / F_val
+            second = eF**2 * bF / F_val**2
+        out[name] = beta * (first - second) / F_val
+    return out
 
-    return g
 
+# ---------------------------------------------------------------------------
+# functionals and first-variation pairings
+# ---------------------------------------------------------------------------
 
 def fisher_functional(F: Mixture6, weight="ONE", direction="FULL",
                       n_samples: int = 1 << 20, seed: int = 0, pot=None,
@@ -194,46 +225,12 @@ def fisher_functional(F: Mixture6, weight="ONE", direction="FULL",
         check_integrability(weight, direction, pot if pot is not None else PowerLaw(0.0))
     if weight != "ONE" and pot is None:
         raise ValueError("weighted functionals need a potential")
-    return estimate(F, integrand_fisher(weight, direction, pot), n_samples, seed,
-                    stream, order=1)
 
+    def integrand(x, F_val, grad, hess):
+        e = _direction_values(direction, pot, x)
+        return {"I": _fisher_values(e, _weight(weight, pot, x), F_val, grad)}
 
-# ---------------------------------------------------------------------------
-# first-variation pairings
-# ---------------------------------------------------------------------------
-
-def _transport_field(b, pot, x):
-    """(values, jacobian) for b = frame name, constant vector, or "L0"."""
-    if isinstance(b, str) and b == "L0":
-        return ops.sqrt_alpha_b0(pot, x), ops.sqrt_alpha_b0_jacobian(pot, x)
-    return vf_eval(b, x), vf_jacobian(b, x)
-
-
-def integrand_pair(b, weight="ONE", direction="FULL", pot=None):
-    """Integrand of < (I_e^beta)'(F), L_b(F) > (per unit F):
-
-        [2 beta (e.grad F)(e.grad(b.grad F))/F - beta (e.grad F)^2 (b.grad F)/F^2] / F
-
-    or the full-gradient version when direction is FULL.
-    """
-
-    def g(x, F_val, grad, hess):
-        beta = weight_values(weight, pot, x) if weight != "ONE" else 1.0
-        vb, Jb = _transport_field(b, pot, x)
-        # grad(b . grad F) = Db^T grad F + Hess F b
-        gbF = np.einsum("nji,nj->ni", Jb, grad) + np.einsum("nij,nj->ni", hess, vb)
-        bF = np.einsum("ni,ni->n", vb, grad)
-        if _is_full(direction):
-            first = 2.0 * np.einsum("ni,ni->n", grad, gbF) / F_val
-            second = np.einsum("ni,ni->n", grad, grad) * bF / F_val**2
-        else:
-            e = _direction_values(direction, pot, x)
-            eF = np.einsum("ni,ni->n", e, grad)
-            first = 2.0 * eF * np.einsum("ni,ni->n", e, gbF) / F_val
-            second = eF**2 * bF / F_val**2
-        return beta * (first - second) / F_val
-
-    return g
+    return estimate_many(F, integrand, n_samples, seed, stream, order=1)["I"]
 
 
 def pair_first_variation(F: Mixture6, b, weight="ONE", direction="FULL",
@@ -245,69 +242,10 @@ def pair_first_variation(F: Mixture6, b, weight="ONE", direction="FULL",
     """
     if not _is_full(direction):
         check_integrability(weight, direction, pot if pot is not None else PowerLaw(0.0))
-    return estimate(F, integrand_pair(b, weight, direction, pot), n_samples, seed, stream)
 
+    def integrand(x, F_val, grad, hess):
+        vb, Jb = _transport_field(b, pot, x)
+        term = (_direction_values(direction, pot, x), _weight(weight, pot, x))
+        return _pairings(vb, Jb, F_val, grad, hess, {"pair": term})
 
-def integrand_operator_pairing(op_fn):
-    """Integrand of < I'(F), G > = int (|grad log F|^2 - 2 Lap F/F) G dx.
-
-    op_fn(x, F_val, grad, hess) must return pointwise values of the operator
-    applied to F (e.g. Q_KS(F)(x)).
-    """
-
-    def g(x, F_val, grad, hess):
-        psi = ops.first_variation_density(F_val, grad, hess)
-        return psi * op_fn(x, F_val, grad, hess) / F_val
-
-    return g
-
-
-def pair_with_operator(F: Mixture6, op_fn, n_samples: int = 1 << 20,
-                       seed: int = 0, stream: int = 0) -> McEstimate:
-    return estimate(F, integrand_operator_pairing(op_fn), n_samples, seed, stream)
-
-
-# ---------------------------------------------------------------------------
-# identity right-hand sides (Fisher commutation forms)
-# ---------------------------------------------------------------------------
-
-def integrand_commutation_rhs(e, b):
-    """Integrand of int [2 (e.u)([e,b].u) - div(b)(e.u)^2] F, u = grad log F.
-
-    The unweighted directional commutation identity; e and b are frame fields
-    or constant vectors with analytic commutator and divergence.
-    """
-
-    def g(x, F_val, grad, hess):
-        u = grad / F_val[:, None]
-        ve = vf_eval(e, x)
-        comm = commutator_field(e, b, x)
-        div_b = vf_divergence(b, x)
-        eu = np.einsum("ni,ni->n", ve, u)
-        cu = np.einsum("ni,ni->n", comm, u)
-        return 2.0 * eu * cu - div_b * eu**2
-
-    return g
-
-
-def commutation_rhs(F: Mixture6, e, b, n_samples: int = 1 << 20, seed: int = 0,
-                    stream: int = 0) -> McEstimate:
-    return estimate(F, integrand_commutation_rhs(e, b), n_samples, seed, stream, order=1)
-
-
-def integrand_full_gradient_rhs(b):
-    """Integrand of int [2 <Db u, u> - div(b) |u|^2] F for a frame field b."""
-
-    def g(x, F_val, grad, hess):
-        u = grad / F_val[:, None]
-        Jb = vf_jacobian(b, x)
-        div_b = vf_divergence(b, x)
-        quad = np.einsum("ni,nij,nj->n", u, Jb, u)
-        return 2.0 * quad - div_b * np.einsum("ni,ni->n", u, u)
-
-    return g
-
-
-def full_gradient_rhs(F: Mixture6, b, n_samples: int = 1 << 20, seed: int = 0,
-                      stream: int = 0) -> McEstimate:
-    return estimate(F, integrand_full_gradient_rhs(b), n_samples, seed, stream, order=1)
+    return estimate_many(F, integrand, n_samples, seed, stream)["pair"]

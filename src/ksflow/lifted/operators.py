@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import _z, a_matrix, vf_eval, vf_jacobian
+from .frames import _grad_along, _z, a_matrix, vf_eval, vf_jacobian
 from .gaussians import Mixture6
 
 
@@ -95,12 +95,8 @@ def sqrt_alpha_b0_jacobian_decomposed(pot, x: np.ndarray) -> np.ndarray:
 
 
 def _directional_second(c_vals, c_jac, grad, hess):
-    """c . grad(c . grad F) = ((Dc) c) . grad F + c^T (Hess F) c."""
-    advect = np.einsum("nij,nj->ni", c_jac, c_vals)
-    return (
-        np.einsum("ni,ni->n", advect, grad)
-        + np.einsum("ni,nij,nj->n", c_vals, hess, c_vals)
-    )
+    """c . grad(c . grad F) = c . ((Dc)^T grad F + (Hess F) c)."""
+    return np.einsum("ni,ni->n", c_vals, _grad_along(c_jac, c_vals, grad, hess))
 
 
 def apply_L0(F: Mixture6, pot, x: np.ndarray, bundle=None) -> np.ndarray:
@@ -133,13 +129,9 @@ def apply_QL(F: Mixture6, pot, x: np.ndarray, form: str = "frames",
     if form == "frames":
         out = np.zeros(x.shape[0])
         for k in (1, 2, 3):
-            bk = vf_eval(f"B{k}", x)
-            Jk = vf_jacobian(f"B{k}", x)
-            advect = np.einsum("nij,nj->ni", Jk, bk)
-            out += a * (
-                np.einsum("ni,ni->n", advect, grad)
-                + np.einsum("ni,nij,nj->n", bk, hess, bk)
-            )
+            name = f"B{k}"
+            out += a * _directional_second(vf_eval(name, x), vf_jacobian(name, x),
+                                           grad, hess)
         return out
     if form == "aij":
         z = _z(x)

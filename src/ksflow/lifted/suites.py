@@ -20,14 +20,14 @@ from ..grids import RadialGrid, gaussian_field
 from ..kernels import RATIO_WINDOW, PowerLaw, SoftenedPowerLaw, coeff_a, coeff_h, gamma_ratio
 from ..grids import radial_laplacian
 from . import operators as ops
-from .frames import flow, frame_identities, vf_eval, vf_jacobian
+from .frames import _bracket, flow, frame_identities, vf_eval, vf_jacobian
 from .functionals import (
     McEstimate,
-    estimate,
+    _fisher_values,
+    _pairings,
     estimate_many,
-    integrand_fisher,
-    integrand_operator_pairing,
-    integrand_pair,
+    fisher_functional,
+    weight_values,
 )
 from .gaussians import Mixture6, isotropic_gaussian, random_symmetric_mixture, tensor_product
 
@@ -99,12 +99,6 @@ def run_frames_suite(seed: int = 0, n_points: int = 100):
     return rows
 
 
-def _comm_apply(va, Ja, vb, Jb, grad, hess):
-    gb = np.einsum("nji,nj->ni", Jb, grad) + np.einsum("nij,nj->ni", hess, vb)
-    ga = np.einsum("nji,nj->ni", Ja, grad) + np.einsum("nij,nj->ni", hess, va)
-    return np.einsum("ni,ni->n", va, gb) - np.einsum("ni,ni->n", vb, ga)
-
-
 def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
                           n_points: int = 100, F: Mixture6 | None = None):
     if F is None:
@@ -115,9 +109,8 @@ def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
     rows = []
 
     def frame_pair(name, a, b, expected):
-        va, Ja = vf_eval(a, x), vf_jacobian(a, x)
-        vb, Jb = vf_eval(b, x), vf_jacobian(b, x)
-        got = _comm_apply(va, Ja, vb, Jb, grad, hess)
+        got = _bracket(vf_eval(a, x), vf_jacobian(a, x),
+                       vf_eval(b, x), vf_jacobian(b, x), grad, hess)
         rows.append(_point_row("commutators", name,
                                float(np.max(np.abs(got - expected))) / scale,
                                tol=1e-10))
@@ -140,12 +133,12 @@ def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
         Jc0 = ops.sqrt_alpha_b0_jacobian(pot, x)
         for k in (1, 2, 3):
             vk, Jk = vf_eval(f"B{k}", x), vf_jacobian(f"B{k}", x)
-            got = _comm_apply(vk, Jk, c0, Jc0, grad, hess)
+            got = _bracket(vk, Jk, c0, Jc0, grad, hess)
             rows.append(_point_row(
                 "commutators", f"[B{k},sqrt(a)B0]=0 gamma={gamma:g}",
                 float(np.max(np.abs(got))) / scale, tol=1e-10))
         vn, Jn = vf_eval("N", x), vf_jacobian("N", x)
-        got = _comm_apply(vn, Jn, c0, Jc0, grad, hess)
+        got = _bracket(vn, Jn, c0, Jc0, grad, hess)
         expected = ops.beta2(pot, x) * n_dot_grad
         rows.append(_point_row(
             "commutators", f"[N,sqrt(a)B0]=beta2(N.grad) gamma={gamma:g}",
@@ -238,27 +231,24 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
     if mixtures is None:
         mixtures = [("iso_gaussian", isotropic_gaussian()),
                     ("mixture3", random_symmetric_mixture(3, seed + 2))]
+
+    def pairings(x, F_val, grad, hess):
+        terms = {"prop": (None, 1.0)}
+        terms.update({f"nu{i}": (vf_eval(f"NU{i}", x), 1.0) for i in (1, 2, 3)})
+        return _pairings(vf_eval("B0", x), vf_jacobian("B0", x), F_val, grad, hess, terms)
+
+    def right_sides(x, F_val, grad, hess):
+        u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
+        nu2 = _nu_quadratic(grad, F_val)
+        out = {"prop": -2.0 * u2 - 2.0 * nu2, "conclusion": -8.0 * u2 + 4.0 * nu2}
+        out.update({f"nu{i}": _fisher_values(vf_eval(f"NU{i}", x), 1.0, F_val, grad)
+                    for i in (1, 2, 3)})
+        return out
+
     rows = []
     for label, F in mixtures:
-        lhs_fns = {"prop": integrand_pair("B0", "ONE", "FULL", None)}
-        lhs_fns.update({
-            f"nu{i}": integrand_pair("B0", "ONE", f"NU{i}", None) for i in (1, 2, 3)
-        })
-        lhs = estimate_many(F, lhs_fns, n_samples, seed, stream=0)
-
-        def rhs_prop31(x, F_val, grad, hess):
-            u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-            return -2.0 * u2 - 2.0 * _nu_quadratic(grad, F_val)
-
-        def conclusion(x, F_val, grad, hess):
-            u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-            return -8.0 * u2 + 4.0 * _nu_quadratic(grad, F_val)
-
-        rhs_fns = {"prop": rhs_prop31, "conclusion": conclusion}
-        rhs_fns.update({
-            f"nu{i}": integrand_fisher("ONE", f"NU{i}", None) for i in (1, 2, 3)
-        })
-        rhs = estimate_many(F, rhs_fns, n_samples, seed, stream=1, order=1)
+        lhs = estimate_many(F, pairings, n_samples, seed, stream=0)
+        rhs = estimate_many(F, right_sides, n_samples, seed, stream=1, order=1)
 
         rows.append(_equality_row("maxwell", f"{label}:first_order_pairing",
                                   lhs["prop"], rhs["prop"]))
@@ -293,6 +283,11 @@ def _tangent_quadratic(x, grad, F_val):
     return total / F_val**2
 
 
+def _normal_quadratic(x, grad, F_val):
+    """(n . u)^2, u = grad log F."""
+    return np.einsum("ni,ni->n", vf_eval("N", x), grad) ** 2 / F_val**2
+
+
 def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
                              label: str = ""):
     """Lemma-level identities for < I' , L0 > and the three weighted
@@ -302,59 +297,41 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
     (commutation forms) another, so each identity is an independent-estimator
     comparison.
     """
-    r_of = lambda x: np.linalg.norm(x[:, :3] - x[:, 3:], axis=1)
+    def pairings(x, F_val, grad, hess):
+        terms = {
+            "l42": (None, 1.0),
+            "l43b": (vf_eval("N", x), weight_values("BETA2", pot, x)),
+            "l43c": (None, weight_values("BETA1", pot, x)),
+        }
+        w43a = weight_values("SQRT_ALPHA_OVER_R2", pot, x)
+        terms.update({f"l43a_k{k}": (vf_eval(f"B{k}", x), w43a) for k in (1, 2, 3)})
+        return _pairings(ops.sqrt_alpha_b0(pot, x), ops.sqrt_alpha_b0_jacobian(pot, x),
+                         F_val, grad, hess, terms)
 
-    lhs_fns = {
-        "l42": integrand_pair("L0", "ONE", "FULL", pot),
-        "l43b": integrand_pair("L0", "BETA2", "N", pot),
-        "l43c": integrand_pair("L0", "BETA1", "FULL", pot),
-    }
-    lhs_fns.update({
-        f"l43a_k{k}": integrand_pair("L0", "SQRT_ALPHA_OVER_R2", f"B{k}", pot)
-        for k in (1, 2, 3)
-    })
-    lhs = estimate_many(F, lhs_fns, n_samples, seed, stream=10)
+    lhs = estimate_many(F, pairings, n_samples, seed, stream=10)
     lhs43a = McEstimate(
         sum(lhs[f"l43a_k{k}"].value for k in (1, 2, 3)),
         float(np.sqrt(sum(lhs[f"l43a_k{k}"].stderr ** 2 for k in (1, 2, 3)))),
         n_samples, seed,
     )
 
-    def rhs42(x, F_val, grad, hess):
-        r = r_of(x)
-        sq = np.sqrt(pot.alpha(r))
+    def right_sides(x, F_val, grad, hess):
+        r, a, ap, _ = ops.alpha_bundle(pot, x)
+        b1, b2 = ops.beta1(pot, x), ops.beta2(pot, x)
         tan = _tangent_quadratic(x, grad, F_val)
-        nvec = vf_eval("N", x)
-        nn = np.einsum("ni,ni->n", nvec, grad) ** 2 / F_val**2
+        nn = _normal_quadratic(x, grad, F_val)
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-        return (2.0 * sq / r**2 * tan
-                + 2.0 * ops.beta2(pot, x) * nn
-                - ops.beta1(pot, x) * u2)
-
-    def rhs43a(x, F_val, grad, hess):
-        r = r_of(x)
-        a, ap = pot.alpha(r), pot.alpha_prime(r)
-        return -2.0 * (a + ap * r) / r**2 * _tangent_quadratic(x, grad, F_val)
-
-    def rhs43b(x, F_val, grad, hess):
-        nvec = vf_eval("N", x)
-        nn = np.einsum("ni,ni->n", nvec, grad) ** 2 / F_val**2
-        b2 = ops.beta2(pot, x)
-        return (2.0 * b2**2 - ops.div_beta2_sqrt_alpha_b0(pot, x)) * nn
-
-    def rhs43c(x, F_val, grad, hess):
         u = grad / F_val[:, None]
-        D = ops.sqrt_alpha_b0_jacobian(pot, x)
-        quad = np.einsum("ni,nij,nj->n", u, D, u)
-        u2 = np.einsum("ni,ni->n", u, u)
-        return (2.0 * ops.beta1(pot, x) * quad
-                - ops.div_beta1_sqrt_alpha_b0(pot, x) * u2)
+        quad = np.einsum("ni,nij,nj->n", u, ops.sqrt_alpha_b0_jacobian(pot, x), u)
+        return {
+            "l42": 2.0 * np.sqrt(a) / r**2 * tan + 2.0 * b2 * nn - b1 * u2,
+            "l43a": -2.0 * (a + ap * r) / r**2 * tan,
+            "l43b": (2.0 * b2**2 - ops.div_beta2_sqrt_alpha_b0(pot, x)) * nn,
+            "l43c": (2.0 * b1 * quad
+                     - ops.div_beta1_sqrt_alpha_b0(pot, x) * np.einsum("ni,ni->n", u, u)),
+        }
 
-    rhs = estimate_many(
-        F,
-        {"l42": rhs42, "l43a": rhs43a, "l43b": rhs43b, "l43c": rhs43c},
-        n_samples, seed, stream=11, order=1,
-    )
+    rhs = estimate_many(F, right_sides, n_samples, seed, stream=11, order=1)
     return [
         _equality_row("derivatives", f"{label}L0_pairing_decomposition",
                       lhs["l42"], rhs["l42"]),
@@ -391,19 +368,18 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
     pot0 = PowerLaw(0.0)
 
     def rhs42_alpha1(x, F_val, grad, hess):
-        r = np.linalg.norm(x[:, :3] - x[:, 3:], axis=1)
+        r = ops._radius(x)
         tan = _tangent_quadratic(x, grad, F_val)
-        nvec = vf_eval("N", x)
-        nn = np.einsum("ni,ni->n", nvec, grad) ** 2 / F_val**2
+        nn = _normal_quadratic(x, grad, F_val)
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-        return 2.0 / r**2 * tan + 4.0 * nn - 6.0 * u2
+        return {"g": 2.0 / r**2 * tan + 4.0 * nn - 6.0 * u2}
 
     def rhs_maxwell(x, F_val, grad, hess):
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-        return -2.0 * u2 - 2.0 * _nu_quadratic(grad, F_val)
+        return {"g": -2.0 * u2 - 2.0 * _nu_quadratic(grad, F_val)}
 
-    a = estimate(F, rhs42_alpha1, n_samples, seed, stream=18, order=1)
-    b = estimate(F, rhs_maxwell, n_samples, seed, stream=19, order=1)
+    a = estimate_many(F, rhs42_alpha1, n_samples, seed, stream=18, order=1)["g"]
+    b = estimate_many(F, rhs_maxwell, n_samples, seed, stream=19, order=1)["g"]
     rows.append(_equality_row("derivatives", "alpha1_degeneration_cross_check", a, b))
 
     # window-edge algebra of the two coefficient polynomials
@@ -432,55 +408,33 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
 
 def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = ""):
     rows = []
-    r_of = lambda x: np.linalg.norm(x[:, :3] - x[:, 3:], axis=1)
 
-    def op_qks(x, F_val, grad, hess):
-        return ops.apply_QKS(F, pot, x, form="decomposed", bundle=(F_val, grad, hess))
+    def pairings(x, F_val, grad, hess):
+        # < I'(F), G > per unit F is psi G / F, psi = |grad log F|^2 - 2 Lap F / F;
+        # Q_KS = Q_L + (L0 L0 + beta1 L0) per sample
+        bundle = (F_val, grad, hess)
+        psi = ops.first_variation_density(F_val, grad, hess)
+        ql = ops.apply_QL(F, pot, x, form="frames", bundle=bundle)
+        rest = (ops.apply_L0L0(F, pot, x, bundle=bundle)
+                + ops.beta1(pot, x) * ops.apply_L0(F, pot, x, bundle=bundle))
+        return {"qks": psi * (ql + rest) / F_val, "ql": psi * ql / F_val,
+                "rest": psi * rest / F_val}
 
-    def op_ql(x, F_val, grad, hess):
-        return ops.apply_QL(F, pot, x, form="frames", bundle=(F_val, grad, hess))
+    ests = estimate_many(F, pairings, n_samples, seed, stream=20)
 
-    def op_rest(x, F_val, grad, hess):
-        b = (F_val, grad, hess)
-        return (ops.apply_L0L0(F, pot, x, bundle=b)
-                + ops.beta1(pot, x) * ops.apply_L0(F, pot, x, bundle=b))
-
-    ests = estimate_many(
-        F,
-        {
-            "qks": integrand_operator_pairing(op_qks),
-            "ql": integrand_operator_pairing(op_ql),
-            "rest": integrand_operator_pairing(op_rest),
-        },
-        n_samples, seed, stream=20,
-    )
-
-    def gamma_vals(x):
-        r = r_of(x)
-        return gamma_ratio(pot, r), r
-
-    def bound_ql(x, F_val, grad, hess):
-        G, r = gamma_vals(x)
-        return (G**2 - 19.0) * pot.alpha(r) / r**2 * _tangent_quadratic(x, grad, F_val)
-
-    def bound_rest(x, F_val, grad, hess):
-        G, r = gamma_vals(x)
+    def right_sides(x, F_val, grad, hess):
+        r = ops._radius(x)
+        G = gamma_ratio(pot, r)
         a = pot.alpha(r)
         tan = _tangent_quadratic(x, grad, F_val)
-        nvec = vf_eval("N", x)
-        nn = np.einsum("ni,ni->n", nvec, grad) ** 2 / F_val**2
-        return -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G**2 + 8.0 * G - 8.0) * a * nn
+        nn = _normal_quadratic(x, grad, F_val)
+        return {
+            "ql": (G**2 - 19.0) * a / r**2 * tan,
+            "rest": -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G**2 + 8.0 * G - 8.0) * a * nn,
+            "final": (G**2 - 4.0 * G - 23.0) * a / r**2 * tan,
+        }
 
-    def bound_final(x, F_val, grad, hess):
-        G, r = gamma_vals(x)
-        return ((G**2 - 4.0 * G - 23.0) * pot.alpha(r) / r**2
-                * _tangent_quadratic(x, grad, F_val))
-
-    bounds = estimate_many(
-        F,
-        {"ql": bound_ql, "rest": bound_rest, "final": bound_final},
-        n_samples, seed, stream=21, order=1,
-    )
+    bounds = estimate_many(F, right_sides, n_samples, seed, stream=21, order=1)
 
     # window membership decides whether sign assertions apply; the two
     # coefficient polynomials are reported with their worst (largest) values
@@ -599,8 +553,7 @@ def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0), sigma: float = 1.0,
 
     i_f = fisher_information(gaussian_field(RadialGrid(2048, 12.0 * sigma),
                                             sigma=sigma, mass=1.0))
-    I_F = estimate(F, integrand_fisher("ONE", "FULL", None), n_samples, seed,
-                   stream=30, order=1)
+    I_F = fisher_functional(F, n_samples=n_samples, seed=seed, stream=30)
     lhs = McEstimate(i_f, 0.0, 0, seed)
     rhs = McEstimate(0.5 * I_F.value, 0.5 * I_F.stderr, n_samples, seed)
     rows.append(_equality_row("marginal", "tensor_fisher_identity", lhs, rhs))

@@ -235,6 +235,29 @@ class TestCompareBlowup:
         assert (tmp_path / "blowup.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-lifted", "--suite", "maxwell", "--samples", "-4"],
+    ["verify-lifted", "--suite", "maxwell", "--samples", "0"],
+    ["probe", "--members", "0"],
+    ["probe", "--members", "-3"],
+    ["compare-blowup", "--dt", "0"],
+    ["compare-blowup", "--horizon", "0"],
+    ["compare-blowup", "--amplitude", "-1"],
+    ["compare-blowup", "--sigma", "0"],
+    ["compare-blowup", "--sigma", "nan"],
+])
+def test_bad_numbers_exit_two_with_one_line(capsys, argv):
+    assert main([*argv, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[-2]} must be ") and err.count("\n") == 1
+
+
+def test_horizon_not_a_whole_number_of_steps_exits_two(capsys):
+    assert main(["compare-blowup", "--dt", "1", "--horizon", "0.01", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compare-blowup rejected: ") and err.count("\n") == 1
+
+
 class TestPlot:
     def test_plot_csv_columns(self, tmp_path):
         csv = tmp_path / "d.csv"
@@ -260,6 +283,21 @@ class TestPlot:
         rc = main(["plot", "--csv", str(csv), "--columns", "b",
                    "--out-file", str(tmp_path / "x.svg")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,y\n0,1\n1,abc\n", "CSV line 3: y = 'abc' is not a number"),
+        ("t,y\n0,1\n1\n", "CSV line 3 has 1 cells, the header 2"),
+        ("t,y\n0,1,2\n", "CSV line 2 has 3 cells, the header 2"),
+        ("t,y\n\n0,\xe9\n", "CSV is not ASCII"),
+    ])
+    def test_malformed_csv_exits_two_with_one_line(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "bad.svg"
+        rc = main(["plot", "--csv", str(csv), "--columns", "y", "--out-file", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_empty_csv_gives_empty_axes(self, tmp_path):
         csv = tmp_path / "empty.csv"

@@ -255,6 +255,49 @@ class TestCheckpoints:
         assert g.grid == f.grid and not g.signed
         assert (gamma_back, time_back) == (gamma, time)
 
+    @pytest.mark.parametrize("header", [
+        b"",                                          # nothing before end-header
+        b"ksflow-checkpoint\n",                       # magic without a version
+        b"ksflow-checkpoint x\n",                     # non-numeric version
+        b"ksflow-checkpoint 1\nkind\n",               # a key without a value
+        b"ksflow-checkpoint 1\nkind radial\nn_cells 8\nr_max 1.0\ngamma g\n"
+        b"time 0\nbyte_order little\ndtype float64\ncount 8\n",  # bad number
+        b"ksflow-checkpoint 1\n\xff\n",               # not ASCII
+    ])
+    def test_malformed_header_raises_field_error(self, tmp_path, header):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(header + b"end-header\n" + bytes(64))
+        with pytest.raises(FieldError):
+            read_checkpoint(p)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_arbitrary_headers_and_truncations_load_or_raise_field_error(
+            self, tmp_path, data):
+        p = tmp_path / "fuzz.ckpt"
+        write_checkpoint(p, gaussian_field(RadialGrid(8, 2.0), sigma=1.0), gamma=-3.0)
+        raw = p.read_bytes()
+        end = raw.index(b"end-header\n")
+        valid_lines = raw[:end].splitlines()
+        keys = [ln.split()[0] for ln in valid_lines] + [b"n", b"half_width"]
+        line = st.one_of(
+            st.sampled_from(valid_lines),
+            st.builds(lambda k, v: k + b" " + v, st.sampled_from(keys),
+                      st.binary(max_size=12)),
+            st.binary(max_size=24),
+        )
+        lines = data.draw(st.lists(line, max_size=14))
+        if data.draw(st.booleans()):
+            candidate = b"\n".join(lines) + b"\n" + raw[end:]
+        else:
+            candidate = raw
+        cut = data.draw(st.integers(0, len(candidate)))
+        p.write_bytes(candidate[:cut])
+        try:
+            read_checkpoint(p)
+        except FieldError:
+            pass
+
 
 class TestGridGeometry:
     def test_computed_once_and_read_only(self):

@@ -17,7 +17,6 @@ from ksflow.kernels import (
     KernelError,
     PowerLaw,
     SoftenedPowerLaw,
-    Tabulated,
     cartesian_convolve,
     coeff_a,
     coeff_h,
@@ -112,11 +111,6 @@ class TestGammaRatio:
         pot = PowerLaw(-3.0)
         r = np.array([0.1, 1.0, 7.3])
         assert np.allclose(gamma_ratio(pot, r), -3.0)
-
-    def test_tabulated_quadratic(self):
-        r = np.linspace(0.01, 10.0, 4001)
-        pot = Tabulated(r, r**2, 2.0 * r)
-        assert abs(gamma_ratio(pot, 1.37) - 2.0) <= 1e-5
 
     def test_window_membership(self):
         assert RATIO_WINDOW.contains(-3.0)
@@ -321,6 +315,11 @@ class TestCoefficients:
         with pytest.raises(KernelError):
             coeff_h(f, PowerLaw(-1.5))
 
+    def test_a_needs_power_law(self):
+        f = gaussian_field(GRID, sigma=1.0)
+        with pytest.raises(KernelError, match="power-law"):
+            coeff_a(f, SoftenedPowerLaw(-3.0, eps=0.1))
+
     def test_laplacian_identity(self):
         # Delta a[f] = (2+gamma) h[f] on the grid, gamma in (-3, -2)
         gamma = -2.5
@@ -330,18 +329,6 @@ class TestCoefficients:
         interior = slice(2, -4)
         scale = np.max(np.abs(target))
         assert np.max(np.abs(lap_a.values[interior] - target[interior])) <= 2e-3 * scale
-
-    def test_tabulated_power_law_matches_closed_form(self):
-        gamma = -2.5
-        grid = RadialGrid(512, 12.0)
-        f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        r_tab = np.linspace(1e-6, 2 * grid.r_max, 20_001)
-        pot = Tabulated(r_tab, r_tab**gamma, gamma * r_tab ** (gamma - 1.0))
-        a_tab = coeff_a(f, pot)
-        a_exact = coeff_a(f, PowerLaw(gamma))
-        sel = grid.centers > 0.2  # tabulation loses accuracy at the 1/r^2.5 spike
-        rel = np.abs(a_tab.values[sel] - a_exact.values[sel]) / a_exact.values[sel]
-        assert np.max(rel) <= 2e-2
 
     def test_ellipticity_decay_shape(self):
         # c1 <r>^{2+gamma} <= a[f] <= c2 <r>^{2+gamma} with positive fitted constants

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from ksflow.kernels import PowerLaw
+from ksflow.lifted import operators as ops
 from ksflow.lifted.frames import (
+    FRAME_NAMES,
     FrameError,
+    _grad_along,
     commutator_apply,
     commutator_field,
     flow,
@@ -124,7 +128,7 @@ class TestFrameEval:
         x = rand_points(20, seed=8)
         h = 1e-6
         for name in ("B0", "B1", "N"):
-            J = vf_jacobian(name, x)
+            J = np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6))
             for j in range(6):
                 dx = np.zeros(6)
                 dx[j] = h
@@ -140,7 +144,7 @@ class TestFrameEval:
         assert np.allclose(vf_divergence("N", x), 2 * np.sqrt(2) / r)
         # trace of the analytic Jacobian agrees
         for name in ("B0", "N"):
-            tr = np.einsum("nii->n", vf_jacobian(name, x))
+            tr = np.einsum("nii->n", np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6)))
             assert np.allclose(tr, vf_divergence(name, x), rtol=1e-12)
 
 
@@ -200,3 +204,71 @@ class TestFlows:
         x0 = np.array([[1.0, 2, 3, 4, 5, 6]])
         xt, _ = flow("B1", x0, 0.0)
         assert np.array_equal(xt, x0)
+
+
+# every frame name plus two constant vectors, one a unit vector
+FIELDS = [*FRAME_NAMES, np.eye(6)[0], np.array([0.3, -1.2, 0.5, 2.0, 0.0, -0.7])]
+FIELD_IDS = [*FRAME_NAMES, "e1", "const"]
+
+
+def dense_jacobian(name, x):
+    return np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6))
+
+
+def rel_err(got, want, scale):
+    return np.max(np.abs(got - want)) / scale
+
+
+class TestContractionPath:
+    """The one contraction of fields with mixture derivatives against the
+    dense broadcast (n, 6, 6) einsum forms it replaced."""
+
+    F = random_symmetric_mixture(2, 21)
+    x = rand_points(200, seed=22)
+
+    def test_jacobian_shape_rule(self):
+        for name in FIELDS:
+            J = vf_jacobian(name, self.x)
+            if isinstance(name, str) and name == "N":
+                assert J.shape == (len(self.x), 6, 6)
+            else:
+                assert J.shape == (6, 6) and not J.flags.writeable
+
+    @pytest.mark.parametrize("name", FIELDS, ids=FIELD_IDS)
+    def test_grad_along_matches_dense(self, name):
+        _, grad, hess = self.F.eval(self.x)
+        v = vf_eval(name, self.x)
+        dense = (np.einsum("nji,nj->ni", dense_jacobian(name, self.x), grad)
+                 + np.einsum("nij,nj->ni", hess, v))
+        got = _grad_along(vf_jacobian(name, self.x), v, grad, hess)
+        assert rel_err(got, dense, np.max(np.abs(dense)) + 1e-300) <= 1e-13
+
+    @pytest.mark.parametrize("a", FIELDS, ids=FIELD_IDS)
+    def test_commutator_apply_matches_dense(self, a):
+        _, grad, hess = self.F.eval(self.x)
+        va, Ja = vf_eval(a, self.x), dense_jacobian(a, self.x)
+        for b in FIELDS:
+            vb, Jb = vf_eval(b, self.x), dense_jacobian(b, self.x)
+            gb = np.einsum("nji,nj->ni", Jb, grad) + np.einsum("nij,nj->ni", hess, vb)
+            ga = np.einsum("nji,nj->ni", Ja, grad) + np.einsum("nij,nj->ni", hess, va)
+            first = np.einsum("ni,ni->n", va, gb)
+            second = np.einsum("ni,ni->n", vb, ga)
+            scale = np.max(np.abs(first)) + np.max(np.abs(second)) + 1e-300
+            got = commutator_apply(a, b, self.F, self.x)
+            assert rel_err(got, first - second, scale) <= 1e-13
+
+    @pytest.mark.parametrize("name", [*FIELDS, "L0"], ids=[*FIELD_IDS, "L0"])
+    def test_directional_second_matches_dense(self, name):
+        _, grad, hess = self.F.eval(self.x)
+        if isinstance(name, str) and name == "L0":
+            pot = PowerLaw(-2.5)
+            c, J = ops.sqrt_alpha_b0(pot, self.x), ops.sqrt_alpha_b0_jacobian(pot, self.x)
+            dense_J = J
+        else:
+            c, J = vf_eval(name, self.x), vf_jacobian(name, self.x)
+            dense_J = dense_jacobian(name, self.x)
+        advect = np.einsum("ni,ni->n", np.einsum("nij,nj->ni", dense_J, c), grad)
+        curvature = np.einsum("ni,nij,nj->n", c, hess, c)
+        scale = np.max(np.abs(advect)) + np.max(np.abs(curvature)) + 1e-300
+        got = ops._directional_second(c, J, grad, hess)
+        assert rel_err(got, advect + curvature, scale) <= 1e-13

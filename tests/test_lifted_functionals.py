@@ -3,9 +3,11 @@ import pytest
 
 from ksflow.kernels import PowerLaw, SoftenedPowerLaw
 from ksflow.lifted.functionals import (
+    CHUNK_SIZE,
     IntegrabilityError,
     McEstimate,
     check_integrability,
+    estimate_many,
     fisher_functional,
     pair_first_variation,
 )
@@ -106,3 +108,35 @@ class TestPairings:
         assert a.agrees_with(b)
         c = McEstimate(2.0, 0.1, 100, 0)
         assert not a.agrees_with(c)
+
+
+def two_quantities(x, F_val, grad, hess):
+    return {"u2": np.einsum("ni,ni->n", grad, grad) / F_val**2,
+            "lap": np.einsum("nii->n", hess) / F_val}
+
+
+class TestEstimateMany:
+    def test_bit_for_bit_repeatable_over_a_partial_chunk(self):
+        F = random_symmetric_mixture(2, 41)
+        n = CHUNK_SIZE + 1234
+        a = estimate_many(F, two_quantities, n, seed=3, stream=5)
+        b = estimate_many(F, two_quantities, n, seed=3, stream=5)
+        assert list(a) == ["u2", "lap"]
+        assert a == b
+        assert a["u2"].n_samples == n
+
+    def test_one_integrand_matches_separate_streams(self):
+        # quantities computed together equal the ones estimated alone
+        F = isotropic_gaussian()
+        both = estimate_many(F, two_quantities, 5000, seed=4, stream=2)
+        alone = estimate_many(F, lambda *a: {"u2": two_quantities(*a)["u2"]},
+                              5000, seed=4, stream=2)
+        assert both["u2"] == alone["u2"]
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_sample_count_rejected(self, n):
+        F = isotropic_gaussian()
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_many(F, two_quantities, n, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            fisher_functional(F, n_samples=n, seed=0)
