@@ -14,6 +14,7 @@ Exit status: 0 when every enabled assertion passes, 1 on assertion failure
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -165,16 +166,21 @@ def cmd_plot(args) -> int:
     from .svgplot import write_svg
 
     try:
-        with open(args.csv, "r", encoding="ascii") as fh:
-            lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(fh, start=1)
-                     if ln.strip()]
+        with open(args.csv, "r", encoding="ascii", newline="") as fh:
+            reader = csv.reader(fh, strict=True)
+            # (last line number, cells) of every row that is not blank
+            lines = [(reader.line_num, cells) for cells in reader
+                     if any(cell.strip() for cell in cells)]
     except UnicodeDecodeError as exc:
         print(f"CSV is not ASCII: {exc}", file=sys.stderr)
+        return 2
+    except csv.Error as exc:
+        print(f"CSV line {reader.line_num}: {exc}", file=sys.stderr)
         return 2
     if not lines:
         write_svg(args.out_file, [], title=os.path.basename(args.csv))
         return 0
-    header = lines[0][1].split(",")
+    header = lines[0][1]
     wanted = args.columns.split(",")
     missing = [c for c in wanted if c not in header]
     if missing:
@@ -185,8 +191,7 @@ def cmd_plot(args) -> int:
         print(f"x column {x_name!r} not in CSV", file=sys.stderr)
         return 2
     data = {name: [] for name in (x_name, *wanted)}
-    for number, ln in lines[1:]:
-        cells = ln.split(",")
+    for number, cells in lines[1:]:
         if len(cells) != len(header):
             print(f"CSV line {number} has {len(cells)} cells, the header "
                   f"{len(header)}", file=sys.stderr)
@@ -194,11 +199,16 @@ def cmd_plot(args) -> int:
         for name, cell in zip(header, cells):
             if name in data:
                 try:
-                    data[name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     print(f"CSV line {number}: {name} = {cell!r} is not a number",
                           file=sys.stderr)
                     return 2
+                if not math.isfinite(value):
+                    print(f"CSV line {number}: {name} = {cell!r} is not finite",
+                          file=sys.stderr)
+                    return 2
+                data[name].append(value)
 
     xs = data[x_name]
     series = [(c, xs, data[c]) for c in wanted]

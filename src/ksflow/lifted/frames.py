@@ -42,33 +42,63 @@ _CROSS = [_cross_matrix(k) for k in range(3)]
 FRAME_NAMES = ("B0", "B1", "B2", "B3", "N", "NU1", "NU2", "NU3")
 
 
-def _z(x: np.ndarray) -> np.ndarray:
-    return x[:, :3] - x[:, 3:]
+class Points:
+    """Points x of shape (n, 6) with z = v - w and r = |z| computed once.
+
+    Every field, weight and operator takes either a plain array or a Points;
+    an integrand builds one Points per block of samples and passes it
+    everywhere, so z, r and the potential's alpha, alpha', alpha'' are
+    evaluated once.
+    """
+
+    __slots__ = ("x", "z", "r", "_alphas")
+
+    def __init__(self, x: np.ndarray):
+        self.x = np.atleast_2d(np.asarray(x, dtype=float))
+        self.z = self.x[:, :3] - self.x[:, 3:]
+        self.r = np.linalg.norm(self.z, axis=1)
+        self._alphas = {}
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def alphas(self, pot):
+        """(alpha, alpha', alpha'') of the potential at r, cached per potential."""
+        if pot not in self._alphas:
+            self._alphas[pot] = (pot.alpha(self.r), pot.alpha_prime(self.r),
+                                 pot.alpha_second(self.r))
+        return self._alphas[pot]
+
+
+def as_points(x) -> Points:
+    return x if isinstance(x, Points) else Points(x)
+
+
+def _pair(u: np.ndarray) -> np.ndarray:
+    """(u, -u): a z-space vector lifted to R^6."""
+    return np.concatenate([u, -u], axis=1)
 
 
 _NU = {f"NU{i}": np.eye(6)[i - 1] + np.eye(6)[i + 2] for i in (1, 2, 3)}
 
 
-def vf_eval(name, x: np.ndarray) -> np.ndarray:
-    """Evaluate a frame field at points x of shape (n, 6).
+def vf_eval(name, x) -> np.ndarray:
+    """Evaluate a frame field at points x of shape (n, 6) (or a Points).
 
     `name` is one of FRAME_NAMES or a constant vector of length 6.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p = as_points(x)
     if isinstance(name, (np.ndarray, list, tuple)) or name in _NU:
         e = _NU[name] if isinstance(name, str) else np.asarray(name, dtype=float).reshape(6)
-        return np.broadcast_to(e, (x.shape[0], 6)).copy()
-    z = _z(x)
+        return np.broadcast_to(e, (len(p), 6)).copy()
     if name == "B0":
-        return np.concatenate([z, -z], axis=1)
+        return _pair(p.z)
     if name in ("B1", "B2", "B3"):
-        b = z @ _CROSS[int(name[1]) - 1].T
-        return np.concatenate([b, -b], axis=1)
+        return _pair(p.z @ _CROSS[int(name[1]) - 1].T)
     if name == "N":
-        r = np.linalg.norm(z, axis=1, keepdims=True)
-        if np.any(r == 0.0):
+        if np.any(p.r == 0.0):
             raise FrameError("N is undefined on the diagonal v = w")
-        return np.concatenate([z, -z], axis=1) / (np.sqrt(2.0) * r)
+        return _pair(p.z) / (np.sqrt(2.0) * p.r[:, None])
     raise FrameError(f"unknown frame field {name!r}")
 
 
@@ -90,65 +120,96 @@ _CONSTANT_JACOBIANS = {
 }
 
 
-def vf_jacobian(name, x: np.ndarray) -> np.ndarray:
+class ScaledRankOne:
+    """J = scale M + u (x) w at n points: a scalar field times a constant
+    (6, 6) matrix plus a rank-1 term, never formed as (n, 6, 6).
+
+    The Jacobians of N and of sqrt(alpha) bt_0 have this shape, because both
+    are a scalar function of r = |z| times bt_0, and grad r = bt_0 / r.
+    """
+
+    __slots__ = ("scale", "matrix", "u", "w")
+
+    def __init__(self, scale, matrix, u, w):
+        self.scale = scale      # (n,)
+        self.matrix = matrix    # (6, 6)
+        self.u = u              # (n, 6)
+        self.w = w              # (n, 6)
+
+    def rmatvec(self, g: np.ndarray) -> np.ndarray:
+        """J^T g, shape (n, 6)."""
+        return (self.scale[:, None] * (g @ self.matrix)
+                + np.einsum("ni,ni->n", self.u, g)[:, None] * self.w)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """J v, shape (n, 6)."""
+        return (self.scale[:, None] * (v @ self.matrix.T)
+                + np.einsum("ni,ni->n", self.w, v)[:, None] * self.u)
+
+    def dense(self) -> np.ndarray:
+        """The (n, 6, 6) matrices, for the pointwise matrix identities only."""
+        return (self.scale[:, None, None] * self.matrix
+                + np.einsum("ni,nj->nij", self.u, self.w))
+
+
+def vf_jacobian(name, x):
     """Analytic Jacobian D_ij = d v_i / d x_j of a frame field at x.
 
     Shape rule: the fields with a constant Jacobian (B0, B1-B3, NU1-NU3 and
     constant vectors, whose Jacobian is 0) return one read-only (6, 6) array,
-    whatever the number of points; only N returns (n, 6, 6).  Contract with
-    `_grad_along`, which takes either shape.
+    whatever the number of points; N returns a `ScaledRankOne`,
+    D n = D bt_0 / (sqrt(2) r) - bt_0 (x) n / r^2.  Contract with
+    `_grad_along`, which takes either.
     """
     if isinstance(name, (np.ndarray, list, tuple)):
         return _ZERO_JACOBIAN
     if name in _CONSTANT_JACOBIANS:
         return _CONSTANT_JACOBIANS[name]
     if name == "N":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = _z(x)
-        r = np.linalg.norm(z, axis=1)
-        b0 = np.concatenate([z, -z], axis=1)
-        nvec = b0 / (np.sqrt(2.0) * r[:, None])
-        return (
-            _CONSTANT_JACOBIANS["B0"] / (np.sqrt(2.0) * r[:, None, None])
-            - np.einsum("ni,nj->nij", b0, nvec) / (r**2)[:, None, None]
-        )
+        p = as_points(x)
+        b0 = _pair(p.z)
+        root2_r = np.sqrt(2.0) * p.r
+        return ScaledRankOne(1.0 / root2_r, _CONSTANT_JACOBIANS["B0"],
+                             b0, -b0 / (root2_r * p.r**2)[:, None])
     raise FrameError(f"unknown frame field {name!r}")
 
 
-def _grad_along(J: np.ndarray, v: np.ndarray, grad: np.ndarray,
-                hess: np.ndarray) -> np.ndarray:
+def _jacobian_apply(J, v: np.ndarray) -> np.ndarray:
+    """J v for a constant (6, 6) Jacobian or a `ScaledRankOne`."""
+    return v @ J.T if isinstance(J, np.ndarray) else J.matvec(v)
+
+
+def _grad_along(J, v: np.ndarray, grad: np.ndarray, hess) -> np.ndarray:
     """grad(v . grad F) = J^T grad F + (Hess F) v, shape (n, 6).
 
-    v is a field's values (n, 6) and J its Jacobian, (6, 6) for a constant
-    one or (n, 6, 6).  The one contraction of frame fields with mixture
-    derivatives: commutators, second directional derivatives, Q_L and the
-    first-variation pairings all go through it.
+    v is a field's values (n, 6) and J its Jacobian, a constant (6, 6) array
+    or a `ScaledRankOne`; hess is a `MixtureHessian`.  The one contraction of
+    frame fields with mixture derivatives: commutators, second directional
+    derivatives, Q_L and the first-variation pairings all go through it.
     """
-    jt_grad = grad @ J if J.ndim == 2 else np.einsum("nji,nj->ni", J, grad)
-    return jt_grad + np.einsum("nij,nj->ni", hess, v)
+    jt_grad = grad @ J if isinstance(J, np.ndarray) else J.rmatvec(grad)
+    return jt_grad + hess.matvec(v)
 
 
-def vf_divergence(name, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
+def vf_divergence(name, x) -> np.ndarray:
+    p = as_points(x)
+    n = len(p)
     if isinstance(name, (np.ndarray, list, tuple)) or name.startswith(("NU", "B1", "B2", "B3")):
         return np.zeros(n)
     if name == "B0":
         return np.full(n, 6.0)
     if name == "N":
-        r = np.linalg.norm(_z(x), axis=1)
-        return 2.0 * np.sqrt(2.0) / r
+        return 2.0 * np.sqrt(2.0) / p.r
     raise FrameError(f"unknown frame field {name!r}")
 
 
-def commutator_field(a, b, x: np.ndarray) -> np.ndarray:
+def commutator_field(a, b, x) -> np.ndarray:
     """[a, b] = (Db) a - (Da) b from the analytic Jacobians."""
-    va = vf_eval(a, x)
-    vb = vf_eval(b, x)
-    Ja = vf_jacobian(a, x)
-    Jb = vf_jacobian(b, x)
-    return (np.einsum("...ij,...j->...i", Jb, va)
-            - np.einsum("...ij,...j->...i", Ja, vb))
+    p = as_points(x)
+    va = vf_eval(a, p)
+    vb = vf_eval(b, p)
+    return (_jacobian_apply(vf_jacobian(b, p), va)
+            - _jacobian_apply(vf_jacobian(a, p), vb))
 
 
 def _bracket(va, Ja, vb, Jb, grad, hess) -> np.ndarray:
@@ -157,12 +218,12 @@ def _bracket(va, Ja, vb, Jb, grad, hess) -> np.ndarray:
             - np.einsum("ni,ni->n", vb, _grad_along(Ja, va, grad, hess)))
 
 
-def commutator_apply(a, b, F: Mixture6, x: np.ndarray) -> np.ndarray:
+def commutator_apply(a, b, F: Mixture6, x) -> np.ndarray:
     """[a, b] . grad F = a.grad(b.grad F) - b.grad(a.grad F), all analytic."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, grad, hess = F.eval(x)
-    return _bracket(vf_eval(a, x), vf_jacobian(a, x),
-                    vf_eval(b, x), vf_jacobian(b, x), grad, hess)
+    p = as_points(x)
+    _, grad, hess = F.eval(p.x)
+    return _bracket(vf_eval(a, p), vf_jacobian(a, p),
+                    vf_eval(b, p), vf_jacobian(b, p), grad, hess)
 
 
 def a_matrix(z: np.ndarray) -> np.ndarray:
@@ -175,7 +236,7 @@ def a_matrix(z: np.ndarray) -> np.ndarray:
 def frame_identities(x: np.ndarray) -> dict:
     """Residuals of the pointwise frame algebra at x; all should be ~1e-12."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = _z(x)
+    z = x[:, :3] - x[:, 3:]
     r2 = np.sum(z**2, axis=1)
     bks = [vf_eval(f"B{k}", x)[:, :3] for k in (1, 2, 3)]
     sum_outer = sum(np.einsum("ni,nj->nij", b, b) for b in bks)

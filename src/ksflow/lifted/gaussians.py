@@ -54,6 +54,49 @@ class Gaussian6:
         return Gaussian6(self.weight, SWAP @ self.mean, SWAP @ self.precision @ SWAP)
 
 
+class MixtureHessian:
+    """Hess F = sum_k c_k (A_k d_k (A_k d_k)^T - A_k) at n points, never formed.
+
+    comp (n, K) holds the component values c_k(x) and Ad (n, K, 6) the
+    products A_k d_k, d_k = x - m_k: for K = 6 components that is the size of
+    the one dense (n, 6, 6) Hessian it replaces.  Each contraction the lifted
+    calculus needs costs O(n 6 K).
+    """
+
+    def __init__(self, comp: np.ndarray, Ad: np.ndarray, precisions: np.ndarray):
+        self.comp = comp
+        self.Ad = Ad
+        self.precisions = precisions
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """(Hess F) v = sum_k c_k (A_k d_k (A_k d_k . v) - A_k v), shape (n, 6)."""
+        n, n_comp, _ = self.Ad.shape
+        along = self.comp * np.einsum("nki,ni->nk", self.Ad, v)
+        # every A_k v from one (n, 6) x (6, 6K) product; A_k is symmetric
+        Av = (v @ self.precisions.transpose(1, 0, 2).reshape(6, 6 * n_comp))
+        return (np.einsum("nk,nki->ni", along, self.Ad)
+                - np.einsum("nk,nki->ni", self.comp, Av.reshape(n, n_comp, 6)))
+
+    def trace(self) -> np.ndarray:
+        """Laplacian of F: sum_k c_k (|A_k d_k|^2 - tr A_k)."""
+        sq = np.einsum("nki,nki->nk", self.Ad, self.Ad)
+        tr = np.trace(self.precisions, axis1=1, axis2=2)
+        return np.einsum("nk,nk->n", self.comp, sq - tr)
+
+    def difference_trace(self) -> np.ndarray:
+        """Trace of the difference block P^T (Hess F) P, P = [Id; -Id].
+
+        That is sum_i (d/dv_i - d/dw_i)^2 F; per component the block is
+        delta_k delta_k^T - P^T A_k P with delta_k = P^T A_k d_k.
+        """
+        delta = self.Ad[:, :, :3] - self.Ad[:, :, 3:]
+        A = self.precisions
+        block_tr = np.trace(A[:, :3, :3] - A[:, :3, 3:] - A[:, 3:, :3] + A[:, 3:, 3:],
+                            axis1=1, axis2=2)
+        return np.einsum("nk,nk->n", self.comp,
+                         np.einsum("nki,nki->nk", delta, delta) - block_tr)
+
+
 class Mixture6:
     """Finite Gaussian mixture F(x) = sum_k w_k N(x; m_k, A_k^-1) on R^6."""
 
@@ -81,17 +124,20 @@ class Mixture6:
         return float(self._weights.sum())
 
     def eval(self, x: np.ndarray, order: int = 2):
-        """F, grad F, Hess F at points x of shape (n, 6); all closed-form.
+        """F, grad F and Hess F at points x of shape (n, 6); all closed-form.
 
-        order=1 skips the Hessian (returned as None), roughly halving the
-        cost of gradient-only functionals.
+        The Hessian is a `MixtureHessian`, never a dense (n, 6, 6) array.
+        order=1 skips it (returned as None) for gradient-only functionals.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
+        n_comp = len(self.components)
         F = np.zeros(n)
         grad = np.zeros((n, 6))
-        hess = np.zeros((n, 6, 6)) if order >= 2 else None
-        for k in range(len(self.components)):
+        if order >= 2:
+            comps = np.empty((n, n_comp))
+            Ads = np.empty((n, n_comp, 6))
+        for k in range(n_comp):
             d = x - self._means[k]            # (n, 6)
             Ad = d @ self._precisions[k]      # (n, 6), A symmetric
             q = np.einsum("ni,ni->n", d, Ad)
@@ -99,9 +145,9 @@ class Mixture6:
             F += comp
             grad += -comp[:, None] * Ad
             if order >= 2:
-                hess += comp[:, None, None] * (
-                    np.einsum("ni,nj->nij", Ad, Ad) - self._precisions[k][None, :, :]
-                )
+                comps[:, k] = comp
+                Ads[:, k] = Ad
+        hess = MixtureHessian(comps, Ads, self._precisions) if order >= 2 else None
         return F, grad, hess
 
     def eval_density(self, x: np.ndarray) -> np.ndarray:
@@ -126,15 +172,6 @@ class Mixture6:
             out[pos:pos + c] = self._means[k] + z @ self._chol_cov[k].T
             pos += c
         return out
-
-    def convex_combination(self, other: "Mixture6", theta: float) -> "Mixture6":
-        """theta*F + (1-theta)*G, again a mixture."""
-        comps = [Gaussian6(theta * c.weight, c.mean, c.precision) for c in self.components]
-        comps += [
-            Gaussian6((1.0 - theta) * c.weight, c.mean, c.precision)
-            for c in other.components
-        ]
-        return Mixture6(comps, symmetric=self.symmetric and other.symmetric)
 
 
 def symmetrize(components) -> Mixture6:

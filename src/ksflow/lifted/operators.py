@@ -25,72 +25,71 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import _grad_along, _z, a_matrix, vf_eval, vf_jacobian
+from .frames import ScaledRankOne, _grad_along, as_points, vf_eval, vf_jacobian
 from .gaussians import Mixture6
 
 
-def _radius(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(_z(np.atleast_2d(x)), axis=1)
+def alpha_bundle(pot, x):
+    """(r, alpha, alpha', alpha'') at |z| for points x (an array or Points)."""
+    p = as_points(x)
+    return (p.r, *p.alphas(pot))
 
 
-def alpha_bundle(pot, x: np.ndarray):
-    """(r, alpha, alpha', alpha'') at |z| for points x."""
-    r = _radius(x)
-    return r, pot.alpha(r), pot.alpha_prime(r), pot.alpha_second(r)
-
-
-def beta1(pot, x: np.ndarray) -> np.ndarray:
+def beta1(pot, x) -> np.ndarray:
     r, a, ap, _ = alpha_bundle(pot, x)
     sq = np.sqrt(a)
     return 6.0 * sq + r * ap / sq
 
 
-def beta2(pot, x: np.ndarray) -> np.ndarray:
+def beta2(pot, x) -> np.ndarray:
     r, a, ap, _ = alpha_bundle(pot, x)
     sq = np.sqrt(a)
     return 2.0 * sq + r * ap / sq
 
 
-def div_beta1_sqrt_alpha_b0(pot, x: np.ndarray) -> np.ndarray:
+def div_beta1_sqrt_alpha_b0(pot, x) -> np.ndarray:
     """div(beta1 sqrt(alpha) bt_0) = 36 a + 20 r a' + 2 r^2 a''."""
     r, a, ap, app = alpha_bundle(pot, x)
     return 36.0 * a + 20.0 * r * ap + 2.0 * r**2 * app
 
 
-def div_beta2_sqrt_alpha_b0(pot, x: np.ndarray) -> np.ndarray:
+def div_beta2_sqrt_alpha_b0(pot, x) -> np.ndarray:
     """div(beta2 sqrt(alpha) bt_0) = 12 a + 12 r a' + 2 r^2 a''."""
     r, a, ap, app = alpha_bundle(pot, x)
     return 12.0 * a + 12.0 * r * ap + 2.0 * r**2 * app
 
 
-def sqrt_alpha_b0(pot, x: np.ndarray) -> np.ndarray:
+def sqrt_alpha_b0(pot, x) -> np.ndarray:
     """The field sqrt(alpha) bt_0."""
-    r, a, _, _ = alpha_bundle(pot, x)
-    return np.sqrt(a)[:, None] * vf_eval("B0", x)
+    p = as_points(x)
+    a, _, _ = p.alphas(pot)
+    return np.sqrt(a)[:, None] * vf_eval("B0", p)
 
 
-def sqrt_alpha_b0_jacobian(pot, x: np.ndarray) -> np.ndarray:
-    """D(sqrt(alpha) bt_0) = sqrt(alpha) D bt_0 + bt_0 (x) grad sqrt(alpha)."""
-    r, a, ap, _ = alpha_bundle(pot, x)
+def sqrt_alpha_b0_jacobian(pot, x) -> ScaledRankOne:
+    """D(sqrt(alpha) bt_0) = sqrt(alpha) D bt_0 + bt_0 (x) grad sqrt(alpha),
+    with grad sqrt(alpha) = alpha' / (2 sqrt(alpha) r) bt_0."""
+    p = as_points(x)
+    a, ap, _ = p.alphas(pot)
     sq = np.sqrt(a)
-    Jb0 = vf_jacobian("B0", x)
-    b0 = vf_eval("B0", x)
-    nvec = vf_eval("N", x)
-    grad_sq = (ap / np.sqrt(2.0 * a))[:, None] * nvec
-    return sq[:, None, None] * Jb0 + np.einsum("ni,nj->nij", b0, grad_sq)
+    b0 = vf_eval("B0", p)
+    return ScaledRankOne(sq, vf_jacobian("B0", p), b0,
+                         (ap / (2.0 * sq * p.r))[:, None] * b0)
 
 
-def sqrt_alpha_b0_jacobian_decomposed(pot, x: np.ndarray) -> np.ndarray:
-    """Same matrix assembled from the frame decomposition (cross-check form)."""
-    r, a, _, _ = alpha_bundle(pot, x)
+def sqrt_alpha_b0_jacobian_decomposed(pot, x) -> np.ndarray:
+    """Same matrix assembled densely from the frame decomposition
+    (cross-check form for the pointwise matrix identity)."""
+    p = as_points(x)
+    r, a, _, _ = alpha_bundle(pot, p)
     sq = np.sqrt(a)
-    total = np.zeros((x.shape[0], 6, 6))
+    total = np.zeros((len(p), 6, 6))
     for k in (1, 2, 3):
-        bk = vf_eval(f"B{k}", x)
+        bk = vf_eval(f"B{k}", p)
         total += np.einsum("ni,nj->nij", bk, bk)
     total *= (sq / r**2)[:, None, None]
-    nvec = vf_eval("N", x)
-    total += beta2(pot, x)[:, None, None] * np.einsum("ni,nj->nij", nvec, nvec)
+    nvec = vf_eval("N", p)
+    total += beta2(pot, p)[:, None, None] * np.einsum("ni,nj->nij", nvec, nvec)
     return total
 
 
@@ -99,84 +98,78 @@ def _directional_second(c_vals, c_jac, grad, hess):
     return np.einsum("ni,ni->n", c_vals, _grad_along(c_jac, c_vals, grad, hess))
 
 
-def apply_L0(F: Mixture6, pot, x: np.ndarray, bundle=None) -> np.ndarray:
+def _bundle(F: Mixture6, p, bundle):
+    return F.eval(p.x) if bundle is None else bundle
+
+
+def apply_L0(F: Mixture6, pot, x, bundle=None) -> np.ndarray:
     """L0 F = sqrt(alpha) bt_0 . grad F."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, grad, _ = F.eval(x) if bundle is None else bundle
-    return np.einsum("ni,ni->n", sqrt_alpha_b0(pot, x), grad)
+    p = as_points(x)
+    _, grad, _ = _bundle(F, p, bundle)
+    return np.einsum("ni,ni->n", sqrt_alpha_b0(pot, p), grad)
 
 
-def apply_L0L0(F: Mixture6, pot, x: np.ndarray, bundle=None) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, grad, hess = F.eval(x) if bundle is None else bundle
-    c = sqrt_alpha_b0(pot, x)
-    Jc = sqrt_alpha_b0_jacobian(pot, x)
-    return _directional_second(c, Jc, grad, hess)
+def apply_L0L0(F: Mixture6, pot, x, bundle=None) -> np.ndarray:
+    p = as_points(x)
+    _, grad, hess = _bundle(F, p, bundle)
+    return _directional_second(sqrt_alpha_b0(pot, p), sqrt_alpha_b0_jacobian(pot, p),
+                               grad, hess)
 
 
-def apply_QL(F: Mixture6, pot, x: np.ndarray, form: str = "frames",
-             bundle=None) -> np.ndarray:
+def apply_QL(F: Mixture6, pot, x, form: str = "frames", bundle=None) -> np.ndarray:
     """Tangential collision operator Q_L(F) at x.
 
     form="frames": sum_k sqrt(a) bt_k . grad(sqrt(a) bt_k . grad F); the
     alpha gradient drops because bt_k is perpendicular to grad alpha.
     form="aij": the expansion d_i[alpha a_ij d_j F], an independent route
-    through the projection matrix.
+    through the projection matrix a_ij = |z|^2 delta_ij - z_i z_j.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, grad, hess = F.eval(x) if bundle is None else bundle
-    r, a, ap, _ = alpha_bundle(pot, x)
+    p = as_points(x)
+    _, grad, hess = _bundle(F, p, bundle)
+    a, _, _ = p.alphas(pot)
     if form == "frames":
-        out = np.zeros(x.shape[0])
+        out = np.zeros(len(p))
         for k in (1, 2, 3):
             name = f"B{k}"
-            out += a * _directional_second(vf_eval(name, x), vf_jacobian(name, x),
+            out += a * _directional_second(vf_eval(name, p), vf_jacobian(name, p),
                                            grad, hess)
         return out
     if form == "aij":
-        z = _z(x)
-        aij = a_matrix(z)
-        # difference-gradient and difference-Hessian blocks
+        z = p.z
         dgrad = grad[:, :3] - grad[:, 3:]
-        dhess = (
-            hess[:, :3, :3] - hess[:, :3, 3:] - hess[:, 3:, :3] + hess[:, 3:, 3:]
-        )
         # sum_i d_i(alpha a_ij) = 2 [ alpha' z_i a_ij / |z| + alpha d_i a_ij ]
         # contracts to -4 alpha z_j (a_ij z_i = 0, sum_i d_i a_ij = -2 z_j)
         first = -4.0 * a * np.einsum("nj,nj->n", z, dgrad)
-        second = a * np.einsum("nij,nij->n", aij, dhess)
+        # a_ij against the difference-Hessian block D_ij = d_i d_j F:
+        # |z|^2 tr D - z.D z, and z.D z = bt_0 . (Hess F) bt_0
+        b0 = vf_eval("B0", p)
+        zDz = np.einsum("ni,ni->n", b0, hess.matvec(b0))
+        second = a * (p.r**2 * hess.difference_trace() - zDz)
         return first + second
     raise ValueError(f"unknown Q_L form {form!r}")
 
 
-def apply_QKS(F: Mixture6, pot, x: np.ndarray, form: str = "direct",
-              bundle=None) -> np.ndarray:
+def apply_QKS(F: Mixture6, pot, x, form: str = "direct", bundle=None) -> np.ndarray:
     """Lifted collision operator of the isotropic model at x.
 
     form="direct": sum_i d_i[ alpha |z|^2 d_i F ] expanded with the kernel
     K = alpha r^2, K' = alpha' r^2 + 2 alpha r.
     form="decomposed": Q_L + L0 L0 + beta1 L0 (pointwise identical).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    bundle = F.eval(x) if bundle is None else bundle
+    p = as_points(x)
+    bundle = _bundle(F, p, bundle)
     _, grad, hess = bundle
     if form == "direct":
-        r, a, ap, _ = alpha_bundle(pot, x)
+        r, a, ap, _ = alpha_bundle(pot, p)
         K = a * r**2
         Kp = ap * r**2 + 2.0 * a * r
-        b0 = vf_eval("B0", x)
-        first = (2.0 * Kp / r) * np.einsum("ni,ni->n", b0[:, :3], grad[:, :3] - grad[:, 3:])
-        dhess_trace = (
-            np.einsum("nii->n", hess[:, :3, :3])
-            - 2.0 * np.einsum("nii->n", hess[:, :3, 3:])
-            + np.einsum("nii->n", hess[:, 3:, 3:])
-        )
-        return first + K * dhess_trace
+        first = (2.0 * Kp / r) * np.einsum("ni,ni->n", p.z, grad[:, :3] - grad[:, 3:])
+        return first + K * hess.difference_trace()
     if form == "decomposed":
         return (
-            apply_QL(F, pot, x, form="frames", bundle=bundle)
-            + apply_L0L0(F, pot, x, bundle=bundle)
-            + beta1(pot, x) * apply_L0(F, pot, x, bundle=bundle)
+            apply_QL(F, pot, p, form="frames", bundle=bundle)
+            + apply_L0L0(F, pot, p, bundle=bundle)
+            + beta1(pot, p) * apply_L0(F, pot, p, bundle=bundle)
         )
     raise ValueError(f"unknown Q_KS form {form!r}")
 
@@ -188,6 +181,6 @@ def first_variation_density(F_val, grad, hess):
     integral of this density times G, which keeps every Monte-Carlo
     estimator free of finite-difference epsilons.
     """
-    lap = np.einsum("nii->n", hess)
+    lap = hess.trace()
     g2 = np.einsum("ni,ni->n", grad, grad)
     return g2 / F_val**2 - 2.0 * lap / F_val

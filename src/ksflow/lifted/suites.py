@@ -20,7 +20,7 @@ from ..grids import RadialGrid, gaussian_field
 from ..kernels import RATIO_WINDOW, PowerLaw, SoftenedPowerLaw, coeff_a, coeff_h, gamma_ratio
 from ..grids import radial_laplacian
 from . import operators as ops
-from .frames import _bracket, flow, frame_identities, vf_eval, vf_jacobian
+from .frames import Points, _bracket, flow, frame_identities, vf_eval, vf_jacobian
 from .functionals import (
     McEstimate,
     _fisher_values,
@@ -103,9 +103,12 @@ def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
                           n_points: int = 100, F: Mixture6 | None = None):
     if F is None:
         F = random_symmetric_mixture(2, seed + 1)
-    x = sample_points(n_points, seed)
-    _, grad, hess = F.eval(x)
-    scale = float(np.max(np.abs(grad)) + np.max(np.abs(hess)) + 1.0)
+    x = Points(sample_points(n_points, seed))
+    _, grad, hess = F.eval(x.x)
+    # the largest Hessian entry, read off the columns (Hess F) e_j
+    hess_max = max(float(np.max(np.abs(hess.matvec(np.broadcast_to(e, grad.shape)))))
+                   for e in np.eye(6))
+    scale = float(np.max(np.abs(grad)) + hess_max + 1.0)
     rows = []
 
     def frame_pair(name, a, b, expected):
@@ -115,7 +118,7 @@ def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
                                float(np.max(np.abs(got - expected))) / scale,
                                tol=1e-10))
 
-    zero = np.zeros(x.shape[0])
+    zero = np.zeros(len(x))
     nvec = vf_eval("N", x)
     n_dot_grad = np.einsum("ni,ni->n", nvec, grad)
     for k in (1, 2, 3):
@@ -175,8 +178,8 @@ def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
     matrix decomposition, all at random points."""
     if F is None:
         F = random_symmetric_mixture(2, seed + 1)
-    x = sample_points(n_points, seed)
-    bundle = F.eval(x)
+    x = Points(sample_points(n_points, seed))
+    bundle = F.eval(x.x)
     rows = []
     for gamma in gammas:
         pot = PowerLaw(gamma)
@@ -190,7 +193,7 @@ def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
         scale_l = float(np.max(np.abs(ql_a)) + 1e-30)
         rows.append(_point_row("qks", f"QL_frames_vs_aij gamma={gamma:g}",
                                float(np.max(np.abs(ql_f - ql_a))) / scale_l, tol=1e-9))
-        J = ops.sqrt_alpha_b0_jacobian(pot, x)
+        J = ops.sqrt_alpha_b0_jacobian(pot, x).dense()
         Jd = ops.sqrt_alpha_b0_jacobian_decomposed(pot, x)
         scale_j = float(np.max(np.abs(J)) + 1e-30)
         rows.append(_point_row("qks", f"D_sqrt_alpha_b0_decomposition gamma={gamma:g}",
@@ -233,9 +236,10 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
                     ("mixture3", random_symmetric_mixture(3, seed + 2))]
 
     def pairings(x, F_val, grad, hess):
+        p = Points(x)
         terms = {"prop": (None, 1.0)}
-        terms.update({f"nu{i}": (vf_eval(f"NU{i}", x), 1.0) for i in (1, 2, 3)})
-        return _pairings(vf_eval("B0", x), vf_jacobian("B0", x), F_val, grad, hess, terms)
+        terms.update({f"nu{i}": (vf_eval(f"NU{i}", p), 1.0) for i in (1, 2, 3)})
+        return _pairings(vf_eval("B0", p), vf_jacobian("B0", p), F_val, grad, hess, terms)
 
     def right_sides(x, F_val, grad, hess):
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
@@ -274,18 +278,24 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
     return rows
 
 
-def _tangent_quadratic(x, grad, F_val):
-    """sum_k (bt_k . u)^2, u = grad log F."""
-    total = np.zeros(x.shape[0])
-    for k in (1, 2, 3):
-        bk = vf_eval(f"B{k}", x)
-        total += np.einsum("ni,ni->n", bk, grad) ** 2
-    return total / F_val**2
+def _difference_log_gradient(grad, F_val):
+    """delta = (grad_v - grad_w) log F, shape (n, 3)."""
+    return (grad[:, :3] - grad[:, 3:]) / F_val[:, None]
 
 
-def _normal_quadratic(x, grad, F_val):
-    """(n . u)^2, u = grad log F."""
-    return np.einsum("ni,ni->n", vf_eval("N", x), grad) ** 2 / F_val**2
+def _tangent_quadratic(p: Points, delta):
+    """sum_k (bt_k . u)^2 = |z x delta|^2, u = grad log F.
+
+    bt_k . u = (e_k x z) . delta = e_k . (z x delta); the cross product keeps
+    an exact zero exact, where |z|^2 |delta|^2 - (z . delta)^2 would cancel.
+    """
+    zxd = np.cross(p.z, delta)
+    return np.einsum("ni,ni->n", zxd, zxd)
+
+
+def _normal_quadratic(p: Points, delta):
+    """(n . u)^2 = (z . delta)^2 / (2 |z|^2), u = grad log F."""
+    return np.einsum("ni,ni->n", p.z, delta) ** 2 / (2.0 * p.r**2)
 
 
 def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
@@ -298,14 +308,15 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
     comparison.
     """
     def pairings(x, F_val, grad, hess):
+        p = Points(x)
         terms = {
             "l42": (None, 1.0),
-            "l43b": (vf_eval("N", x), weight_values("BETA2", pot, x)),
-            "l43c": (None, weight_values("BETA1", pot, x)),
+            "l43b": (vf_eval("N", p), weight_values("BETA2", pot, p)),
+            "l43c": (None, weight_values("BETA1", pot, p)),
         }
-        w43a = weight_values("SQRT_ALPHA_OVER_R2", pot, x)
-        terms.update({f"l43a_k{k}": (vf_eval(f"B{k}", x), w43a) for k in (1, 2, 3)})
-        return _pairings(ops.sqrt_alpha_b0(pot, x), ops.sqrt_alpha_b0_jacobian(pot, x),
+        w43a = weight_values("SQRT_ALPHA_OVER_R2", pot, p)
+        terms.update({f"l43a_k{k}": (vf_eval(f"B{k}", p), w43a) for k in (1, 2, 3)})
+        return _pairings(ops.sqrt_alpha_b0(pot, p), ops.sqrt_alpha_b0_jacobian(pot, p),
                          F_val, grad, hess, terms)
 
     lhs = estimate_many(F, pairings, n_samples, seed, stream=10)
@@ -316,19 +327,21 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
     )
 
     def right_sides(x, F_val, grad, hess):
-        r, a, ap, _ = ops.alpha_bundle(pot, x)
-        b1, b2 = ops.beta1(pot, x), ops.beta2(pot, x)
-        tan = _tangent_quadratic(x, grad, F_val)
-        nn = _normal_quadratic(x, grad, F_val)
+        p = Points(x)
+        r, a, ap, _ = ops.alpha_bundle(pot, p)
+        b1, b2 = ops.beta1(pot, p), ops.beta2(pot, p)
+        delta = _difference_log_gradient(grad, F_val)
+        tan = _tangent_quadratic(p, delta)
+        nn = _normal_quadratic(p, delta)
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
         u = grad / F_val[:, None]
-        quad = np.einsum("ni,nij,nj->n", u, ops.sqrt_alpha_b0_jacobian(pot, x), u)
+        quad = np.einsum("ni,ni->n", u, ops.sqrt_alpha_b0_jacobian(pot, p).matvec(u))
         return {
             "l42": 2.0 * np.sqrt(a) / r**2 * tan + 2.0 * b2 * nn - b1 * u2,
             "l43a": -2.0 * (a + ap * r) / r**2 * tan,
-            "l43b": (2.0 * b2**2 - ops.div_beta2_sqrt_alpha_b0(pot, x)) * nn,
+            "l43b": (2.0 * b2**2 - ops.div_beta2_sqrt_alpha_b0(pot, p)) * nn,
             "l43c": (2.0 * b1 * quad
-                     - ops.div_beta1_sqrt_alpha_b0(pot, x) * np.einsum("ni,ni->n", u, u)),
+                     - ops.div_beta1_sqrt_alpha_b0(pot, p) * np.einsum("ni,ni->n", u, u)),
         }
 
     rhs = estimate_many(F, right_sides, n_samples, seed, stream=11, order=1)
@@ -357,7 +370,7 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
         pot = PowerLaw(gamma)
         rows += derivative_identity_rows(F, pot, n_samples, seed, label=f"gamma={gamma:g}:")
         x = sample_points(64, seed + 5)
-        J = ops.sqrt_alpha_b0_jacobian(pot, x)
+        J = ops.sqrt_alpha_b0_jacobian(pot, x).dense()
         Jd = ops.sqrt_alpha_b0_jacobian_decomposed(pot, x)
         rows.append(_point_row(
             "derivatives", f"gamma={gamma:g}:D_matrix_decomposition",
@@ -368,11 +381,12 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
     pot0 = PowerLaw(0.0)
 
     def rhs42_alpha1(x, F_val, grad, hess):
-        r = ops._radius(x)
-        tan = _tangent_quadratic(x, grad, F_val)
-        nn = _normal_quadratic(x, grad, F_val)
+        p = Points(x)
+        delta = _difference_log_gradient(grad, F_val)
+        tan = _tangent_quadratic(p, delta)
+        nn = _normal_quadratic(p, delta)
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
-        return {"g": 2.0 / r**2 * tan + 4.0 * nn - 6.0 * u2}
+        return {"g": 2.0 / p.r**2 * tan + 4.0 * nn - 6.0 * u2}
 
     def rhs_maxwell(x, F_val, grad, hess):
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
@@ -412,22 +426,25 @@ def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = "
     def pairings(x, F_val, grad, hess):
         # < I'(F), G > per unit F is psi G / F, psi = |grad log F|^2 - 2 Lap F / F;
         # Q_KS = Q_L + (L0 L0 + beta1 L0) per sample
+        p = Points(x)
         bundle = (F_val, grad, hess)
         psi = ops.first_variation_density(F_val, grad, hess)
-        ql = ops.apply_QL(F, pot, x, form="frames", bundle=bundle)
-        rest = (ops.apply_L0L0(F, pot, x, bundle=bundle)
-                + ops.beta1(pot, x) * ops.apply_L0(F, pot, x, bundle=bundle))
+        ql = ops.apply_QL(F, pot, p, form="frames", bundle=bundle)
+        rest = (ops.apply_L0L0(F, pot, p, bundle=bundle)
+                + ops.beta1(pot, p) * ops.apply_L0(F, pot, p, bundle=bundle))
         return {"qks": psi * (ql + rest) / F_val, "ql": psi * ql / F_val,
                 "rest": psi * rest / F_val}
 
     ests = estimate_many(F, pairings, n_samples, seed, stream=20)
 
     def right_sides(x, F_val, grad, hess):
-        r = ops._radius(x)
+        p = Points(x)
+        r = p.r
         G = gamma_ratio(pot, r)
         a = pot.alpha(r)
-        tan = _tangent_quadratic(x, grad, F_val)
-        nn = _normal_quadratic(x, grad, F_val)
+        delta = _difference_log_gradient(grad, F_val)
+        tan = _tangent_quadratic(p, delta)
+        nn = _normal_quadratic(p, delta)
         return {
             "ql": (G**2 - 19.0) * a / r**2 * tan,
             "rest": -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G**2 + 8.0 * G - 8.0) * a * nn,

@@ -2,7 +2,9 @@
 
 Same inputs produce byte-identical files: floats use a fixed %.17g format,
 rows keep caller order, line endings are LF, and no timestamps appear
-anywhere.
+anywhere.  CSV cells are quoted per RFC 4180 when they hold a comma, a double
+quote or a line break (commutator identities such as `[B1,B0]=0` do), so
+every row parses at the header's width; all other cells are written bare.
 """
 
 from __future__ import annotations
@@ -18,11 +20,18 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _cell(value) -> str:
+    text = fmt(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, columns, rows):
     """rows: iterable of dicts keyed (at least) by `columns`."""
-    lines = [",".join(columns)]
+    lines = [",".join(_cell(c) for c in columns)]
     for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
+        lines.append(",".join(_cell(row[c]) for c in columns))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,6 +1,8 @@
+import csv
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +210,17 @@ class TestVerifyLifted:
         text = (tmp_path / "lifted.csv").read_text()
         assert text.splitlines()[0] == "suite,identity,lhs,rhs,stderr,verdict"
 
+    def test_commutator_rows_parse_at_header_width(self, tmp_path):
+        # identities such as [B1,B0]=0 hold commas: their cells are quoted
+        rc = main(["verify-lifted", "--suite", "commutators", "--out",
+                   str(tmp_path), "--quiet"])
+        assert rc == 0
+        with open(tmp_path / "lifted.csv", newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["suite", "identity", "lhs", "rhs", "stderr", "verdict"]
+        assert all(len(row) == 6 for row in rows)
+        assert "[B1,B0]=0" in {row[1] for row in rows}
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify-lifted", "--suite", "bogus", "--quiet"]) == 2
 
@@ -252,6 +265,16 @@ def test_bad_numbers_exit_two_with_one_line(capsys, argv):
     assert err.startswith(f"{argv[-2]} must be ") and err.count("\n") == 1
 
 
+def test_step_budget_exits_two_at_once(capsys):
+    # 1e7 + 1e7 solver steps: rejected before the first one
+    start = time.monotonic()
+    assert main(["compare-blowup", "--dt", "1e-9", "--horizon", "0.01", "--quiet"]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("compare-blowup rejected: ") and "budget" in err
+    assert err.count("\n") == 1
+
+
 def test_horizon_not_a_whole_number_of_steps_exits_two(capsys):
     assert main(["compare-blowup", "--dt", "1", "--horizon", "0.01", "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -273,6 +296,24 @@ class TestPlot:
         text = out.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_quoted_cells_round_trip(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_csv(path, ("name", "t", "y"), [
+            {"name": "[B1,B0]=0", "t": 0.0, "y": 1.5},
+            {"name": 'say "hi"', "t": 1.0, "y": 2.5},
+            {"name": "plain", "t": 2.0, "y": 3.5},
+        ])
+        text = path.read_text()
+        # rows without commas or quotes keep their bytes; line endings stay LF
+        assert text.endswith("\nplain,2,3.5\n") and "\r" not in text
+        assert text.splitlines()[1] == '"[B1,B0]=0",0,1.5'
+        with open(path, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["[B1,B0]=0", 'say "hi"', "plain"]
+        rc = main(["plot", "--csv", str(path), "--columns", "y",
+                   "--out-file", str(tmp_path / "q.svg")])
+        assert rc == 0
+
     def test_plot_determinism(self, tmp_path):
         series = [("y", [0, 1, 2], [1.0, 2.0, 1.5])]
         assert render_lines(series) == render_lines(series)
@@ -289,6 +330,10 @@ class TestPlot:
         ("t,y\n0,1\n1\n", "CSV line 3 has 1 cells, the header 2"),
         ("t,y\n0,1,2\n", "CSV line 2 has 3 cells, the header 2"),
         ("t,y\n\n0,\xe9\n", "CSV is not ASCII"),
+        ("t,y\n0,1\n1,nan\n", "CSV line 3: y = 'nan' is not finite"),
+        ("t,y\n0,inf\n", "CSV line 2: y = 'inf' is not finite"),
+        ("t,y\n0,1\n-Infinity,2\n", "CSV line 3: t = '-Infinity' is not finite"),
+        ('t,y\n0,"1\n', "CSV line 2: unexpected end of data"),
     ])
     def test_malformed_csv_exits_two_with_one_line(self, tmp_path, capsys, text, message):
         csv = tmp_path / "bad.csv"

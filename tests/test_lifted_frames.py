@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from ksflow.lifted import operators as ops
 from ksflow.lifted.frames import (
     FRAME_NAMES,
     FrameError,
+    Points,
+    ScaledRankOne,
     _grad_along,
     commutator_apply,
     commutator_field,
@@ -25,6 +29,19 @@ from ksflow.lifted.gaussians import (
 )
 
 
+def dense_hessian(F, x):
+    """The dense (n, 6, 6) Hessian, summed component by component: the
+    oracle for the `MixtureHessian` contractions."""
+    hess = np.zeros((len(x), 6, 6))
+    for c in F.components:
+        A = c.precision
+        Ad = (x - c.mean) @ A
+        comp = c.weight * (2 * np.pi) ** -3 * np.sqrt(np.linalg.det(A)) * np.exp(
+            -0.5 * np.einsum("ni,ni->n", x - c.mean, Ad))
+        hess += comp[:, None, None] * (np.einsum("ni,nj->nij", Ad, Ad) - A)
+    return hess
+
+
 def rand_points(n, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 6))
@@ -39,13 +56,15 @@ class TestMixtureEval:
         val, grad, hess = F.eval(x)
         assert val[0] == pytest.approx((2 * np.pi) ** -3)
         assert np.allclose(grad, 0.0)
-        assert np.allclose(hess[0], -val[0] * np.eye(6))
+        assert np.allclose(dense_hessian(F, x)[0], -val[0] * np.eye(6))
+        assert np.allclose(hess.trace(), -6.0 * val)
 
     def test_finite_difference_cross_check(self):
         F = random_symmetric_mixture(2, 3)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, 6))
-        val, grad, hess = F.eval(x)
+        val, grad, _ = F.eval(x)
+        hess = dense_hessian(F, x)
         h = 1e-5
         scale = np.abs(val).max()
         for i in range(6):
@@ -57,6 +76,14 @@ class TestMixtureEval:
             assert np.max(np.abs(fd - grad[:, i])) <= 1e-6 * scale
             fd2 = (fp - 2 * val + fm) / h**2
             assert np.max(np.abs(fd2 - hess[:, i, i])) <= 1e-4 * scale
+
+    def test_order_one_skips_the_hessian(self):
+        F = random_symmetric_mixture(2, 3)
+        x = rand_points(20, seed=4)
+        val1, grad1, hess1 = F.eval(x, order=1)
+        val2, grad2, hess2 = F.eval(x)
+        assert hess1 is None and hess2.Ad.shape == (len(x), 4, 6)
+        assert np.array_equal(val1, val2) and np.array_equal(grad1, grad2)
 
     def test_mixture_linearity(self):
         a = isotropic_gaussian(scale=1.0)
@@ -128,7 +155,7 @@ class TestFrameEval:
         x = rand_points(20, seed=8)
         h = 1e-6
         for name in ("B0", "B1", "N"):
-            J = np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6))
+            J = dense_jacobian(name, x)
             for j in range(6):
                 dx = np.zeros(6)
                 dx[j] = h
@@ -144,7 +171,7 @@ class TestFrameEval:
         assert np.allclose(vf_divergence("N", x), 2 * np.sqrt(2) / r)
         # trace of the analytic Jacobian agrees
         for name in ("B0", "N"):
-            tr = np.einsum("nii->n", np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6)))
+            tr = np.einsum("nii->n", dense_jacobian(name, x))
             assert np.allclose(tr, vf_divergence(name, x), rtol=1e-12)
 
 
@@ -211,7 +238,28 @@ FIELDS = [*FRAME_NAMES, np.eye(6)[0], np.array([0.3, -1.2, 0.5, 2.0, 0.0, -0.7])
 FIELD_IDS = [*FRAME_NAMES, "e1", "const"]
 
 
+def dense_n_jacobian(x):
+    """D n = D bt_0 / (sqrt(2) r) - bt_0 (x) n / r^2, assembled densely."""
+    z = x[:, :3] - x[:, 3:]
+    r = np.linalg.norm(z, axis=1)
+    b0 = np.concatenate([z, -z], axis=1)
+    nvec = b0 / (np.sqrt(2.0) * r[:, None])
+    return (vf_jacobian("B0", x) / (np.sqrt(2.0) * r[:, None, None])
+            - np.einsum("ni,nj->nij", b0, nvec) / (r**2)[:, None, None])
+
+
+def dense_sqrt_alpha_b0_jacobian(pot, x):
+    """sqrt(alpha) D bt_0 + bt_0 (x) grad sqrt(alpha), assembled densely."""
+    r = np.linalg.norm(x[:, :3] - x[:, 3:], axis=1)
+    a, ap = pot.alpha(r), pot.alpha_prime(r)
+    grad_sq = (ap / np.sqrt(2.0 * a))[:, None] * vf_eval("N", x)
+    return (np.sqrt(a)[:, None, None] * vf_jacobian("B0", x)
+            + np.einsum("ni,nj->nij", vf_eval("B0", x), grad_sq))
+
+
 def dense_jacobian(name, x):
+    if isinstance(name, str) and name == "N":
+        return dense_n_jacobian(x)
     return np.broadcast_to(vf_jacobian(name, x), (len(x), 6, 6))
 
 
@@ -219,56 +267,132 @@ def rel_err(got, want, scale):
     return np.max(np.abs(got - want)) / scale
 
 
-class TestContractionPath:
-    """The one contraction of fields with mixture derivatives against the
-    dense broadcast (n, 6, 6) einsum forms it replaced."""
+def oracle_grad_along(J, v, grad, hess):
+    return np.einsum("nji,nj->ni", J, grad) + np.einsum("nij,nj->ni", hess, v)
 
-    F = random_symmetric_mixture(2, 21)
-    x = rand_points(200, seed=22)
+
+MIXTURES = {
+    "iso": isotropic_gaussian(scale=1.3),
+    "iso_offset": Mixture6([Gaussian6(1.0, np.array([0.4, -0.2, 0.1, 0.3, 0.5, -0.6]),
+                                      1.3 * np.eye(6))]),
+    "random2": random_symmetric_mixture(2, 21),
+    "random3": random_symmetric_mixture(3, 21),
+    "tensor": tensor_product([0.7, 0.4], [np.zeros(3), np.array([0.5, -0.3, 0.8])],
+                             [np.eye(3), np.diag([0.6, 1.5, 1.1])]),
+}
+# B_k . grad F vanishes identically for the centred isotropic Gaussian, so
+# its field contractions are rounding noise with no scale to be relative
+# to; the off-centre one covers the same one-component, A = s Id shape
+FIELD_MIXTURES = tuple(name for name in MIXTURES if name != "iso")
+X = rand_points(200, seed=22)
+
+
+@functools.cache
+def derivs(names=tuple(MIXTURES)):
+    """(F, grad, MixtureHessian, dense oracle Hessian) for each named mixture."""
+    out = []
+    for name in names:
+        F = MIXTURES[name]
+        _, grad, hess = F.eval(X)
+        out.append((F, grad, hess, dense_hessian(F, X)))
+    return out
+
+
+def difference_block(dense):
+    return dense[:, :3, :3] - dense[:, :3, 3:] - dense[:, 3:, :3] + dense[:, 3:, 3:]
+
+
+class TestContractionPath:
+    """The one contraction of fields with mixture derivatives, the
+    `MixtureHessian` products and the structured Jacobians, against the
+    dense (n, 6, 6) oracle forms, for isotropic, random symmetric and
+    tensor-product mixtures."""
 
     def test_jacobian_shape_rule(self):
         for name in FIELDS:
-            J = vf_jacobian(name, self.x)
+            J = vf_jacobian(name, X)
             if isinstance(name, str) and name == "N":
-                assert J.shape == (len(self.x), 6, 6)
+                assert isinstance(J, ScaledRankOne) and J.u.shape == (len(X), 6)
             else:
                 assert J.shape == (6, 6) and not J.flags.writeable
 
+    def test_hessian_products(self):
+        vs = [np.random.default_rng(24).standard_normal(X.shape),
+              *(vf_eval(name, X) for name in FIELDS)]
+        for _, _, hess, dense in derivs():
+            for v in vs:
+                want = np.einsum("nij,nj->ni", dense, v)
+                assert rel_err(hess.matvec(v), want, np.max(np.abs(want))) <= 1e-13
+
+    def test_hessian_traces(self):
+        for _, _, hess, dense in derivs():
+            scale = np.max(np.abs(dense))
+            assert rel_err(hess.trace(), np.einsum("nii->n", dense), scale) <= 1e-13
+            assert rel_err(hess.difference_trace(),
+                           np.einsum("nii->n", difference_block(dense)), scale) <= 1e-13
+
+    def test_difference_block_quadratic(self):
+        # z . D z for the difference block D equals bt_0 . (Hess F) bt_0
+        z = X[:, :3] - X[:, 3:]
+        b0 = vf_eval("B0", X)
+        for _, _, hess, dense in derivs():
+            want = np.einsum("ni,nij,nj->n", z, difference_block(dense), z)
+            got = np.einsum("ni,ni->n", b0, hess.matvec(b0))
+            assert rel_err(got, want, np.max(np.abs(want))) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["N", "L0"])
+    def test_structured_jacobians(self, which):
+        pot = PowerLaw(-2.5)
+        if which == "N":
+            v, J, oracle = vf_eval("N", X), vf_jacobian("N", X), dense_n_jacobian(X)
+        else:
+            v, J = ops.sqrt_alpha_b0(pot, X), ops.sqrt_alpha_b0_jacobian(pot, X)
+            oracle = dense_sqrt_alpha_b0_jacobian(pot, X)
+        assert rel_err(J.dense(), oracle, np.max(np.abs(oracle))) <= 1e-13
+        u = np.random.default_rng(25).standard_normal(X.shape)
+        pairs = [(J.matvec(u), np.einsum("nij,nj->ni", oracle, u)),
+                 (J.rmatvec(u), np.einsum("nji,nj->ni", oracle, u))]
+        for _, grad, hess, dense in derivs(FIELD_MIXTURES):
+            pairs.append((_grad_along(J, v, grad, hess),
+                          oracle_grad_along(oracle, v, grad, dense)))
+        for got, want in pairs:
+            assert rel_err(got, want, np.max(np.abs(want))) <= 1e-13
+
     @pytest.mark.parametrize("name", FIELDS, ids=FIELD_IDS)
     def test_grad_along_matches_dense(self, name):
-        _, grad, hess = self.F.eval(self.x)
-        v = vf_eval(name, self.x)
-        dense = (np.einsum("nji,nj->ni", dense_jacobian(name, self.x), grad)
-                 + np.einsum("nij,nj->ni", hess, v))
-        got = _grad_along(vf_jacobian(name, self.x), v, grad, hess)
-        assert rel_err(got, dense, np.max(np.abs(dense)) + 1e-300) <= 1e-13
+        v = vf_eval(name, X)
+        for _, grad, hess, dense in derivs(FIELD_MIXTURES):
+            want = oracle_grad_along(dense_jacobian(name, X), v, grad, dense)
+            got = _grad_along(vf_jacobian(name, X), v, grad, hess)
+            assert rel_err(got, want, np.max(np.abs(want)) + 1e-300) <= 1e-13
 
     @pytest.mark.parametrize("a", FIELDS, ids=FIELD_IDS)
     def test_commutator_apply_matches_dense(self, a):
-        _, grad, hess = self.F.eval(self.x)
-        va, Ja = vf_eval(a, self.x), dense_jacobian(a, self.x)
-        for b in FIELDS:
-            vb, Jb = vf_eval(b, self.x), dense_jacobian(b, self.x)
-            gb = np.einsum("nji,nj->ni", Jb, grad) + np.einsum("nij,nj->ni", hess, vb)
-            ga = np.einsum("nji,nj->ni", Ja, grad) + np.einsum("nij,nj->ni", hess, va)
-            first = np.einsum("ni,ni->n", va, gb)
-            second = np.einsum("ni,ni->n", vb, ga)
-            scale = np.max(np.abs(first)) + np.max(np.abs(second)) + 1e-300
-            got = commutator_apply(a, b, self.F, self.x)
-            assert rel_err(got, first - second, scale) <= 1e-13
+        p = Points(X)
+        va, Ja = vf_eval(a, X), dense_jacobian(a, X)
+        for F, grad, _, dense in derivs(FIELD_MIXTURES):
+            ga = oracle_grad_along(Ja, va, grad, dense)
+            for b in FIELDS:
+                vb, Jb = vf_eval(b, X), dense_jacobian(b, X)
+                gb = oracle_grad_along(Jb, vb, grad, dense)
+                first = np.einsum("ni,ni->n", va, gb)
+                second = np.einsum("ni,ni->n", vb, ga)
+                scale = np.max(np.abs(first)) + np.max(np.abs(second)) + 1e-300
+                got = commutator_apply(a, b, F, p)
+                assert rel_err(got, first - second, scale) <= 1e-13
 
     @pytest.mark.parametrize("name", [*FIELDS, "L0"], ids=[*FIELD_IDS, "L0"])
     def test_directional_second_matches_dense(self, name):
-        _, grad, hess = self.F.eval(self.x)
         if isinstance(name, str) and name == "L0":
             pot = PowerLaw(-2.5)
-            c, J = ops.sqrt_alpha_b0(pot, self.x), ops.sqrt_alpha_b0_jacobian(pot, self.x)
-            dense_J = J
+            c, J = ops.sqrt_alpha_b0(pot, X), ops.sqrt_alpha_b0_jacobian(pot, X)
+            dense_J = dense_sqrt_alpha_b0_jacobian(pot, X)
         else:
-            c, J = vf_eval(name, self.x), vf_jacobian(name, self.x)
-            dense_J = dense_jacobian(name, self.x)
-        advect = np.einsum("ni,ni->n", np.einsum("nij,nj->ni", dense_J, c), grad)
-        curvature = np.einsum("ni,nij,nj->n", c, hess, c)
-        scale = np.max(np.abs(advect)) + np.max(np.abs(curvature)) + 1e-300
-        got = ops._directional_second(c, J, grad, hess)
-        assert rel_err(got, advect + curvature, scale) <= 1e-13
+            c, J = vf_eval(name, X), vf_jacobian(name, X)
+            dense_J = dense_jacobian(name, X)
+        for _, grad, hess, dense in derivs(FIELD_MIXTURES):
+            advect = np.einsum("ni,ni->n", np.einsum("nij,nj->ni", dense_J, c), grad)
+            curvature = np.einsum("ni,nij,nj->n", c, dense, c)
+            scale = np.max(np.abs(advect)) + np.max(np.abs(curvature)) + 1e-300
+            got = ops._directional_second(c, J, grad, hess)
+            assert rel_err(got, advect + curvature, scale) <= 1e-13

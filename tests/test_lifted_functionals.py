@@ -11,7 +11,21 @@ from ksflow.lifted.functionals import (
     fisher_functional,
     pair_first_variation,
 )
-from ksflow.lifted.gaussians import isotropic_gaussian, random_symmetric_mixture, tensor_product
+from ksflow.lifted.gaussians import (
+    Gaussian6,
+    Mixture6,
+    isotropic_gaussian,
+    random_symmetric_mixture,
+    tensor_product,
+)
+
+
+def convex_combination(F, G, theta):
+    """theta*F + (1-theta)*G, again a mixture."""
+    comps = [Gaussian6(theta * c.weight, c.mean, c.precision) for c in F.components]
+    comps += [Gaussian6((1.0 - theta) * c.weight, c.mean, c.precision)
+              for c in G.components]
+    return Mixture6(comps, symmetric=F.symmetric and G.symmetric)
 
 
 class TestFisherFunctional:
@@ -80,7 +94,7 @@ class TestConvexity:
         iF = fisher_functional(F, n_samples=n, seed=seed)
         iG = fisher_functional(G, n_samples=n, seed=seed, stream=1)
         for theta in (0.25, 0.5, 0.75):
-            mix = F.convex_combination(G, theta)
+            mix = convex_combination(F, G, theta)
             iM = fisher_functional(mix, n_samples=n, seed=seed, stream=2)
             bound = theta * iF.value + (1 - theta) * iG.value
             noise = 3 * np.sqrt(iF.stderr**2 + iG.stderr**2 + iM.stderr**2)
@@ -112,7 +126,7 @@ class TestPairings:
 
 def two_quantities(x, F_val, grad, hess):
     return {"u2": np.einsum("ni,ni->n", grad, grad) / F_val**2,
-            "lap": np.einsum("nii->n", hess) / F_val}
+            "lap": hess.trace() / F_val}
 
 
 class TestEstimateMany:
@@ -132,6 +146,16 @@ class TestEstimateMany:
         alone = estimate_many(F, lambda *a: {"u2": two_quantities(*a)["u2"]},
                               5000, seed=4, stream=2)
         assert both["u2"] == alone["u2"]
+
+    def test_variance_does_not_cancel_under_a_large_mean(self):
+        # g = 1e8 + x_0 with x_0 ~ N(0, 1): the stderr is that of x_0 alone,
+        # 1/sqrt(n) = 1.95e-3; sum g^2 / n - mean^2 reported 2.76e-3
+        F = isotropic_gaussian()
+        n = 1 << 18
+        shifted = estimate_many(F, lambda x, *_: {"g": 1e8 + x[:, 0]}, n, seed=0)["g"]
+        plain = estimate_many(F, lambda x, *_: {"g": x[:, 0]}, n, seed=0)["g"]
+        assert shifted.stderr == pytest.approx(plain.stderr, rel=1e-6)
+        assert shifted.stderr == pytest.approx(n ** -0.5, rel=0.01)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_nonpositive_sample_count_rejected(self, n):

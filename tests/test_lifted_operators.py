@@ -3,7 +3,7 @@ import pytest
 
 from ksflow.kernels import PowerLaw, SoftenedPowerLaw
 from ksflow.lifted import operators as ops
-from ksflow.lifted.gaussians import isotropic_gaussian, random_symmetric_mixture
+from ksflow.lifted.gaussians import MixtureHessian, isotropic_gaussian, random_symmetric_mixture
 from ksflow.lifted.suites import sample_points
 
 
@@ -22,7 +22,7 @@ class TestWeights:
 
     def test_beta1_is_divergence_of_sqrt_alpha_b0(self):
         pot = PowerLaw(-2.5)
-        tr = np.einsum("nii->n", ops.sqrt_alpha_b0_jacobian(pot, X))
+        tr = np.einsum("nii->n", ops.sqrt_alpha_b0_jacobian(pot, X).dense())
         assert np.allclose(tr, ops.beta1(pot, X), rtol=1e-12)
 
     def test_divergence_closed_forms_against_finite_differences(self):
@@ -43,7 +43,7 @@ class TestWeights:
     def test_jacobian_decomposition(self):
         for gamma in (-3.0, -2.5, -1.0, 0.0):
             pot = PowerLaw(gamma)
-            J = ops.sqrt_alpha_b0_jacobian(pot, X)
+            J = ops.sqrt_alpha_b0_jacobian(pot, X).dense()
             Jd = ops.sqrt_alpha_b0_jacobian_decomposed(pot, X)
             assert np.max(np.abs(J - Jd)) <= 1e-10 * np.max(np.abs(J))
 
@@ -81,7 +81,9 @@ class TestOperators:
         # a constant F has zero gradient and Hessian: every form returns 0
         pot = PowerLaw(-2.5)
         n = X.shape[0]
-        bundle = (np.ones(n), np.zeros((n, 6)), np.zeros((n, 6, 6)))
+        zero_hessian = MixtureHessian(np.zeros((n, 1)), np.zeros((n, 1, 6)),
+                                      np.zeros((1, 6, 6)))
+        bundle = (np.ones(n), np.zeros((n, 6)), zero_hessian)
         assert np.all(ops.apply_QKS(F, pot, X, form="direct", bundle=bundle) == 0.0)
         assert np.all(ops.apply_QKS(F, pot, X, form="decomposed", bundle=bundle) == 0.0)
 
