@@ -36,17 +36,15 @@ from .solver import (
     run,
     run_cartesian,
     run_semilinear,
-    semilinear_heat_rhs,
     step,
 )
 from .diagnostics import (
     entropy,
     fisher_information,
-    l3_fisher_ratio,
     ellipticity_check,
     h_bound_check,
 )
-from .probes import ProbeError, RatioStats, probe_inequality, run_all_probes
+from .probes import ProbeError, RatioStats, probe_inequality
 from .config import ConfigError, RunConfig, load_config, parse_config_text
 from .harness import compare_blowup, simulate
 

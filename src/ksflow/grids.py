@@ -138,16 +138,18 @@ def integrate_radial(f: RadialField, s: float = 0.0) -> float:
     return 4.0 * np.pi * f.grid.dr * float(np.sum(r ** (2.0 + s) * f.values))
 
 
-def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0) -> float:
-    """Weighted Lebesgue norm || <v>^m f ||_{L^p} with <v> = sqrt(1 + |v|^2).
+def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0,
+                     scale: float = 1.0) -> float:
+    """Weighted Lebesgue norm || <v/scale>^m f ||_{L^p} with <v> = sqrt(1 + |v|^2).
 
-    p = inf returns the grid supremum of <r>^m |f|.  Radial reduction:
-    ||g||_p = (4 pi int r^2 |g(r)|^p dr)^{1/p}.
+    p = inf returns the grid supremum of <r/scale>^m |f|.  Radial reduction:
+    ||g||_p = (4 pi int r^2 |g(r)|^p dr)^{1/p}.  A scale other than 1 gives
+    the reweighted norms of the dilation laws in `probes`.
     """
     if p != np.inf and p < 1:
         raise FieldError(f"p must be >= 1 or inf, got {p}")
     r = f.grid.centers
-    w = (1.0 + r**2) ** (0.5 * m)
+    w = (1.0 + (r / scale) ** 2) ** (0.5 * m)
     g = w * np.abs(f.values)
     if p == np.inf:
         return float(g.max())

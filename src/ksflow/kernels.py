@@ -339,17 +339,3 @@ def cartesian_convolve(f3: CartesianField3, mu: float) -> CartesianField3:
         out = np.maximum(out, 0.0)
     return CartesianField3(grid, out, signed=f3.signed)
 
-
-def interior_mass_fraction(f3: CartesianField3) -> float:
-    """Fraction of the mass inside the central half-box; an aliasing guard.
-
-    Values below 0.99 indicate the box truncates the data too aggressively for
-    convolution tails to be trusted.
-    """
-    grid = f3.grid
-    q = grid.n // 4
-    total = f3.values.sum()
-    if total == 0:
-        return 1.0
-    inner = f3.values[q:-q, q:-q, q:-q].sum()
-    return float(inner / total)

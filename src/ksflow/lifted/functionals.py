@@ -38,9 +38,6 @@ CHUNK_SIZE = 1 << 17
 # sample against evaluating the whole chunk at once
 EVAL_BLOCK = 1 << 12
 
-WEIGHT_NAMES = ("ONE", "ALPHA", "SQRT_ALPHA_OVER_R2", "BETA1", "BETA2")
-
-
 class IntegrabilityError(ValueError):
     """A weight/direction combination is not integrable near the diagonal."""
 
@@ -131,7 +128,8 @@ def _combine(acc, count: int, mean: float, m2: float):
 # ---------------------------------------------------------------------------
 
 def weight_values(weight, pot, x) -> np.ndarray:
-    """Evaluate a scalar weight (one of WEIGHT_NAMES) at x (an array or Points)."""
+    """Evaluate a scalar weight at x (an array or Points): ONE, ALPHA,
+    SQRT_ALPHA_OVER_R2, BETA1 or BETA2."""
     if weight == "ONE":
         return np.ones(len(as_points(x)))
     r, a, ap, _ = ops.alpha_bundle(pot, x)

@@ -50,9 +50,6 @@ class Gaussian6:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)
 
-    def swapped(self) -> "Gaussian6":
-        return Gaussian6(self.weight, SWAP @ self.mean, SWAP @ self.precision @ SWAP)
-
 
 class MixtureHessian:
     """Hess F = sum_k c_k (A_k d_k (A_k d_k)^T - A_k) at n points, never formed.

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..grids import RadialGrid, gaussian_field
-from ..kernels import RATIO_WINDOW, PowerLaw, SoftenedPowerLaw, coeff_a, coeff_h, gamma_ratio
-from ..grids import radial_laplacian
+from ..kernels import RATIO_WINDOW, PowerLaw, SoftenedPowerLaw, gamma_ratio
+from ..solver import nondivergence_rhs
 from . import operators as ops
 from .frames import Points, _bracket, flow, frame_identities, vf_eval, vf_jacobian
 from .functionals import (
@@ -543,13 +543,7 @@ def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0), sigma: float = 1.0,
     f = gaussian_field(grid, sigma=sigma, mass=1.0)
     for gamma in gammas:
         pot = PowerLaw(gamma)
-        a = coeff_a(f, pot)
-        lap = radial_laplacian(f)
-        if 2.0 + gamma == 0.0:
-            reaction = np.zeros(grid.n_cells)
-        else:
-            reaction = (2.0 + gamma) * coeff_h(f, pot).values * f.values
-        target_vals = a.values * lap.values - reaction
+        target_vals = nondivergence_rhs(f, pot).values
         for p in points:
             v = np.array([p, 0.0, 0.0])
             got = _marginal_quadrature(F, pot, v)

@@ -8,19 +8,26 @@ and reports:
     inequalities' testable content; the constants are never explicit),
   * a scaling-consistency statistic: each side recomputed on the dilated
     field is divided by its value predicted from the lam = 1 field through
-    the analytically derived transformation law, and the ratio of those two
-    normalized sides must sit at 1 up to quadrature error.
+    the dilation law below, and the ratio of those two normalized sides must
+    sit at 1 up to quadrature error.
 
-Derived transformation laws under f_lam(v) = f(lam v), d = 3:
+Each lemma is described once, in `_LEMMAS`: one lhs term, the rhs terms and
+how the rhs terms combine.  A term is a weighted norm
 
-    (f_lam * |.|^mu)(v)        = lam^(-3-mu) (f * |.|^mu)(lam v)
-    || f_lam ||_{L^p_m}        = lam^(-3/p) || <./lam>^m f ||_{L^p}
-    || <.>^k (f_lam * K) ||_oo = lam^(-3-mu) sup <u/lam>^k (f*K)(u)
-    grad f_lam = lam (grad f)(lam .),   D^2 f_lam = lam^2 (D^2 f)(lam .)
+    || <.>^m D f ||_{L^p},   D f = f, grad f, D^2 f or f * |.|^mu,
 
-The <.> weights are not dilation-homogeneous, so the transformation laws
-carry the exact reweighting factor rather than a bare power of lam; the bare
-exponents above are the homogeneous cores.
+and under f_lam(v) = f(lam v), d = 3, every term obeys one dilation law,
+
+    || <.>^m D f_lam ||_{L^p} = lam^(k - 3/p) || <./lam>^m D f ||_{L^p},
+
+with k = 0, 1, 2 or -3-mu for f, grad f, D^2 f or f * |.|^mu respectively:
+grad f_lam = lam (grad f)(lam .), D^2 f_lam = lam^2 (D^2 f)(lam .),
+(f_lam * |.|^mu)(v) = lam^(-3-mu) (f * |.|^mu)(lam v), and the measure
+contributes lam^(-3/p).  The <.> weights are not dilation-homogeneous, so the
+law carries the reweighting <./lam> rather than a bare power of lam.
+`_sides` evaluates the profile, its derivatives and any convolution once and
+returns both sides at every requested lam: the direct side is lam = 1 on the
+dilated grid, the predicted side every lam of the sweep on the base grid.
 
 The probed statements (hypotheses validated and echoed):
 
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import RadialField, RadialGrid
+from .grids import RadialField, RadialGrid, weighted_lp_norm
 from .kernels import radial_convolve
 
 PROBE_LEMMAS = ("A1", "A3", "A4", "A5", "A7")
@@ -120,35 +127,71 @@ class RatioStats:
 
 
 # ---------------------------------------------------------------------------
-# per-lemma sides: computed(field quantities) and the predicted transforms
+# one description per lemma: its terms and how they combine
 # ---------------------------------------------------------------------------
 
-def _weighted_grad_norm(mix: RadialMixture, grid: RadialGrid, weight_exp: float,
-                        lam_weight: float = 1.0) -> float:
-    r = grid.centers
-    w2 = (1.0 + (r / lam_weight) ** 2) ** weight_exp
-    return float(np.sqrt(
-        4.0 * np.pi * grid.dr * np.sum(r**2 * w2 * mix.dprofile(r) ** 2)
-    ))
+@dataclass(frozen=True)
+class Term:
+    """The weighted norm || <.>^m D f ||_{L^p} of one inequality side.
+
+    kind names D f: "f", "grad" (grad f), "hess" (D^2 f, Frobenius) or
+    "conv" (f * |.|^mu).  The derivative terms are L^2 norms (p = 2).
+    """
+
+    kind: str
+    p: float
+    m: float
+    mu: float = 0.0
+
+    @property
+    def exponent(self) -> float:
+        """k - 3/p: the term scales as lam^exponent under f(v) -> f(lam v)."""
+        k = {"f": 0.0, "grad": 1.0, "hess": 2.0}.get(self.kind, -3.0 - self.mu)
+        return k - 3.0 / self.p
+
+    def pointwise(self, mix: RadialMixture, f: RadialField) -> RadialField:
+        """D f on f's grid; the derivative terms hold |D f|^2."""
+        if self.kind == "f":
+            return f
+        if self.kind == "conv":
+            return radial_convolve(f, self.mu)
+        r = f.grid.centers
+        if self.kind == "grad":
+            return RadialField(f.grid, mix.dprofile(r) ** 2)
+        # the radial Hessian has eigenvalues f'' and f'/r (twice)
+        frob2 = mix.d2profile(r) ** 2 + 2.0 * (mix.dprofile(r) / r) ** 2
+        return RadialField(f.grid, frob2)
+
+    def norm(self, value: RadialField, scale: float) -> float:
+        """|| <./scale>^m D f ||_{L^p} from the pointwise value."""
+        if self.kind in ("f", "conv"):
+            return weighted_lp_norm(value, self.p, self.m, scale)
+        grid = value.grid
+        r = grid.centers
+        w2 = (1.0 + (r / scale) ** 2) ** self.m
+        return float(np.sqrt(4.0 * np.pi * grid.dr * np.sum(r**2 * w2 * value.values)))
 
 
-def _weighted_hess_norm(mix: RadialMixture, grid: RadialGrid, weight_exp: float,
-                        lam_weight: float = 1.0) -> float:
-    # radial Hessian has eigenvalues f'' and f'/r (twice): Frobenius form
-    r = grid.centers
-    w2 = (1.0 + (r / lam_weight) ** 2) ** weight_exp
-    frob2 = mix.d2profile(r) ** 2 + 2.0 * (mix.dprofile(r) / r) ** 2
-    return float(np.sqrt(4.0 * np.pi * grid.dr * np.sum(r**2 * w2 * frob2)))
+def _optimal_split(terms) -> float:
+    """min over d > 0 of (1/d) a + d b = 2 sqrt(a b)."""
+    a, b = terms
+    return 2.0 * np.sqrt(a * b)
 
 
-def _lp_m_norm(f: RadialField, p: float, m: float, lam_weight: float = 1.0) -> float:
-    """|| <./lam>^m f ||_{L^p} on the grid (lam_weight = 1 is the plain norm)."""
-    r = f.grid.centers
-    w = (1.0 + (r / lam_weight) ** 2) ** (0.5 * m)
-    g = w * np.abs(f.values)
-    if p == np.inf:
-        return float(g.max())
-    return float((4.0 * np.pi * f.grid.dr * np.sum(r**2 * g**p)) ** (1.0 / p))
+#: lemma -> params -> (lhs term, rhs terms, how the rhs terms combine)
+_LEMMAS = {
+    "A1": lambda P: (Term("conv", np.inf, 0.0, P["mu"]),
+                     (Term("f", P["p"], P["m"]),), sum),
+    "A3": lambda P: (Term("conv", 2.0, 0.0, P["mu"]),
+                     (Term("f", 2.0, P["theta"]),), sum),
+    "A4": lambda P: (Term("conv", np.inf, -P["mu"], P["mu"]),
+                     (Term("f", P["p"], P["m"]),), sum),
+    "A5": lambda P: (Term("f", np.inf, P["m"]),
+                     (Term("f", 2.0, P["m"]), Term("hess", 2.0, P["m"])), sum),
+    "A7": lambda P: (Term("grad", 2.0, 2.0 * P["q"]),
+                     (Term("f", 2.0, 2.0 * P["q"] + P["theta"]),
+                      Term("hess", 2.0, -P["theta"])), _optimal_split),
+}
 
 
 def _validate(lemma: str, params: dict):
@@ -188,88 +231,32 @@ def _validate(lemma: str, params: dict):
 
 
 def _sides(lemma: str, params: dict, mix: RadialMixture, grid: RadialGrid,
-           lam_weight: float = 1.0):
-    """(lhs, rhs) on the given grid; lam_weight != 1 evaluates the
-    <./lam>-reweighted norms used by the predicted transforms."""
+           scales) -> list:
+    """[(lhs, rhs)] of the lemma for mix on grid, one pair per scale lam:
+    each term weighted by <./lam> and multiplied by lam^(k - 3/p).
+
+    scales = (1,) gives the sides themselves.  D f is evaluated once for all
+    scales.
+    """
+    lhs, rhs, combine = _LEMMAS[lemma](params)
     f = mix.on_grid(grid)
-    if lemma == "A1":
-        mu, p, m = params["mu"], params["p"], params["m"]
-        lhs = float(radial_convolve(f, mu).values.max())
-        rhs = _lp_m_norm(f, p, m, lam_weight)
-        return lhs, rhs
-    if lemma == "A3":
-        mu, theta = params["mu"], params["theta"]
-        conv = radial_convolve(f, mu)
-        lhs = _lp_m_norm(conv, 2.0, 0.0)
-        rhs = _lp_m_norm(f, 2.0, theta, lam_weight)
-        return lhs, rhs
-    if lemma == "A4":
-        mu, p, m = params["mu"], params["p"], params["m"]
-        conv = radial_convolve(f, mu)
-        lhs = _lp_m_norm(conv, np.inf, -mu, lam_weight)
-        rhs = _lp_m_norm(f, p, m, lam_weight)
-        return lhs, rhs
-    if lemma == "A5":
-        m = params["m"]
-        lhs = _lp_m_norm(f, np.inf, m, lam_weight)
-        rhs = (_lp_m_norm(f, 2.0, m, lam_weight)
-               + _weighted_hess_norm(mix, grid, m, lam_weight))
-        return lhs, rhs
-    if lemma == "A7":
-        q, theta = params["q"], params["theta"]
-        lhs = _weighted_grad_norm(mix, grid, 2.0 * q, lam_weight)
-        a = _lp_m_norm(f, 2.0, 2.0 * q + theta, lam_weight)
-        b = _weighted_hess_norm(mix, grid, -theta, lam_weight)
-        rhs = 2.0 * np.sqrt(a * b)  # (1/d) a + d b minimized over d
-        return lhs, rhs
-    raise ProbeError(f"unknown lemma {lemma!r}")
+    values = {}
+    for t in (lhs, *rhs):
+        if (t.kind, t.mu) not in values:
+            values[t.kind, t.mu] = t.pointwise(mix, f)
 
+    def scaled(t, lam):
+        return lam**t.exponent * t.norm(values[t.kind, t.mu], lam)
 
-def _homogeneous_exponents(lemma: str, params: dict):
-    """(e_lhs, e_rhs): the pure-power parts of the transformation laws."""
-    if lemma == "A1":
-        return -3.0 - params["mu"], -3.0 / params["p"]
-    if lemma == "A3":
-        return -3.0 - params["mu"] - 1.5, -1.5
-    if lemma == "A4":
-        return -3.0 - params["mu"], -3.0 / params["p"]
-    if lemma == "A5":
-        return 0.0, 0.0  # rhs mixes orders; handled by the exact transform
-    if lemma == "A7":
-        return 1.0 - 1.5, 0.0
-    raise ProbeError(lemma)
-
-
-def _predicted(lemma: str, params: dict, mix: RadialMixture,
-               base_grid: RadialGrid, lam: float):
-    """Exact transform of each side from the lam = 1 field: homogeneous power
-    times the <./lam>-reweighted base quantity."""
-    e_lhs, e_rhs = _homogeneous_exponents(lemma, params)
-    lhs_w, rhs_w = _sides(lemma, params, mix, base_grid, lam_weight=lam)
-    if lemma == "A5":
-        # sup <u/lam>^m f and || <./lam>^m f ||_2 + lam^2 || <./lam>^m D^2 f ||_2,
-        # with the L2 measure factor lam^{-3/2}
-        m = params["m"]
-        f = mix.on_grid(base_grid)
-        lhs = _lp_m_norm(f, np.inf, m, lam)
-        rhs = lam**-1.5 * (_lp_m_norm(f, 2.0, m, lam)
-                           + lam**2 * _weighted_hess_norm(mix, base_grid, m, lam))
-        return lhs, rhs
-    if lemma == "A7":
-        q, theta = params["q"], params["theta"]
-        f = mix.on_grid(base_grid)
-        lhs = lam**(1.0 - 1.5) * _weighted_grad_norm(mix, base_grid, 2 * q, lam)
-        a = lam**-1.5 * _lp_m_norm(f, 2.0, 2 * q + theta, lam)
-        b = lam**(2.0 - 1.5) * _weighted_hess_norm(mix, base_grid, -theta, lam)
-        return lhs, 2.0 * np.sqrt(a * b)
-    return lam**e_lhs * lhs_w, lam**e_rhs * rhs_w
+    return [(scaled(lhs, lam), combine([scaled(t, lam) for t in rhs]))
+            for lam in scales]
 
 
 def probe_inequality(lemma: str, params: dict | None = None, family_seed: int = 0,
                      n_members: int = 64, lambdas=DEFAULT_LAMBDAS,
                      n_cells: int = 2048) -> RatioStats:
     """Run one lemma probe over the seeded family and dilation sweep."""
-    params = dict(DEFAULT_PARAMS[lemma] if params is None else params)
+    params = dict(DEFAULT_PARAMS.get(lemma, {}) if params is None else params)
     _validate(lemma, params)
     family = random_family(n_members, family_seed)
     width_cap = max(float(m.widths.max()) for m in family)
@@ -280,15 +267,16 @@ def probe_inequality(lemma: str, params: dict | None = None, family_seed: int = 
     # so predicted and recomputed sides never share quadrature nodes and the
     # scaling check exercises independent discretizations
     base_grid = RadialGrid(int(1.37 * n_cells), 14.0 * width_cap)
-    for lam in lambdas:
+    predicted = [_sides(lemma, params, mix, base_grid, lambdas) for mix in family]
+    for j, lam in enumerate(lambdas):
         grid = RadialGrid(n_cells, 13.0 * width_cap / lam)
         for i, mix in enumerate(family):
-            lhs, rhs = _sides(lemma, params, mix.dilated(lam), grid)
+            [(lhs, rhs)] = _sides(lemma, params, mix.dilated(lam), grid, (1.0,))
             if rhs == 0.0:
                 continue  # zero member: both sides vanish, ratio skipped
             ratio = lhs / rhs
             max_ratio = max(max_ratio, ratio)
-            p_lhs, p_rhs = _predicted(lemma, params, mix, base_grid, lam)
+            p_lhs, p_rhs = predicted[i][j]
             scaled = (lhs / p_lhs) / (rhs / p_rhs)
             scaling_dev = max(scaling_dev, abs(scaled - 1.0))
             rows.append({
@@ -301,9 +289,3 @@ def probe_inequality(lemma: str, params: dict | None = None, family_seed: int = 
             })
     return RatioStats(lemma=lemma, params=params, max_ratio=max_ratio,
                       scaling_deviation=scaling_dev, rows=rows)
-
-
-def run_all_probes(family_seed: int = 0, n_members: int = 64,
-                   lemmas=PROBE_LEMMAS, n_cells: int = 2048) -> list:
-    return [probe_inequality(lemma, None, family_seed, n_members, n_cells=n_cells)
-            for lemma in lemmas]

@@ -144,8 +144,9 @@ def boundary_flux_estimate(f: RadialField, a: RadialField) -> float:
 def nondivergence_rhs(f: RadialField, pot) -> RadialField:
     """Pointwise a[f] Laplacian(f) - (2+gamma) h[f] f (signed field).
 
-    Analytically identical to flux_form_rhs; kept as a cross-check of the
-    discretization, not as a stepping scheme.
+    Analytically identical to flux_form_rhs and never used for stepping: it is
+    the 3D operator the marginal suite compares pi(Q(f (x) f)) against, and a
+    cross-check of the discretization.
     """
     if not isinstance(pot, PowerLaw):
         raise SolverError("nondivergence form requires a power-law potential")
@@ -158,12 +159,6 @@ def nondivergence_rhs(f: RadialField, pot) -> RadialField:
         h = coeff_h(f, pot)
         reaction = (2.0 + gamma) * h.values * f.values
     return RadialField(f.grid, a.values * lap.values - reaction, signed=True)
-
-
-def semilinear_heat_rhs(u: RadialField) -> RadialField:
-    """d_t u = Laplacian(u) + u^2, the blow-up-prone comparison dynamics."""
-    lap = radial_laplacian(u)
-    return RadialField(u.grid, lap.values + u.values**2, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +281,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise SolverError("t_end must be an integer number of steps")
 
-    vols = f_in.grid.cell_volumes
-    mass0 = float(np.dot(vols, f_in.values))
+    mass0 = float(np.dot(f_in.grid.cell_volumes, f_in.values))
     traj = Trajectory()
     f = f_in
     boundary_budget = 0.0
@@ -313,10 +307,8 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
         a, h = _coefficients(f, config)
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
-            mass = float(np.dot(vols, f.values))
-            drift = (mass - mass0) / mass0 if mass0 else 0.0
             traj.append(t, f, diagnostics.snapshot_row(
-                t, f, pot, a=a, h=h, mass_drift=drift,
+                t, f, pot, a=a, h=h, mass_drift=rep.mass_drift,
                 boundary_budget=boundary_budget, clips=rep.clips))
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import os
 import subprocess
 import sys
@@ -224,6 +225,42 @@ class TestVerifyLifted:
     def test_unknown_suite_usage_error(self):
         assert main(["verify-lifted", "--suite", "bogus", "--quiet"]) == 2
 
+    def test_samples_and_gamma_reach_the_suites_that_declare_them(self, monkeypatch):
+        from ksflow.lifted import suites
+
+        calls = {}
+
+        def neither(seed=0):
+            calls["neither"] = {"seed": seed}
+            return []
+
+        def samples(seed=0, n_samples=1):
+            calls["samples"] = {"seed": seed, "n_samples": n_samples}
+            return []
+
+        def gammas(seed=0, gammas=()):
+            calls["gammas"] = {"seed": seed, "gammas": gammas}
+            return []
+
+        def both(seed=0, gammas=(), n_samples=1):
+            calls["both"] = {"seed": seed, "gammas": gammas, "n_samples": n_samples}
+            return []
+
+        @functools.wraps(both)
+        def traced(*args, **kwargs):  # a profiling wrapper hides the signature
+            return both(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "SUITES", {
+            "neither": neither, "samples": samples, "gammas": gammas, "traced": traced})
+        argv = ["verify-lifted", "--gamma", "-2.5", "--samples", "7", "--seed", "3"]
+        assert main([*argv, "--quiet"]) == 0
+        assert calls == {
+            "neither": {"seed": 3},
+            "samples": {"seed": 3, "n_samples": 7},
+            "gammas": {"seed": 3, "gammas": (-2.5,)},
+            "both": {"seed": 3, "gammas": (-2.5,), "n_samples": 7},
+        }
+
     def test_unknown_subcommand_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -237,6 +274,17 @@ class TestProbeCommand:
         assert rc == 0
         assert (tmp_path / "probes.csv").read_text().startswith(
             "lemma,seed,lambda,lhs,rhs,ratio")
+
+    def test_probe_determinism_byte_identical(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["probe", "--members", "3", "--out", str(out), "--quiet"]) == 0
+        assert (outs[0] / "probes.csv").read_bytes() == (outs[1] / "probes.csv").read_bytes()
+
+    def test_unknown_lemma_exits_two_with_one_line(self, capsys):
+        assert main(["probe", "--lemma", "A2", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("probe rejected: unknown lemma 'A2'") and err.count("\n") == 1
 
 
 class TestCompareBlowup:

@@ -21,7 +21,6 @@ from ksflow.kernels import (
     coeff_a,
     coeff_h,
     gamma_ratio,
-    interior_mass_fraction,
     kernel_matrix,
     radial_convolve,
 )
@@ -393,12 +392,6 @@ class TestCartesianConvolve:
         core = np.s_[8:-8, 8:-8, 8:-8]
         denom = np.max(np.abs(a))
         assert np.max(np.abs(b[core] - rolled[core])) <= 1e-6 * denom
-
-    def test_interior_mass_guard(self):
-        snug = gaussian_field3(CartesianGrid3(16, 2.0), sigma=1.5, mass=1.0)
-        roomy = gaussian_field3(CartesianGrid3(32, 10.0), sigma=1.0, mass=1.0)
-        assert interior_mass_fraction(snug) < 0.99
-        assert interior_mass_fraction(roomy) > 0.999
 
     def test_rejects_bad_exponent(self):
         f3 = gaussian_field3(CartesianGrid3(8, 4.0), sigma=1.0)

@@ -3,10 +3,14 @@ import pytest
 
 from ksflow.grids import RadialGrid, gaussian_field
 from ksflow.kernels import radial_convolve
+from ksflow import probes
 from ksflow.probes import (
+    DEFAULT_LAMBDAS,
     DEFAULT_PARAMS,
+    PROBE_LEMMAS,
     ProbeError,
     RadialMixture,
+    _sides,
     probe_inequality,
     random_family,
 )
@@ -49,12 +53,50 @@ class TestRatioStats:
         stats = probe_inequality("A1", None, family_seed=1, n_members=2,
                                  n_cells=512, lambdas=(1.0,))
         # inject a zero member by hand and re-run the side computation
-        from ksflow.probes import _sides
-
         zero = RadialMixture(np.array([0.0]), np.array([1.0]))
         grid = RadialGrid(512, 12.0)
-        lhs, rhs = _sides("A1", DEFAULT_PARAMS["A1"], zero, grid)
+        [(lhs, rhs)] = _sides("A1", DEFAULT_PARAMS["A1"], zero, grid, (1.0,))
         assert lhs == 0.0 and rhs == 0.0
+
+
+class TestSides:
+    def test_one_convolution_per_member_and_grid(self, monkeypatch):
+        # the direct side convolves once per (member, lam), the predicted
+        # side once per member for the whole sweep
+        calls = []
+
+        def counting(f, mu):
+            calls.append(mu)
+            return radial_convolve(f, mu)
+
+        monkeypatch.setattr(probes, "radial_convolve", counting)
+        lambdas = (0.5, 1.0, 2.0)
+        probe_inequality("A1", None, family_seed=2, n_members=3,
+                         lambdas=lambdas, n_cells=256)
+        assert len(calls) == 3 * (len(lambdas) + 1)
+
+    @pytest.mark.parametrize("lemma", PROBE_LEMMAS)
+    def test_predicted_at_unit_scale_is_the_direct_side(self, lemma):
+        mix = random_family(1, 4)[0]
+        grid = RadialGrid(384, 10.0)
+        params = DEFAULT_PARAMS[lemma]
+        predicted = _sides(lemma, params, mix, grid, DEFAULT_LAMBDAS)
+        direct = _sides(lemma, params, mix.dilated(1.0), grid, (1.0,))
+        assert predicted[DEFAULT_LAMBDAS.index(1.0)] == direct[0]
+
+    def test_terms_follow_the_dilation_law(self):
+        # || <.>^m D f_lam ||_p = lam^(k - 3/p) || <./lam>^m D f ||_p: the
+        # predicted sides at lam match the sides of the dilated member
+        mix = random_family(1, 6)[0]
+        lam = 2.0
+        base = RadialGrid(4096, 14.0)
+        dilated = RadialGrid(4096, 14.0 / lam)
+        for lemma in PROBE_LEMMAS:
+            params = DEFAULT_PARAMS[lemma]
+            [(p_lhs, p_rhs)] = _sides(lemma, params, mix, base, (lam,))
+            [(lhs, rhs)] = _sides(lemma, params, mix.dilated(lam), dilated, (1.0,))
+            assert lhs == pytest.approx(p_lhs, rel=1e-4)
+            assert rhs == pytest.approx(p_rhs, rel=1e-4)
 
 
 class TestDerivedScalingLaws:
