@@ -62,7 +62,8 @@ def cmd_verify_lifted(args) -> int:
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if _first_bad_number([("--samples", args.samples, args.samples >= 1, "at least 1")]):
+    if _first_bad_number([("--samples", args.samples, args.samples >= 1, "at least 1"),
+                          ("--seed", args.seed, args.seed >= 0, "at least 0")]):
         return 2
     rows = []
     for name in names:
@@ -92,7 +93,8 @@ def cmd_probe(args) -> int:
     from .probes import PROBE_LEMMAS, ProbeError, probe_inequality
 
     lemmas = args.lemma or list(PROBE_LEMMAS)
-    if _first_bad_number([("--members", args.members, args.members >= 1, "at least 1")]):
+    if _first_bad_number([("--members", args.members, args.members >= 1, "at least 1"),
+                          ("--seed", args.seed, args.seed >= 0, "at least 0")]):
         return 2
     rows = []
     verdicts = []
@@ -212,6 +214,16 @@ def cmd_plot(args) -> int:
                     return 2
                 data[name].append(value)
 
+    # one axis spans x, the other every y column together (log y: log10 y,
+    # which cannot overflow); a span beyond the float range has no ticks
+    for axis in ([x_name], [] if args.log_y else wanted):
+        seen = []
+        for name in axis:
+            seen += data[name]
+            if seen and not math.isfinite(max(seen) - min(seen)):
+                print(f"CSV column {name}: values from {min(seen)!r} to "
+                      f"{max(seen)!r} span more than the float range", file=sys.stderr)
+                return 2
     xs = data[x_name]
     series = [(c, xs, data[c]) for c in wanted]
     write_svg(args.out_file, series, title=os.path.basename(args.csv),

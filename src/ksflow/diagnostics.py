@@ -226,7 +226,7 @@ def finalize_rows(traj: Trajectory, gamma: float):
 # trajectory monitors
 # ---------------------------------------------------------------------------
 
-def _monotonicity_report(name, t, values, tol_rel):
+def _monotonicity_report(name, values, tol_rel):
     increments = np.diff(values)
     scale = np.maximum(np.abs(values[:-1]), 1e-300)
     excess = increments / scale
@@ -243,16 +243,12 @@ def _monotonicity_report(name, t, values, tol_rel):
 
 def fisher_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
     """Flags any per-step Fisher increment above tol_rel * i(t_k)."""
-    return _monotonicity_report(
-        "fisher_monotone", np.array(traj.column("t")), traj.column("fisher"), tol_rel
-    )
+    return _monotonicity_report("fisher_monotone", traj.column("fisher"), tol_rel)
 
 
 def entropy_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
     """Flags any per-step entropy increment above tol_rel * |H(t_k)|."""
-    return _monotonicity_report(
-        "entropy_monotone", np.array(traj.column("t")), traj.column("entropy"), tol_rel
-    )
+    return _monotonicity_report("entropy_monotone", traj.column("entropy"), tol_rel)
 
 
 def energy_identity_residual(traj: Trajectory, gamma: float) -> dict:
@@ -413,25 +409,3 @@ def mass_conservation_check(traj: Trajectory, tol: float = 1e-10) -> dict:
         "passed": worst <= allowed,
     }
 
-
-# ---------------------------------------------------------------------------
-# sampled structural facts
-# ---------------------------------------------------------------------------
-
-def j2_sign_sample(n: int = 1_000_000, seed: int = 0,
-                   exponents=(4, 6, 8)) -> float:
-    """Minimum of (|v|^{k-2} v - |w|^{k-2} w) . (v - w) over random triples.
-
-    Convexity of z -> |z|^k / k makes every sample nonnegative up to roundoff.
-    """
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    per = n // len(exponents)
-    for k in exponents:
-        v = rng.normal(size=(per, 3))
-        w = rng.normal(size=(per, 3))
-        av = np.linalg.norm(v, axis=1) ** (k - 2)
-        aw = np.linalg.norm(w, axis=1) ** (k - 2)
-        dots = np.sum((av[:, None] * v - aw[:, None] * w) * (v - w), axis=1)
-        worst = min(worst, float(dots.min()))
-    return worst

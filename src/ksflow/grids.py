@@ -95,13 +95,6 @@ class RadialField:
         self.values.setflags(write=False)
         self.signed = signed
 
-    def copy(self, values=None, signed=None) -> "RadialField":
-        return RadialField(
-            self.grid,
-            self.values.copy() if values is None else values,
-            self.signed if signed is None else signed,
-        )
-
     def __repr__(self):
         return (
             f"RadialField(n={self.grid.n_cells}, r_max={self.grid.r_max}, "
@@ -273,29 +266,27 @@ class Trajectory:
 # Versioned checkpoints: text header + byte-order-declared binary block
 # ---------------------------------------------------------------------------
 
+#: field kind -> (grid class, field class, size key, width key, dimensions)
+_CHECKPOINT_KINDS = {
+    "radial": (RadialGrid, RadialField, "n_cells", "r_max", 1),
+    "cartesian": (CartesianGrid3, CartesianField3, "n", "half_width", 3),
+}
+
+
 def write_checkpoint(path, f, gamma: float = float("nan"), time: float = 0.0):
     """Serialize a field with a text header followed by raw little-endian doubles."""
-    if isinstance(f, RadialField):
-        header = [
-            f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}",
-            "kind radial",
-            f"n_cells {f.grid.n_cells}",
-            f"r_max {f.grid.r_max!r}",
-            f"signed {int(f.signed)}",
-        ]
-        payload = f.values
-    elif isinstance(f, CartesianField3):
-        header = [
-            f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}",
-            "kind cartesian",
-            f"n {f.grid.n}",
-            f"half_width {f.grid.half_width!r}",
-            f"signed {int(f.signed)}",
-        ]
-        payload = f.values.ravel()
+    for kind, (_, field_cls, size_key, width_key, _) in _CHECKPOINT_KINDS.items():
+        if isinstance(f, field_cls):
+            break
     else:
         raise FieldError(f"cannot checkpoint object of type {type(f).__name__}")
-    header += [
+    payload = f.values.ravel()
+    header = [
+        f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}",
+        f"kind {kind}",
+        f"{size_key} {getattr(f.grid, size_key)}",
+        f"{width_key} {getattr(f.grid, width_key)!r}",
+        f"signed {int(f.signed)}",
         f"gamma {gamma!r}",
         f"time {time!r}",
         "byte_order little",
@@ -307,13 +298,6 @@ def write_checkpoint(path, f, gamma: float = float("nan"), time: float = 0.0):
     data = ("\n".join(header) + "\n").encode("ascii") + blob
     with open(path, "wb") as fh:
         fh.write(data)
-
-
-#: field kind -> (grid class, field class, size key, width key, dimensions)
-_CHECKPOINT_KINDS = {
-    "radial": (RadialGrid, RadialField, "n_cells", "r_max", 1),
-    "cartesian": (CartesianGrid3, CartesianField3, "n", "half_width", 3),
-}
 
 
 def read_checkpoint(path):

@@ -64,16 +64,16 @@ def simulate(cfg: RunConfig, out_dir) -> tuple[bool, list]:
 
 
 def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
-                   dt_list=(1e-4, 1e-5), n_cells: int = 512, r_max: float = 12.0,
-                   threshold: float = 1e6) -> dict:
+                   dt_list=(1e-4, 1e-5)) -> dict:
     """Twin experiment: d_t u = Lap u + u^2 versus the gamma = -3 flow from
-    identical peak-height data.
+    identical peak-height data, on 512 cells of (0, 12].
 
-    Blow-up of the semilinear twin is detected at max u >= threshold; the
-    detector time's dt-convergence and the Landau twin's max-value bound over
-    the horizon are reported.  Both-blow-up or neither-blow-up outcomes are
-    reported, never raised.  More than BLOWUP_STEP_BUDGET solver steps in
-    total raises SolverError before any step is taken.
+    Blow-up of the semilinear twin is detected at max u >=
+    solver.BLOWUP_THRESHOLD; the detector time's dt-convergence and the
+    Landau twin's max-value bound over the horizon are reported.
+    Both-blow-up or neither-blow-up outcomes are reported, never raised.
+    More than BLOWUP_STEP_BUDGET solver steps in total raises SolverError
+    before any step is taken.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
@@ -81,26 +81,19 @@ def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
     if not steps <= BLOWUP_STEP_BUDGET:
         raise SolverError(f"{steps:.3g} solver steps exceed the budget of "
                           f"{BLOWUP_STEP_BUDGET} (horizon / dt summed over the runs)")
-    base = SolverConfig(gamma=-3.0, n_cells=n_cells, r_max=r_max,
-                        dt=dt_list[0], t_end=horizon,
-                        output_stride=max(1, int(round(0.005 / dt_list[0]))))
-    grid = base.grid()
-    if amplitude == 0.0:
-        u0 = RadialField(grid, np.zeros(n_cells))
-    else:
-        u0 = gaussian_field(grid, sigma=sigma, amplitude=amplitude)
+    configs = [SolverConfig(gamma=-3.0, n_cells=512, r_max=12.0, dt=dt, t_end=horizon,
+                            output_stride=max(1, int(round(0.005 / dt))))
+               for dt in dt_list]
+    u0 = gaussian_field(configs[0].grid(), sigma=sigma, amplitude=amplitude)
 
     detector_times = []
     heat_curves = []
-    for dt in dt_list:
-        cfg = SolverConfig(gamma=-3.0, n_cells=n_cells, r_max=r_max, dt=dt,
-                           t_end=horizon,
-                           output_stride=max(1, int(round(0.005 / dt))))
-        traj, t_det = run_semilinear(cfg, u0, blowup_threshold=threshold)
+    for cfg in configs:
+        traj, t_det = run_semilinear(cfg, u0)
         detector_times.append(t_det)
         heat_curves.append([(row["t"], row["max"]) for row in traj.rows])
 
-    ks_traj = run(base, u0)
+    ks_traj = run(configs[0], u0)
     ks_max = float(ks_traj.column("linf_norm").max()) if len(ks_traj.rows) else 0.0
     ks_initial = float(u0.values.max())
     ks_mass_drift = max((abs(r["_mass_drift"]) for r in ks_traj.rows), default=0.0)

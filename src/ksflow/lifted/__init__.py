@@ -11,8 +11,6 @@ from .gaussians import (
 )
 from .frames import (
     FrameError,
-    commutator_apply,
-    commutator_field,
     flow,
     frame_identities,
     vf_divergence,
@@ -33,6 +31,5 @@ from .functionals import (
     McEstimate,
     estimate_many,
     fisher_functional,
-    pair_first_variation,
 )
 from .suites import SUITES

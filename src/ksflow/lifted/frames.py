@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussians import Mixture6
-
 
 class FrameError(ValueError):
     pass
@@ -38,8 +36,6 @@ def _cross_matrix(k: int) -> np.ndarray:
 
 
 _CROSS = [_cross_matrix(k) for k in range(3)]
-
-FRAME_NAMES = ("B0", "B1", "B2", "B3", "N", "NU1", "NU2", "NU3")
 
 
 class Points:
@@ -85,7 +81,7 @@ _NU = {f"NU{i}": np.eye(6)[i - 1] + np.eye(6)[i + 2] for i in (1, 2, 3)}
 def vf_eval(name, x) -> np.ndarray:
     """Evaluate a frame field at points x of shape (n, 6) (or a Points).
 
-    `name` is one of FRAME_NAMES or a constant vector of length 6.
+    `name` is B0, B1-B3, N, NU1-NU3 or a constant vector of length 6.
     """
     p = as_points(x)
     if isinstance(name, (np.ndarray, list, tuple)) or name in _NU:
@@ -174,11 +170,6 @@ def vf_jacobian(name, x):
     raise FrameError(f"unknown frame field {name!r}")
 
 
-def _jacobian_apply(J, v: np.ndarray) -> np.ndarray:
-    """J v for a constant (6, 6) Jacobian or a `ScaledRankOne`."""
-    return v @ J.T if isinstance(J, np.ndarray) else J.matvec(v)
-
-
 def _grad_along(J, v: np.ndarray, grad: np.ndarray, hess) -> np.ndarray:
     """grad(v . grad F) = J^T grad F + (Hess F) v, shape (n, 6).
 
@@ -203,27 +194,11 @@ def vf_divergence(name, x) -> np.ndarray:
     raise FrameError(f"unknown frame field {name!r}")
 
 
-def commutator_field(a, b, x) -> np.ndarray:
-    """[a, b] = (Db) a - (Da) b from the analytic Jacobians."""
-    p = as_points(x)
-    va = vf_eval(a, p)
-    vb = vf_eval(b, p)
-    return (_jacobian_apply(vf_jacobian(b, p), va)
-            - _jacobian_apply(vf_jacobian(a, p), vb))
-
-
 def _bracket(va, Ja, vb, Jb, grad, hess) -> np.ndarray:
-    """a.grad(b.grad F) - b.grad(a.grad F) from field values and Jacobians."""
+    """[a, b] . grad F = a.grad(b.grad F) - b.grad(a.grad F) from the field
+    values and Jacobians of a and b."""
     return (np.einsum("ni,ni->n", va, _grad_along(Jb, vb, grad, hess))
             - np.einsum("ni,ni->n", vb, _grad_along(Ja, va, grad, hess)))
-
-
-def commutator_apply(a, b, F: Mixture6, x) -> np.ndarray:
-    """[a, b] . grad F = a.grad(b.grad F) - b.grad(a.grad F), all analytic."""
-    p = as_points(x)
-    _, grad, hess = F.eval(p.x)
-    return _bracket(vf_eval(a, p), vf_jacobian(a, p),
-                    vf_eval(b, p), vf_jacobian(b, p), grad, hess)
 
 
 def a_matrix(z: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..kernels import PowerLaw
 from . import operators as ops
-from .frames import _grad_along, as_points, vf_eval, vf_jacobian
+from .frames import _grad_along, as_points, vf_eval
 from .gaussians import Mixture6
 
 CHUNK_SIZE = 1 << 17
@@ -197,13 +197,6 @@ def _weight(weight, pot, x):
     return 1.0 if weight == "ONE" else weight_values(weight, pot, x)
 
 
-def _transport_field(b, pot, x):
-    """(values, jacobian) for b = frame name, constant vector, or "L0"."""
-    if isinstance(b, str) and b == "L0":
-        return ops.sqrt_alpha_b0(pot, x), ops.sqrt_alpha_b0_jacobian(pot, x)
-    return vf_eval(b, x), vf_jacobian(b, x)
-
-
 # ---------------------------------------------------------------------------
 # pointwise integrands
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ def _pairings(vb, Jb, F_val, grad, hess, terms: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# functionals and first-variation pairings
+# functionals
 # ---------------------------------------------------------------------------
 
 def fisher_functional(F: Mixture6, weight="ONE", direction="FULL",
@@ -262,21 +255,3 @@ def fisher_functional(F: Mixture6, weight="ONE", direction="FULL",
 
     return estimate_many(F, integrand, n_samples, seed, stream, order=1)["I"]
 
-
-def pair_first_variation(F: Mixture6, b, weight="ONE", direction="FULL",
-                         n_samples: int = 1 << 20, seed: int = 0, pot=None,
-                         stream: int = 0) -> McEstimate:
-    """< (I_e^beta)'(F), L_b(F) > from the explicit first-variation integrand.
-
-    No perturbed functional and no finite-difference epsilon anywhere.
-    """
-    if not _is_full(direction):
-        check_integrability(weight, direction, pot if pot is not None else PowerLaw(0.0))
-
-    def integrand(x, F_val, grad, hess):
-        p = as_points(x)
-        vb, Jb = _transport_field(b, pot, p)
-        term = (_direction_values(direction, pot, p), _weight(weight, pot, p))
-        return _pairings(vb, Jb, F_val, grad, hess, {"pair": term})
-
-    return estimate_many(F, integrand, n_samples, seed, stream)["pair"]

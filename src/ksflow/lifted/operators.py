@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import ScaledRankOne, _grad_along, as_points, vf_eval, vf_jacobian
-from .gaussians import Mixture6
 
 
 def alpha_bundle(pot, x):
@@ -98,26 +97,20 @@ def _directional_second(c_vals, c_jac, grad, hess):
     return np.einsum("ni,ni->n", c_vals, _grad_along(c_jac, c_vals, grad, hess))
 
 
-def _bundle(F: Mixture6, p, bundle):
-    return F.eval(p.x) if bundle is None else bundle
+def apply_L0(pot, x, grad) -> np.ndarray:
+    """L0 F = sqrt(alpha) bt_0 . grad F, from grad F at x."""
+    return np.einsum("ni,ni->n", sqrt_alpha_b0(pot, x), grad)
 
 
-def apply_L0(F: Mixture6, pot, x, bundle=None) -> np.ndarray:
-    """L0 F = sqrt(alpha) bt_0 . grad F."""
+def apply_L0L0(pot, x, grad, hess) -> np.ndarray:
     p = as_points(x)
-    _, grad, _ = _bundle(F, p, bundle)
-    return np.einsum("ni,ni->n", sqrt_alpha_b0(pot, p), grad)
-
-
-def apply_L0L0(F: Mixture6, pot, x, bundle=None) -> np.ndarray:
-    p = as_points(x)
-    _, grad, hess = _bundle(F, p, bundle)
     return _directional_second(sqrt_alpha_b0(pot, p), sqrt_alpha_b0_jacobian(pot, p),
                                grad, hess)
 
 
-def apply_QL(F: Mixture6, pot, x, form: str = "frames", bundle=None) -> np.ndarray:
-    """Tangential collision operator Q_L(F) at x.
+def apply_QL(pot, x, grad, hess, form: str = "frames") -> np.ndarray:
+    """Tangential collision operator Q_L(F) at x, from grad F and the
+    `MixtureHessian` of F at x.
 
     form="frames": sum_k sqrt(a) bt_k . grad(sqrt(a) bt_k . grad F); the
     alpha gradient drops because bt_k is perpendicular to grad alpha.
@@ -125,7 +118,6 @@ def apply_QL(F: Mixture6, pot, x, form: str = "frames", bundle=None) -> np.ndarr
     through the projection matrix a_ij = |z|^2 delta_ij - z_i z_j.
     """
     p = as_points(x)
-    _, grad, hess = _bundle(F, p, bundle)
     a, _, _ = p.alphas(pot)
     if form == "frames":
         out = np.zeros(len(p))
@@ -149,16 +141,15 @@ def apply_QL(F: Mixture6, pot, x, form: str = "frames", bundle=None) -> np.ndarr
     raise ValueError(f"unknown Q_L form {form!r}")
 
 
-def apply_QKS(F: Mixture6, pot, x, form: str = "direct", bundle=None) -> np.ndarray:
-    """Lifted collision operator of the isotropic model at x.
+def apply_QKS(pot, x, grad, hess, form: str = "direct") -> np.ndarray:
+    """Lifted collision operator of the isotropic model at x, from grad F and
+    the `MixtureHessian` of F at x.
 
     form="direct": sum_i d_i[ alpha |z|^2 d_i F ] expanded with the kernel
     K = alpha r^2, K' = alpha' r^2 + 2 alpha r.
     form="decomposed": Q_L + L0 L0 + beta1 L0 (pointwise identical).
     """
     p = as_points(x)
-    bundle = _bundle(F, p, bundle)
-    _, grad, hess = bundle
     if form == "direct":
         r, a, ap, _ = alpha_bundle(pot, p)
         K = a * r**2
@@ -167,9 +158,9 @@ def apply_QKS(F: Mixture6, pot, x, form: str = "direct", bundle=None) -> np.ndar
         return first + K * hess.difference_trace()
     if form == "decomposed":
         return (
-            apply_QL(F, pot, p, form="frames", bundle=bundle)
-            + apply_L0L0(F, pot, p, bundle=bundle)
-            + beta1(pot, p) * apply_L0(F, pot, p, bundle=bundle)
+            apply_QL(pot, p, grad, hess, form="frames")
+            + apply_L0L0(pot, p, grad, hess)
+            + beta1(pot, p) * apply_L0(pot, p, grad)
         )
     raise ValueError(f"unknown Q_KS form {form!r}")
 

@@ -52,9 +52,8 @@ def _point_row(suite, identity, residual, tol=POINTWISE_TOL):
 
 
 def _equality_row(suite, identity, lhs: McEstimate, rhs: McEstimate, k=3.0):
-    se = lhs.combined_stderr(rhs)
-    ok = abs(lhs.value - rhs.value) <= k * se
-    return _row(suite, identity, lhs.value, rhs.value, se, "pass" if ok else "fail")
+    return _row(suite, identity, lhs.value, rhs.value, lhs.combined_stderr(rhs),
+                "pass" if lhs.agrees_with(rhs, k) else "fail")
 
 
 def _bound_row(suite, identity, lhs: McEstimate, bound: McEstimate, k=3.0):
@@ -68,14 +67,14 @@ def _sign_row(suite, identity, est: McEstimate, k=3.0):
     return _row(suite, identity, est.value, 0.0, est.stderr, "pass" if ok else "fail")
 
 
-def sample_points(n_points: int, seed: int, min_separation: float = 0.2) -> np.ndarray:
-    """Random R^6 points bounded away from the diagonal v = w."""
+def sample_points(n_points: int, seed: int) -> np.ndarray:
+    """Random R^6 points with |v - w| >= 0.2, away from the diagonal v = w."""
     rng = np.random.default_rng(seed)
     out = np.empty((0, 6))
     while len(out) < n_points:
         x = rng.standard_normal((2 * n_points, 6)) * 1.2
         z = x[:, :3] - x[:, 3:]
-        keep = np.linalg.norm(z, axis=1) >= min_separation
+        keep = np.linalg.norm(z, axis=1) >= 0.2
         out = np.vstack([out, x[keep]])
     return out[:n_points]
 
@@ -84,8 +83,8 @@ def sample_points(n_points: int, seed: int, min_separation: float = 0.2) -> np.n
 # pointwise suites
 # ---------------------------------------------------------------------------
 
-def run_frames_suite(seed: int = 0, n_points: int = 100):
-    x = sample_points(n_points, seed)
+def run_frames_suite(seed: int = 0):
+    x = sample_points(100, seed)
     res = frame_identities(x)
     rows = [_point_row("frames", name, val, tol=1e-12) for name, val in res.items()]
     # axis-aligned special case: v - w = (r, 0, 0) projects onto diag(0, r^2, r^2)
@@ -100,9 +99,8 @@ def run_frames_suite(seed: int = 0, n_points: int = 100):
 
 
 def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
-                          n_points: int = 100, F: Mixture6 | None = None):
-    if F is None:
-        F = random_symmetric_mixture(2, seed + 1)
+                          n_points: int = 100):
+    F = random_symmetric_mixture(2, seed + 1)
     x = Points(sample_points(n_points, seed))
     _, grad, hess = F.eval(x.x)
     # the largest Hessian entry, read off the columns (Hess F) e_j
@@ -173,23 +171,22 @@ def run_flows_suite(seed: int = 0):
 
 
 def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
-                            n_points: int = 100, F: Mixture6 | None = None):
+                            n_points: int = 100):
     """Direct vs decomposed operator, the a_ij route, and the D(sqrt(a) bt0)
     matrix decomposition, all at random points."""
-    if F is None:
-        F = random_symmetric_mixture(2, seed + 1)
+    F = random_symmetric_mixture(2, seed + 1)
     x = Points(sample_points(n_points, seed))
-    bundle = F.eval(x.x)
+    _, grad, hess = F.eval(x.x)
     rows = []
     for gamma in gammas:
         pot = PowerLaw(gamma)
-        direct = ops.apply_QKS(F, pot, x, form="direct", bundle=bundle)
-        decomp = ops.apply_QKS(F, pot, x, form="decomposed", bundle=bundle)
+        direct = ops.apply_QKS(pot, x, grad, hess, form="direct")
+        decomp = ops.apply_QKS(pot, x, grad, hess, form="decomposed")
         scale = float(np.max(np.abs(direct)) + np.max(np.abs(decomp)) + 1e-30)
         rows.append(_point_row("qks", f"direct_vs_decomposed gamma={gamma:g}",
                                float(np.max(np.abs(direct - decomp))) / scale))
-        ql_f = ops.apply_QL(F, pot, x, form="frames", bundle=bundle)
-        ql_a = ops.apply_QL(F, pot, x, form="aij", bundle=bundle)
+        ql_f = ops.apply_QL(pot, x, grad, hess, form="frames")
+        ql_a = ops.apply_QL(pot, x, grad, hess, form="aij")
         scale_l = float(np.max(np.abs(ql_a)) + 1e-30)
         rows.append(_point_row("qks", f"QL_frames_vs_aij gamma={gamma:g}",
                                float(np.max(np.abs(ql_f - ql_a))) / scale_l, tol=1e-9))
@@ -200,11 +197,11 @@ def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
                                float(np.max(np.abs(J - Jd))) / scale_j, tol=1e-10))
     # alpha == 1 specialization: Q_KS = Q_L + L0 L0 + 6 L0
     pot0 = PowerLaw(0.0)
-    direct = ops.apply_QKS(F, pot0, x, form="direct", bundle=bundle)
+    direct = ops.apply_QKS(pot0, x, grad, hess, form="direct")
     maxwell = (
-        ops.apply_QL(F, pot0, x, form="frames", bundle=bundle)
-        + ops.apply_L0L0(F, pot0, x, bundle=bundle)
-        + 6.0 * ops.apply_L0(F, pot0, x, bundle=bundle)
+        ops.apply_QL(pot0, x, grad, hess, form="frames")
+        + ops.apply_L0L0(pot0, x, grad, hess)
+        + 6.0 * ops.apply_L0(pot0, x, grad)
     )
     scale = float(np.max(np.abs(direct)) + 1e-30)
     rows.append(_point_row("qks", "maxwell_reduction_alpha1",
@@ -358,13 +355,13 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
 
 
 def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
-                          n_samples: int = DEFAULT_SAMPLES,
-                          F: Mixture6 | None = None, softened_gamma3: bool = True):
-    # mean spread 2.5 keeps the (v, w) blocks of every component well apart,
-    # so the |v-w|^gamma integrand weights stay bounded on the sampled set and
-    # the empirical standard errors are trustworthy even at gamma near -3
-    if F is None:
-        F = random_symmetric_mixture(2, seed + 3, mean_spread=2.5)
+                          n_samples: int = DEFAULT_SAMPLES):
+    # Known defect (ROADMAP item 1): z = v - w has an r^2 density near the
+    # diagonal, so an integrand scaling like |z|^e has finite variance only
+    # for e > -3/2.  The full_weight_derivative right side scales like
+    # |z|^gamma: for gamma <= -3/2 its variance is infinite, its standard
+    # error rests on a handful of samples, and its row is no 3-sigma test.
+    F = random_symmetric_mixture(2, seed + 3, mean_spread=2.5)
     rows = []
     for gamma in gammas:
         pot = PowerLaw(gamma)
@@ -404,19 +401,18 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
     rows.append(_point_row("derivatives", "root_G2-4G-23_at_lo",
                            abs(lo**2 - 4.0 * lo - 23.0), tol=1e-12))
 
-    if softened_gamma3:
-        # borderline gamma = -3 via the softened kernel and eps -> 0 budget
-        values = []
-        for j, eps in enumerate((0.4, 0.2, 0.1)):
-            pot = SoftenedPowerLaw(-3.0, eps)
-            sub = derivative_identity_rows(F, pot, n_samples, seed + 7 + j,
-                                           label=f"gamma=-3,eps={eps:g}:")
-            rows += sub
-            values.append(sub[0]["lhs"])
-        extrap = values[-1] + (values[-1] - values[-2])  # first-order Richardson
-        budget = abs(extrap - values[-1])
-        rows.append(_row("derivatives", "gamma=-3:eps_extrapolation_budget",
-                         extrap, values[-1], budget, "pass"))
+    # borderline gamma = -3 via the softened kernel and eps -> 0 budget
+    values = []
+    for j, eps in enumerate((0.4, 0.2, 0.1)):
+        pot = SoftenedPowerLaw(-3.0, eps)
+        sub = derivative_identity_rows(F, pot, n_samples, seed + 7 + j,
+                                       label=f"gamma=-3,eps={eps:g}:")
+        rows += sub
+        values.append(sub[0]["lhs"])
+    extrap = values[-1] + (values[-1] - values[-2])  # first-order Richardson
+    budget = abs(extrap - values[-1])
+    rows.append(_row("derivatives", "gamma=-3:eps_extrapolation_budget",
+                     extrap, values[-1], budget, "pass"))
     return rows
 
 
@@ -427,11 +423,10 @@ def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = "
         # < I'(F), G > per unit F is psi G / F, psi = |grad log F|^2 - 2 Lap F / F;
         # Q_KS = Q_L + (L0 L0 + beta1 L0) per sample
         p = Points(x)
-        bundle = (F_val, grad, hess)
         psi = ops.first_variation_density(F_val, grad, hess)
-        ql = ops.apply_QL(F, pot, p, form="frames", bundle=bundle)
-        rest = (ops.apply_L0L0(F, pot, p, bundle=bundle)
-                + ops.beta1(pot, p) * ops.apply_L0(F, pot, p, bundle=bundle))
+        ql = ops.apply_QL(pot, p, grad, hess, form="frames")
+        rest = (ops.apply_L0L0(pot, p, grad, hess)
+                + ops.beta1(pot, p) * ops.apply_L0(pot, p, grad))
         return {"qks": psi * (ql + rest) / F_val, "ql": psi * ql / F_val,
                 "rest": psi * rest / F_val}
 
@@ -489,15 +484,11 @@ def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = "
 
 def run_dissipation_suite(seed: int = 0,
                           gammas=(-2.9, -2.5, -2.0, -1.0, 0.0, 0.8),
-                          n_samples: int = DEFAULT_SAMPLES, mixtures=None):
-    if mixtures is None:
-        mixtures = [("iso_gaussian", isotropic_gaussian()),
-                    ("mixture3", random_symmetric_mixture(3, seed + 4, mean_spread=2.0))]
+                          n_samples: int = DEFAULT_SAMPLES):
+    mixtures = [("iso_gaussian", isotropic_gaussian()),
+                ("mixture3", random_symmetric_mixture(3, seed + 4, mean_spread=2.0))]
     rows = []
     for label, F in mixtures:
-        if not F.symmetric:
-            rows.append(_row("dissipation", f"{label}:symmetry", 0, 0, 0, "fail"))
-            continue
         for gamma in gammas:
             rows += dissipation_rows(F, PowerLaw(gamma), n_samples, seed,
                                      label=f"{label}:gamma={gamma:g}:")
@@ -527,24 +518,26 @@ def _marginal_quadrature(F: Mixture6, pot, v: np.ndarray, n_rho: int = 128,
     total = 0.0
     for i, r in enumerate(rho):
         w_pts = v[None, :] - r * dirs
-        x = np.concatenate([np.broadcast_to(v, w_pts.shape), w_pts], axis=1)
-        q = ops.apply_QKS(F, pot, x, form="direct")
+        x = Points(np.concatenate([np.broadcast_to(v, w_pts.shape), w_pts], axis=1))
+        _, grad, hess = F.eval(x.x)
+        q = ops.apply_QKS(pot, x, grad, hess, form="direct")
         total += w_rho[i] * r**2 * float(np.dot(dir_w, q))
     return total
 
 
-def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0), sigma: float = 1.0,
-                       points=(0.0, 0.5, 1.0), n_samples: int = DEFAULT_SAMPLES):
+def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0),
+                       n_samples: int = DEFAULT_SAMPLES):
     """pi(Q(f (x) f)) against the 3D collision operator from the radial
-    kernels machinery, plus the tensor Fisher identity."""
+    kernels machinery at |v| = 0, 0.5, 1, plus the tensor Fisher identity,
+    for the unit-mass standard Gaussian f."""
     rows = []
-    F = tensor_product([1.0], [np.zeros(3)], [np.eye(3) / sigma**2])
-    grid = RadialGrid(4096, 16.0 * sigma)
-    f = gaussian_field(grid, sigma=sigma, mass=1.0)
+    F = tensor_product([1.0], [np.zeros(3)], [np.eye(3)])
+    grid = RadialGrid(4096, 16.0)
+    f = gaussian_field(grid, sigma=1.0, mass=1.0)
     for gamma in gammas:
         pot = PowerLaw(gamma)
         target_vals = nondivergence_rhs(f, pot).values
-        for p in points:
+        for p in (0.0, 0.5, 1.0):
             v = np.array([p, 0.0, 0.0])
             got = _marginal_quadrature(F, pot, v)
             got2 = _marginal_quadrature(F, pot, v, n_rho=192)
@@ -562,8 +555,7 @@ def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0), sigma: float = 1.0,
     # i(f) = I(f (x) f) / 2: grid quadrature against the Monte-Carlo estimate
     from ..diagnostics import fisher_information
 
-    i_f = fisher_information(gaussian_field(RadialGrid(2048, 12.0 * sigma),
-                                            sigma=sigma, mass=1.0))
+    i_f = fisher_information(gaussian_field(RadialGrid(2048, 12.0), sigma=1.0, mass=1.0))
     I_F = fisher_functional(F, n_samples=n_samples, seed=seed, stream=30)
     lhs = McEstimate(i_f, 0.0, 0, seed)
     rhs = McEstimate(0.5 * I_F.value, 0.5 * I_F.stderr, n_samples, seed)

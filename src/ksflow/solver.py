@@ -50,6 +50,9 @@ _ROUNDOFF_FLOOR = 1e-13
 #: a state that needs more is an error rather than a near-endless loop
 _MAX_HALVINGS = 16
 
+#: `run_semilinear` detects blow-up when max u reaches this value
+BLOWUP_THRESHOLD = 1e6
+
 
 class SolverError(RuntimeError):
     pass
@@ -316,9 +319,10 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     return traj
 
 
-def run_semilinear(config: SolverConfig, u_in: RadialField,
-                   blowup_threshold: float = 1e6) -> tuple[Trajectory, float | None]:
-    """Integrate d_t u = Laplacian(u) + u^2 until t_end or the detector fires.
+def run_semilinear(config: SolverConfig,
+                   u_in: RadialField) -> tuple[Trajectory, float | None]:
+    """Integrate d_t u = Laplacian(u) + u^2 until t_end or the detector fires
+    at max u >= BLOWUP_THRESHOLD.
 
     Diffusion is implicit (unit coefficient), the quadratic reaction explicit
     with the same dt-halving guard keyed to max(u).  Returns the trajectory of
@@ -339,7 +343,7 @@ def run_semilinear(config: SolverConfig, u_in: RadialField,
             f_star = vals + sub_dt * vals**2
             vals = _implicit_diffusion_solve(f_star, ones, grid, sub_dt)
             vals = np.maximum(vals, 0.0)
-            if vals.max() >= blowup_threshold:
+            if vals.max() >= BLOWUP_THRESHOLD:
                 detector = k * config.dt
                 break
         t = k * config.dt

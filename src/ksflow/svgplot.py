@@ -8,9 +8,11 @@ files, no external references.
 from __future__ import annotations
 
 import math
+import sys
 
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_LOG10_MAX = math.log10(sys.float_info.max)
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -32,6 +34,8 @@ def _ticks(lo: float, hi: float, n: int = 6):
     t = first
     while t <= hi + 1e-12 * span:
         out.append(t)
+        if t + step == t:  # a step below the resolution of t never advances
+            break
         t += step
     return out
 
@@ -84,6 +88,8 @@ def render_lines(series, title: str = "", log_y: bool = False) -> str:
                 f'font-family="monospace" font-size="11">{_fmt(t)}</text>'
             )
         for t in _ticks(y_lo, y_hi):
+            if log_y and t > _LOG10_MAX:
+                continue  # the tick's value 10^t is beyond the float range
             label = 10.0**t if log_y else t
             ypix = _MT + plot_h - (t - y_lo) / (y_hi - y_lo) * plot_h
             body.append(

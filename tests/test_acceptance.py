@@ -25,6 +25,7 @@ from ksflow.lifted.suites import (
 )
 from ksflow.probes import PROBE_LEMMAS, probe_inequality
 from ksflow.solver import SolverConfig, run
+from test_diagnostics import j2_sign_sample
 
 MC_SAMPLES = 1_000_000
 
@@ -222,7 +223,7 @@ class TestCriterion11:
 class TestCriterion12:
     def test_moment_machinery(self, reference_run):
         traj, _ = reference_run
-        worst_j2 = dg.j2_sign_sample(n=1_000_000, seed=0)
+        worst_j2 = j2_sign_sample(n=1_000_000, seed=0)
         rep = dg.moment_growth_check(traj, -3.0, k=4)
         ok = (worst_j2 >= -1e-12 and rep["differential_bound_holds"]
               and np.isfinite(rep["fitted_envelope_constant"]))

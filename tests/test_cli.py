@@ -306,6 +306,8 @@ class TestCompareBlowup:
     ["compare-blowup", "--amplitude", "-1"],
     ["compare-blowup", "--sigma", "0"],
     ["compare-blowup", "--sigma", "nan"],
+    ["verify-lifted", "--suite", "frames", "--seed", "-1"],
+    ["probe", "--seed", "-1"],
 ])
 def test_bad_numbers_exit_two_with_one_line(capsys, argv):
     assert main([*argv, "--quiet"]) == 2
@@ -382,6 +384,10 @@ class TestPlot:
         ("t,y\n0,inf\n", "CSV line 2: y = 'inf' is not finite"),
         ("t,y\n0,1\n-Infinity,2\n", "CSV line 3: t = '-Infinity' is not finite"),
         ('t,y\n0,"1\n', "CSV line 2: unexpected end of data"),
+        ("t,y\n0,-1e308\n1,1e308\n",
+         "CSV column y: values from -1e+308 to 1e+308 span more than the float range"),
+        ("t,y\n1e308,0\n-1e308,1\n",
+         "CSV column t: values from -1e+308 to 1e+308 span more than the float range"),
     ])
     def test_malformed_csv_exits_two_with_one_line(self, tmp_path, capsys, text, message):
         csv = tmp_path / "bad.csv"
@@ -391,6 +397,34 @@ class TestPlot:
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    def test_y_columns_span_one_axis_together(self, tmp_path, capsys):
+        csv = tmp_path / "two.csv"
+        csv.write_text("t,a,b\n0,-1e308,0\n1,0,1e308\n")
+        out = tmp_path / "two.svg"
+        argv = ["plot", "--csv", str(csv), "--columns", "a,b", "--out-file", str(out)]
+        assert main(argv) == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("CSV column b: values from -1e+308 to ")
+        # on a log axis the same values are plotted
+        assert main([*argv, "--log-y"]) == 0 and out.exists()
+
+    def test_span_below_the_value_resolution_terminates(self, tmp_path):
+        # the tick step is below the spacing of floats near 1: the tick loop
+        # must end; the child caps itself at 1 GiB and gets 60 s in case not
+        csv = tmp_path / "flat.csv"
+        csv.write_text("t,y\n0,1\n1,1.0000000000000002\n")
+        out = tmp_path / "flat.svg"
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from ksflow.cli import main\n"
+                f"sys.exit(main(['plot', '--csv', {str(csv)!r}, '--columns', 'y',"
+                f" '--out-file', {str(out)!r}]))\n")
+        src = str(Path(ksflow.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True)
+        assert proc.returncode == 0 and out.read_text().startswith("<svg")
 
     def test_empty_csv_gives_empty_axes(self, tmp_path):
         csv = tmp_path / "empty.csv"

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from ksflow.kernels import PowerLaw, SoftenedPowerLaw
+from ksflow.lifted.frames import Points, vf_eval, vf_jacobian
 from ksflow.lifted.functionals import (
     CHUNK_SIZE,
     IntegrabilityError,
     McEstimate,
+    _pairings,
     check_integrability,
     estimate_many,
     fisher_functional,
-    pair_first_variation,
 )
 from ksflow.lifted.gaussians import (
     Gaussian6,
@@ -101,19 +102,31 @@ class TestConvexity:
             assert iM.value <= bound + noise
 
 
+def first_variation_pairing(F, b, direction, n_samples, seed):
+    """< I_e'(F), L_b F > through `estimate_many` and `_pairings` on stream 0,
+    as the suites pair; direction None pairs the full-gradient I'(F)."""
+    def integrand(x, F_val, grad, hess):
+        p = Points(x)
+        e = None if direction is None else vf_eval(direction, p)
+        return _pairings(vf_eval(b, p), vf_jacobian(b, p), F_val, grad, hess,
+                         {"pair": (e, 1.0)})
+
+    return estimate_many(F, integrand, n_samples, seed)["pair"]
+
+
 class TestPairings:
     def test_translation_pairing_vanishes_for_even_density(self):
         # b = const e, div b = 0, [e, e] = 0: the pairing integrand is odd
         F = isotropic_gaussian()
         e = np.zeros(6)
         e[0] = 1.0
-        est = pair_first_variation(F, e, direction=e, n_samples=1 << 17, seed=12)
+        est = first_variation_pairing(F, e, direction=e, n_samples=1 << 17, seed=12)
         assert abs(est.value) <= 3 * est.stderr
 
     def test_b0_pairing_matches_closed_form_for_iso_gaussian(self):
         # <I'(F), L_b0 F> = -2 I - 2 sum I_nu = -24 for the unit 6D Gaussian
         F = isotropic_gaussian()
-        est = pair_first_variation(F, "B0", n_samples=1 << 18, seed=13)
+        est = first_variation_pairing(F, "B0", None, n_samples=1 << 18, seed=13)
         assert abs(est.value + 24.0) <= 3 * est.stderr
 
     def test_agreement_helper(self):

@@ -11,6 +11,12 @@ F = random_symmetric_mixture(2, 21)
 X = sample_points(100, seed=20)
 
 
+def q_ks(G, pot, form):
+    """Q_KS of the mixture G at X."""
+    _, grad, hess = G.eval(X)
+    return ops.apply_QKS(pot, X, grad, hess, form=form)
+
+
 class TestWeights:
     def test_power_law_betas(self):
         # alpha = r^gamma: beta1 = (6+gamma) r^{gamma/2}, beta2 = (2+gamma) r^{gamma/2}
@@ -52,28 +58,27 @@ class TestOperators:
     @pytest.mark.parametrize("gamma", [-3.0, -2.5, -1.0, 0.0])
     def test_direct_vs_decomposed(self, gamma):
         pot = PowerLaw(gamma)
-        bundle = F.eval(X)
-        direct = ops.apply_QKS(F, pot, X, form="direct", bundle=bundle)
-        decomp = ops.apply_QKS(F, pot, X, form="decomposed", bundle=bundle)
+        direct = q_ks(F, pot, "direct")
+        decomp = q_ks(F, pot, "decomposed")
         scale = np.max(np.abs(direct)) + 1e-300
         assert np.max(np.abs(direct - decomp)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("gamma", [-3.0, -2.5, 0.0])
     def test_ql_frames_vs_aij(self, gamma):
         pot = PowerLaw(gamma)
-        bundle = F.eval(X)
-        frames = ops.apply_QL(F, pot, X, form="frames", bundle=bundle)
-        aij = ops.apply_QL(F, pot, X, form="aij", bundle=bundle)
+        _, grad, hess = F.eval(X)
+        frames = ops.apply_QL(pot, X, grad, hess, form="frames")
+        aij = ops.apply_QL(pot, X, grad, hess, form="aij")
         assert np.max(np.abs(frames - aij)) <= 1e-9 * (np.max(np.abs(aij)) + 1e-300)
 
     def test_maxwell_molecule_reduction(self):
         pot = PowerLaw(0.0)
-        bundle = F.eval(X)
-        direct = ops.apply_QKS(F, pot, X, form="direct", bundle=bundle)
+        _, grad, hess = F.eval(X)
+        direct = ops.apply_QKS(pot, X, grad, hess, form="direct")
         composed = (
-            ops.apply_QL(F, pot, X, form="frames", bundle=bundle)
-            + ops.apply_L0L0(F, pot, X, bundle=bundle)
-            + 6.0 * ops.apply_L0(F, pot, X, bundle=bundle)
+            ops.apply_QL(pot, X, grad, hess, form="frames")
+            + ops.apply_L0L0(pot, X, grad, hess)
+            + 6.0 * ops.apply_L0(pot, X, grad)
         )
         assert np.max(np.abs(direct - composed)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -83,9 +88,9 @@ class TestOperators:
         n = X.shape[0]
         zero_hessian = MixtureHessian(np.zeros((n, 1)), np.zeros((n, 1, 6)),
                                       np.zeros((1, 6, 6)))
-        bundle = (np.ones(n), np.zeros((n, 6)), zero_hessian)
-        assert np.all(ops.apply_QKS(F, pot, X, form="direct", bundle=bundle) == 0.0)
-        assert np.all(ops.apply_QKS(F, pot, X, form="decomposed", bundle=bundle) == 0.0)
+        zero_grad = np.zeros((n, 6))
+        for form in ("direct", "decomposed"):
+            assert np.all(ops.apply_QKS(pot, X, zero_grad, zero_hessian, form=form) == 0.0)
 
     def test_radial_in_z_annihilated_by_ql_when_alpha_constant(self):
         # F depending on |v - w| only: bt_k tangent to its level sets
@@ -99,9 +104,9 @@ class TestOperators:
         # precision 0.5*(quadratic in v-w) + tiny isotropic regularizer
         G = Mixture6([Gaussian6(1.0, np.zeros(6), 0.5 * A + 1e-8 * np.eye(6))])
         pot = PowerLaw(0.0)
-        bundle = G.eval(X)
-        ql = ops.apply_QL(G, pot, X, form="frames", bundle=bundle)
-        scale = np.max(np.abs(bundle[1])) + 1e-300
+        _, grad, hess = G.eval(X)
+        ql = ops.apply_QL(pot, X, grad, hess, form="frames")
+        scale = np.max(np.abs(grad)) + 1e-300
         assert np.max(np.abs(ql)) <= 1e-6 * scale
 
     def test_linearity_in_density(self):
@@ -111,9 +116,7 @@ class TestOperators:
         from ksflow.lifted.gaussians import Mixture6
 
         combined = Mixture6(list(a.components) + list(b.components))
-        qa = ops.apply_QKS(a, pot, X, form="direct")
-        qb = ops.apply_QKS(b, pot, X, form="direct")
-        qc = ops.apply_QKS(combined, pot, X, form="direct")
+        qa, qb, qc = (q_ks(G, pot, "direct") for G in (a, b, combined))
         assert np.max(np.abs(qc - qa - qb)) <= 1e-12 * (np.max(np.abs(qc)) + 1e-300)
 
 

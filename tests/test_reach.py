@@ -1,0 +1,163 @@
+"""Every function defined in ksflow is reached by a command, or kept for a
+stated reason.
+
+The five commands run in-process at tiny sizes under `sys.settrace`:
+`simulate` on one config per scheme and positivity policy, `verify-lifted`
+over all suites, `probe`, a short `compare-blowup` and `plot`.  A function
+(dunder methods aside) that none of them calls must be in KEEP, which maps
+its name to the reason it stays; a KEEP entry that a command does reach, or
+that names no function, is stale.
+
+The commands run in a child process (this file run as a script) whose trace
+starts before `import ksflow`, so helpers that only run while a module is
+imported count as reached whatever the tests imported before.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+_3D = "the 3D path, which ROADMAP item 4 builds on"
+_GATE = "the integrability gate that ROADMAP item 1 extends to the suites"
+KEEP = {
+    "grids.CartesianGrid3.h": _3D,
+    "grids.CartesianGrid3.axis": _3D,
+    "grids.CartesianGrid3.mesh": _3D,
+    "grids.CartesianField3.mass": _3D,
+    "grids.gaussian_field3": _3D,
+    "kernels._cube_cell_integral": _3D,
+    "kernels.cartesian_convolve": _3D,
+    "diagnostics.snapshot_row3": _3D,
+    "solver.cartesian_rhs": _3D,
+    "solver.run_cartesian": _3D,
+    "lifted.functionals.check_integrability": _GATE,
+    "lifted.functionals._weight_diagonal_exponent": _GATE,
+    "lifted.functionals._direction_compensation": _GATE,
+    "lifted.frames.vf_divergence": "timed by perfbench's lifted.frames_s metric",
+    "grids.read_checkpoint": "the restart API, the reader of write_checkpoint",
+}
+
+# one config per (scheme, positivity policy); the initial data vary so that
+# every kind of initial field is built
+CONFIGS = {
+    ("semi-implicit-fv", "assert"): "kind = gaussian\nsigma = 1.0\nmass = 1.0",
+    ("semi-implicit-fv", "clip-and-log"): "kind = zero",
+    ("explicit-fv", "assert"): "kind = gaussian\nsigma = 1.0\namplitude = 2.0",
+    ("explicit-fv", "clip-and-log"): "kind = gaussian\nsigma = 0.8\nmass = 0.5",
+}
+
+
+def defined_functions() -> dict:
+    """'module.qualname' -> code object of every function and method defined
+    in ksflow, dunder methods aside."""
+    import ksflow
+
+    out = {}
+    for info in pkgutil.walk_packages(ksflow.__path__, "ksflow."):
+        module = importlib.import_module(info.name)
+        prefix = info.name.removeprefix("ksflow.")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[f"{prefix}.{name}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("__") and attr.endswith("__"):
+                        continue
+                    # plain, static and class methods, properties, cached properties
+                    fn = next((f for f in (getattr(member, key, None) for key in
+                                           ("__func__", "fget", "func")) if f), member)
+                    if inspect.isfunction(fn):
+                        out[f"{prefix}.{name}.{attr}"] = fn.__code__
+    return out
+
+
+def run_commands(tmp: Path) -> None:
+    from ksflow.cli import main
+    from ksflow.config import DEFAULT_MONITORS
+
+    argvs = []
+    for i, ((scheme, policy), initial) in enumerate(CONFIGS.items()):
+        cfg = tmp / f"c{i}.cfg"
+        cfg.write_text(
+            f"[run]\nscenario = c{i}\n"
+            f"[solver]\ngamma = -2.5\nn_cells = 32\nr_max = 8.0\ndt = 1e-4\n"
+            f"t_end = 0.003\noutput_stride = 10\nscheme = {scheme}\n"
+            f"positivity = {policy}\n"
+            f"[initial]\n{initial}\n"
+            f"[monitors]\nenabled = {', '.join(DEFAULT_MONITORS)}\n")
+        argvs.append(["simulate", "--config", str(cfg), "--out", str(tmp / "sim"),
+                      "--quiet"])
+    argvs += [
+        ["verify-lifted", "--samples", "4096", "--out", str(tmp / "lifted"), "--quiet"],
+        ["probe", "--members", "4", "--out", str(tmp / "probe"), "--quiet"],
+        ["compare-blowup", "--horizon", "0.002", "--dt", "1e-3", "--dt", "5e-4",
+         "--out", str(tmp / "blowup"), "--quiet"],
+        ["plot", "--csv", str(tmp / "sim" / "c0-diagnostics.csv"),
+         "--columns", "fisher,entropy", "--out-file", str(tmp / "plot.svg")],
+    ]
+    for argv in argvs:
+        assert main(argv) in (0, 1), argv
+
+
+def trace_commands(tmp: Path) -> dict:
+    """Run the commands under a trace that also sees the ksflow imports."""
+    called = set()
+
+    def trace(frame, event, arg):
+        called.add(frame.f_code)  # "call" events only: no local tracing
+
+    start = time.monotonic()
+    sys.settrace(trace)
+    try:
+        run_commands(tmp)
+    finally:
+        sys.settrace(None)
+    seconds = time.monotonic() - start
+    functions = defined_functions()
+    return {
+        "seconds": seconds,
+        "unreached": sorted(n for n, code in functions.items()
+                            if code not in called and n not in KEEP),
+        "kept_but_reached": sorted(n for n in KEEP
+                                   if n in functions and functions[n] in called),
+        "kept_but_missing": sorted(set(KEEP) - set(functions)),
+    }
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, __file__, str(tmp_path_factory.mktemp("reach"))],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_function_is_reached_or_kept(reach):
+    assert not reach["unreached"], reach["unreached"]
+
+
+def test_keep_list_is_exact(reach):
+    assert not reach["kept_but_reached"], reach["kept_but_reached"]
+    assert not reach["kept_but_missing"], reach["kept_but_missing"]
+
+
+def test_commands_run_quickly(reach):
+    assert reach["seconds"] <= 10.0
+
+
+if __name__ == "__main__":
+    print(json.dumps(trace_commands(Path(sys.argv[1]))))
