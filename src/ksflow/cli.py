@@ -20,7 +20,6 @@ import math
 import os
 import sys
 
-from .config import ConfigError, load_config
 from .report import all_passed, fmt, verdict_block, write_csv, write_run_report
 
 
@@ -43,9 +42,14 @@ def _positive(value) -> bool:
 
 
 def cmd_simulate(args) -> int:
+    from .config import ConfigError, load_config
     from .harness import simulate
 
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out_dir = args.out or cfg.out
     ok, verdicts = simulate(cfg, out_dir)
     for line in verdict_block(verdicts):
@@ -55,6 +59,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_lifted(args) -> int:
+    from .kernels import KernelError
     from .lifted.suites import SUITES
 
     names = args.suite or list(SUITES)
@@ -63,7 +68,10 @@ def cmd_verify_lifted(args) -> int:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     if _first_bad_number([("--samples", args.samples, args.samples >= 1, "at least 1"),
-                          ("--seed", args.seed, args.seed >= 0, "at least 0")]):
+                          ("--seed", args.seed, args.seed >= 0, "at least 0"),
+                          # the range of kernels.PowerLaw
+                          *(("--gamma", g, -3.0 <= g <= 1.0, "in [-3, 1]")
+                            for g in args.gamma or ())]):
         return 2
     rows = []
     for name in names:
@@ -74,7 +82,12 @@ def cmd_verify_lifted(args) -> int:
             kwargs["n_samples"] = args.samples
         if args.gamma and "gammas" in accepted:
             kwargs["gammas"] = tuple(args.gamma)
-        rows += SUITES[name](**kwargs)
+        try:
+            rows += SUITES[name](**kwargs)
+        except KernelError as exc:
+            # a gamma outside a suite's narrower range, e.g. marginal's h[f]
+            print(f"verify-lifted rejected: {exc}", file=sys.stderr)
+            return 2
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "lifted.csv"),
@@ -90,10 +103,11 @@ def cmd_verify_lifted(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from .probes import PROBE_LEMMAS, ProbeError, probe_inequality
+    from .probes import MAX_MEMBERS, PROBE_LEMMAS, ProbeError, probe_inequality
 
     lemmas = args.lemma or list(PROBE_LEMMAS)
-    if _first_bad_number([("--members", args.members, args.members >= 1, "at least 1"),
+    if _first_bad_number([("--members", args.members, 1 <= args.members <= MAX_MEMBERS,
+                           f"in [1, {MAX_MEMBERS}]"),
                           ("--seed", args.seed, args.seed >= 0, "at least 0")]):
         return 2
     rows = []
@@ -246,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", action="append",
                      help="suite name, repeatable (default: all)")
     ver.add_argument("--gamma", type=float, action="append",
-                     help="power-law exponent, repeatable; used by the "
-                          "commutators, qks, derivatives, dissipation and "
-                          "marginal suites, ignored by frames, flows and maxwell")
+                     help="power-law exponent in [-3, 1] ([-3, -2] for marginal), "
+                          "repeatable; used by the commutators, qks, derivatives, "
+                          "dissipation and marginal suites, ignored by frames, "
+                          "flows and maxwell")
     ver.add_argument("--samples", type=int, default=1 << 20)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None)
@@ -291,9 +306,6 @@ def main(argv=None) -> int:
         args.dt = [1e-4, 1e-5]
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CartesianField3, RadialField, RadialGrid, integrate_radial
+from .grids import (
+    CartesianField3,
+    RadialField,
+    RadialGrid,
+    integrate_radial,
+    radial_laplacian,
+)
 
 
 class KernelError(ValueError):
@@ -269,6 +275,26 @@ def coeff_h(f: RadialField, pot) -> RadialField:
         return RadialField(f.grid, 4.0 * np.pi * f.values, signed=f.signed)
     conv = radial_convolve(f, gamma)
     return RadialField(f.grid, (3.0 + gamma) * conv.values, signed=f.signed)
+
+
+def nondivergence_rhs(f: RadialField, pot) -> RadialField:
+    """Pointwise a[f] Laplacian(f) - (2+gamma) h[f] f (signed field).
+
+    Analytically identical to `solver.flux_form_rhs` and never used for
+    stepping: it is the 3D operator the marginal suite compares
+    pi(Q(f (x) f)) against, and a cross-check of the discretization.
+    """
+    if not isinstance(pot, PowerLaw):
+        raise KernelError("nondivergence form requires a power-law potential")
+    a = coeff_a(f, pot)
+    lap = radial_laplacian(f)
+    gamma = pot.gamma
+    if 2.0 + gamma == 0.0:
+        reaction = np.zeros_like(f.values)
+    else:
+        h = coeff_h(f, pot)
+        reaction = (2.0 + gamma) * h.values * f.values
+    return RadialField(f.grid, a.values * lap.values - reaction, signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..grids import RadialGrid, gaussian_field
-from ..kernels import RATIO_WINDOW, PowerLaw, SoftenedPowerLaw, gamma_ratio
-from ..solver import nondivergence_rhs
+from ..kernels import (
+    RATIO_WINDOW,
+    PowerLaw,
+    SoftenedPowerLaw,
+    gamma_ratio,
+    nondivergence_rhs,
+)
 from . import operators as ops
 from .frames import Points, _bracket, flow, frame_identities, vf_eval, vf_jacobian
 from .functionals import (

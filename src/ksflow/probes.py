@@ -101,6 +101,11 @@ class RadialMixture:
         return RadialField(grid, self.profile(grid.centers))
 
 
+#: members one probe may use: `random_family` builds them all before the
+#: first is evaluated, and 64 members take about 1.4 s over all lemmas
+MAX_MEMBERS = 4096
+
+
 def random_family(n_members: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     out = []

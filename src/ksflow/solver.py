@@ -34,7 +34,6 @@ from .grids import (
     RadialField,
     RadialGrid,
     Trajectory,
-    radial_laplacian,
     write_checkpoint,
 )
 from .kernels import PowerLaw, cartesian_convolve, coeff_a, coeff_h
@@ -142,26 +141,6 @@ def boundary_flux_estimate(f: RadialField, a: RadialField) -> float:
     drift = -0.5 * fa[-1] * (aa[-1] - aa[-2]) / dr
     area = 4.0 * np.pi * grid.r_max**2
     return abs(area * (diff + drift))
-
-
-def nondivergence_rhs(f: RadialField, pot) -> RadialField:
-    """Pointwise a[f] Laplacian(f) - (2+gamma) h[f] f (signed field).
-
-    Analytically identical to flux_form_rhs and never used for stepping: it is
-    the 3D operator the marginal suite compares pi(Q(f (x) f)) against, and a
-    cross-check of the discretization.
-    """
-    if not isinstance(pot, PowerLaw):
-        raise SolverError("nondivergence form requires a power-law potential")
-    a = coeff_a(f, pot)
-    lap = radial_laplacian(f)
-    gamma = pot.gamma
-    if 2.0 + gamma == 0.0:
-        reaction = np.zeros_like(f.values)
-    else:
-        h = coeff_h(f, pot)
-        reaction = (2.0 + gamma) * h.values * f.values
-    return RadialField(f.grid, a.values * lap.values - reaction, signed=True)
 
 
 # ---------------------------------------------------------------------------

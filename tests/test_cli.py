@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from ksflow.config import (
     load_config,
     parse_config_text,
 )
+from ksflow.probes import MAX_MEMBERS
 from ksflow.solver import SolverConfig
 from ksflow.report import write_csv
 from ksflow.svgplot import render_lines
@@ -308,6 +310,9 @@ class TestCompareBlowup:
     ["compare-blowup", "--sigma", "nan"],
     ["verify-lifted", "--suite", "frames", "--seed", "-1"],
     ["probe", "--seed", "-1"],
+    ["verify-lifted", "--suite", "commutators", "--gamma", "nan"],
+    ["verify-lifted", "--suite", "commutators", "--gamma", "inf"],
+    ["verify-lifted", "--suite", "dissipation", "--gamma", "-4"],
 ])
 def test_bad_numbers_exit_two_with_one_line(capsys, argv):
     assert main([*argv, "--quiet"]) == 2
@@ -323,6 +328,22 @@ def test_step_budget_exits_two_at_once(capsys):
     err = capsys.readouterr().err
     assert err.startswith("compare-blowup rejected: ") and "budget" in err
     assert err.count("\n") == 1
+
+
+def test_member_budget_exits_two_at_once(capsys):
+    # random_family builds every member first: rejected before the first one
+    start = time.monotonic()
+    assert main(["probe", "--members", str(MAX_MEMBERS + 1), "--quiet"]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("--members must be ") and err.count("\n") == 1
+
+
+def test_gamma_outside_a_suite_range_exits_two(capsys):
+    # inside PowerLaw's [-3, 1], outside the [-3, -2] of marginal's h[f]
+    assert main(["verify-lifted", "--suite", "marginal", "--gamma", "-1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verify-lifted rejected: ") and err.count("\n") == 1
 
 
 def test_horizon_not_a_whole_number_of_steps_exits_two(capsys):
@@ -436,11 +457,51 @@ class TestPlot:
         assert out.read_text().startswith("<svg")
 
 
-def test_cli_import_does_not_load_scipy_fft():
-    # the radial operator runs on numpy.fft, which numpy has already loaded;
-    # scipy.fft would add ~0.1 s to every command's start-up
+@pytest.mark.parametrize("module, loads_linalg", [
+    ("ksflow", False),
+    ("ksflow.cli", False),
+    ("ksflow.lifted.suites", False),
+    ("ksflow.probes", False),
+    ("ksflow.harness", True),  # steps the radial solver: the positive control
+])
+def test_cli_import_does_not_load_scipy_fft(module, loads_linalg):
+    # the radial operator runs on numpy.fft; scipy.fft would add ~0.1 s to
+    # every command's start-up, and scipy.linalg ~0.3 s to every command
+    # that never steps the radial solver
     src = str(Path(ksflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, ksflow.cli; sys.exit('scipy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = (f"import sys, {module}\n"
+            "print(*(m in sys.modules for m in ('scipy.fft', 'scipy.linalg')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", str(loads_linalg)]
+
+
+# every name `ksflow` exports, by the module that defines it
+ROOT_API = {
+    "grids": ("CartesianField3", "CartesianGrid3", "FieldError", "RadialField",
+              "RadialGrid", "Trajectory", "gaussian_field", "gaussian_field3",
+              "integrate_radial", "radial_laplacian", "read_checkpoint",
+              "weighted_lp_norm", "write_checkpoint"),
+    "kernels": ("RATIO_WINDOW", "KernelError", "PowerLaw", "RatioWindow",
+                "SoftenedPowerLaw", "cartesian_convolve", "coeff_a", "coeff_h",
+                "gamma_ratio", "nondivergence_rhs", "radial_convolve"),
+    "solver": ("SolverConfig", "SolverError", "StepReport", "flux_form_rhs", "run",
+               "run_cartesian", "run_semilinear", "step"),
+    "diagnostics": ("entropy", "fisher_information", "ellipticity_check",
+                    "h_bound_check"),
+    "probes": ("ProbeError", "RatioStats", "probe_inequality"),
+    "config": ("ConfigError", "RunConfig", "load_config", "parse_config_text"),
+    "harness": ("compare_blowup", "simulate"),
+}
+
+
+def test_root_api_names_are_their_modules_objects():
+    for module, names in ROOT_API.items():
+        defining = importlib.import_module(f"ksflow.{module}")
+        for name in names:
+            namespace = {}
+            exec(f"from ksflow import {name}", namespace)
+            assert namespace[name] is getattr(defining, name), name
+            assert name in dir(ksflow), name

@@ -4,19 +4,24 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, read_checkpoint
-from ksflow.kernels import PowerLaw
+from ksflow.kernels import (
+    KernelError,
+    PowerLaw,
+    SoftenedPowerLaw,
+    coeff_a,
+    coeff_h,
+    nondivergence_rhs,
+)
 from ksflow.solver import (
     SolverConfig,
     SolverError,
     boundary_flux_estimate,
     flux_form_rhs,
-    nondivergence_rhs,
     run,
     run_cartesian,
     run_semilinear,
     step,
 )
-from ksflow.kernels import coeff_a, coeff_h
 
 
 def coefficients(f, cfg):
@@ -126,6 +131,12 @@ class TestNondivergenceRHS:
         grid = RadialGrid(64, 6.0)
         f = RadialField(grid, np.zeros(64))
         assert np.all(nondivergence_rhs(f, PowerLaw(-3.0)).values == 0.0)
+
+    def test_softened_potential_rejected(self):
+        # like coeff_a, the power law only
+        f = RadialField(RadialGrid(64, 6.0), np.zeros(64))
+        with pytest.raises(KernelError, match="power-law"):
+            nondivergence_rhs(f, SoftenedPowerLaw(-3.0, 0.1))
 
 
 class TestStep:
