@@ -42,8 +42,9 @@ from .probes import ProbeError, RatioStats, probe_inequality
 # and harness import the solver.  Their names load on first access (PEP 562),
 # so that a command that never steps the radial solver starts without scipy.
 _LAZY = {
-    **dict.fromkeys(("SolverConfig", "SolverError", "StepReport", "flux_form_rhs",
-                     "run", "run_cartesian", "run_semilinear", "step"), "solver"),
+    **dict.fromkeys(("SolverConfig", "SolverError", "Stencil", "StepReport",
+                     "flux_form_rhs", "run", "run_cartesian", "run_semilinear",
+                     "step"), "solver"),
     **dict.fromkeys(("ConfigError", "RunConfig", "load_config", "parse_config_text"),
                     "config"),
     **dict.fromkeys(("compare_blowup", "simulate"), "harness"),

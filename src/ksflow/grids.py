@@ -127,8 +127,12 @@ def integrate_radial(f: RadialField, s: float = 0.0) -> float:
 
     Composite midpoint rule on the cell centers; s = 0 is the mass.
     """
-    r = f.grid.centers
-    return 4.0 * np.pi * f.grid.dr * float(np.sum(r ** (2.0 + s) * f.values))
+    return _radial_moment(f.grid, f.values, s)
+
+
+def _radial_moment(grid: RadialGrid, values: np.ndarray, s: float) -> float:
+    """integrate_radial on bare values."""
+    return 4.0 * np.pi * grid.dr * float(np.sum(grid.centers ** (2.0 + s) * values))
 
 
 def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0,

@@ -39,7 +39,7 @@ from .grids import (
     CartesianField3,
     RadialField,
     RadialGrid,
-    integrate_radial,
+    _radial_moment,
     radial_laplacian,
 )
 
@@ -231,26 +231,28 @@ def kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
     return spectrum
 
 
-def radial_convolve(f: RadialField, mu: float) -> RadialField:
-    """3D convolution (f * |.|^mu)(r) for radial f, mu in (-3, 2].
+def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
+                    signed: bool = False) -> np.ndarray:
+    """3D convolution (f * |.|^mu)(r) of the radial profile `values` on `grid`,
+    mu in (-3, 2]; an unsigned profile gives a result clipped at 0.
 
-    mu = 0 returns the constant mass; mu = -2 is the numerical mu -> -2 limit
-    of the closed form.
+    Works on bare arrays, so the solver convolves its state every step without
+    building fields.  mu = 0 returns the constant mass; mu = -2 is the numerical
+    mu -> -2 limit of the closed form.
     """
     if mu <= -3.0:
         raise KernelError(f"kernel exponent mu = {mu} is not integrable (need mu > -3)")
     if mu > 2.0:
         raise KernelError(f"kernel exponent mu = {mu} outside supported range (-3, 2]")
     if mu == 0.0:
-        mass = integrate_radial(f, 0.0)
-        return RadialField(f.grid, np.full(f.grid.n_cells, mass), signed=f.signed)
-    hankel, toeplitz = kernel_matrix(f.grid, mu)
-    x = np.fft.rfft(f.values, 2 * (hankel.shape[-1] - 1))
-    a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : f.grid.n_cells]
-    out = a / f.grid.centers + b
-    if not f.signed:
+        return np.full(grid.n_cells, _radial_moment(grid, values, 0.0))
+    hankel, toeplitz = kernel_matrix(grid, mu)
+    x = np.fft.rfft(values, 2 * (hankel.shape[-1] - 1))
+    a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : grid.n_cells]
+    out = a / grid.centers + b
+    if not signed:
         out = np.maximum(out, 0.0)
-    return RadialField(f.grid, out, signed=f.signed)
+    return out
 
 
 def coeff_a(f: RadialField, pot) -> RadialField:
@@ -261,7 +263,8 @@ def coeff_a(f: RadialField, pot) -> RadialField:
     """
     if not isinstance(pot, PowerLaw):
         raise KernelError("a[f] is defined for power-law potentials only")
-    return radial_convolve(f, 2.0 + pot.gamma)
+    return RadialField(f.grid, radial_convolve(f.grid, f.values, 2.0 + pot.gamma, f.signed),
+                       signed=f.signed)
 
 
 def coeff_h(f: RadialField, pot) -> RadialField:
@@ -271,10 +274,16 @@ def coeff_h(f: RadialField, pot) -> RadialField:
     gamma = pot.gamma
     if not (-3.0 <= gamma <= -2.0):
         raise KernelError(f"h[f] requires gamma in [-3, -2], got {gamma}")
+    return RadialField(f.grid, _h_values(f.grid, f.values, gamma, f.signed),
+                       signed=f.signed)
+
+
+def _h_values(grid: RadialGrid, values: np.ndarray, gamma: float,
+              signed: bool = False) -> np.ndarray:
+    """h[f] on bare arrays, for gamma in [-3, -2] (unchecked; see coeff_h)."""
     if gamma == -3.0:
-        return RadialField(f.grid, 4.0 * np.pi * f.values, signed=f.signed)
-    conv = radial_convolve(f, gamma)
-    return RadialField(f.grid, (3.0 + gamma) * conv.values, signed=f.signed)
+        return 4.0 * np.pi * values
+    return (3.0 + gamma) * radial_convolve(grid, values, gamma, signed)
 
 
 def nondivergence_rhs(f: RadialField, pot) -> RadialField:

@@ -416,8 +416,11 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
         values.append(sub[0]["lhs"])
     extrap = values[-1] + (values[-1] - values[-2])  # first-order Richardson
     budget = abs(extrap - values[-1])
+    # report-only: the budget sizes how far eps -> 0 may still move the last
+    # value, and no criterion decides it, so the row is labelled "skip", not
+    # a "pass" that nothing checked
     rows.append(_row("derivatives", "gamma=-3:eps_extrapolation_budget",
-                     extrap, values[-1], budget, "pass"))
+                     extrap, values[-1], budget, "skip"))
     return rows
 
 

@@ -159,7 +159,8 @@ class Term:
         if self.kind == "f":
             return f
         if self.kind == "conv":
-            return radial_convolve(f, self.mu)
+            return RadialField(f.grid, radial_convolve(f.grid, f.values, self.mu, f.signed),
+                               signed=f.signed)
         r = f.grid.centers
         if self.kind == "grad":
             return RadialField(f.grid, mix.dprofile(r) ** 2)

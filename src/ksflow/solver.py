@@ -16,13 +16,23 @@ a[f], h[f] at the current time, advances the diffusion flux implicitly (one
 tridiagonal solve per step) and the drift flux explicitly.  A reaction guard
 halves dt whenever dt * max(-(2+gamma) h[f]) > 0.5.
 
+Between output times the state and its coefficients are bare arrays:
+`step(stencil, values, a, h, config)` returns `(values, StepReport)`, with a
+`Stencil` holding the per-run constants and the band buffer of the diffusion
+system.  `run` builds `RadialField`s only for the rows, the trajectory and
+the checkpoints.  Every step checks its new state for finite values
+(FieldError) and calls `kernels.radial_convolve` for each coefficient
+convolution and `solve_banded`, as bound here, for each diffusion solve;
+the per-layer timings of the benchmark tracer rely on these names.
+
 The semilinear comparison dynamics d_t u = Laplacian(u) + u^2 shares the same
-machinery (unit diffusion coefficient, reaction u^2) and is used by the
-blow-up contrast experiment.
+machinery (unit diffusion coefficient, reaction u^2, the same stencil and
+band buffer) and is used by the blow-up contrast experiment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +46,7 @@ from .grids import (
     Trajectory,
     write_checkpoint,
 )
-from .kernels import PowerLaw, cartesian_convolve, coeff_a, coeff_h
+from .kernels import PowerLaw, _h_values, cartesian_convolve, radial_convolve
 
 _SCHEMES = ("semi-implicit-fv", "explicit-fv")
 _POSITIVITY = ("assert", "clip-and-log")
@@ -103,42 +113,77 @@ class StepReport:
 
 
 # ---------------------------------------------------------------------------
+# per-run constants
+# ---------------------------------------------------------------------------
+
+class Stencil:
+    """Per-run constants of the radial finite-volume scheme on one grid.
+
+    Holds the geometry a step reads (dr, cell volumes, interior face areas),
+    dt times those areas for each substep size met, and the buffers every
+    step refills in place: face fluxes and diffusion weights (length n+1,
+    zero at both ends for zero flux at r = 0 and r_max) and the (3, n) band
+    of the diffusion system.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        n = grid.n_cells
+        self.grid = grid
+        self.dr = grid.dr
+        self.volumes = grid.cell_volumes
+        # dividing by -V is negating the quotient by V, bit for bit
+        self.neg_volumes = -grid.cell_volumes
+        self.inner_areas = grid.face_areas[1:-1]
+        self.flux = np.zeros(n + 1)
+        self.k = np.zeros(n + 1)
+        self.band = np.zeros((3, n))
+        self._dt_areas = {}
+
+    def dt_areas(self, dt: float) -> np.ndarray:
+        """dt * inner_areas, computed once per substep size."""
+        areas = self._dt_areas.get(dt)
+        if areas is None:
+            areas = self._dt_areas[dt] = dt * self.inner_areas
+        return areas
+
+
+# ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _drift_flux(f: np.ndarray, a: np.ndarray, dr: float) -> np.ndarray:
-    """Interior face drift flux (length n-1), -f grad a."""
-    return -(0.5 * (f[1:] + f[:-1])) * (a[1:] - a[:-1]) / dr
+def _drift_flux(f: np.ndarray, a: np.ndarray, dr: float, out: np.ndarray) -> np.ndarray:
+    """Interior face drift flux -f grad a (length n-1), written into out."""
+    np.add(f[1:], f[:-1], out=out)
+    out *= -0.5
+    out *= a[1:] - a[:-1]
+    out /= dr
+    return out
 
 
-def flux_form_rhs(f: RadialField, pot, a: RadialField | None = None) -> RadialField:
-    """Finite-volume divergence of the conservative fluxes (signed field).
+def flux_form_rhs(grid: RadialGrid, values: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Finite-volume divergence of the conservative fluxes of the profile
+    `values` under the diffusion coefficient a = a[f] (bare arrays).
 
     Zero flux is imposed at r = 0 (zero face area) and at r_max, so the
     discrete integral of the output telescopes to 0 exactly.
     """
-    if a is None:
-        a = coeff_a(f, pot)
-    grid = f.grid
-    vals, avals = f.values, a.values
-    diff = 0.5 * (avals[1:] + avals[:-1]) * (vals[1:] - vals[:-1]) / grid.dr
+    dr = grid.dr
     flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = (diff + _drift_flux(vals, avals, grid.dr)) * grid.face_areas[1:-1]
-    rhs = (flux[1:] - flux[:-1]) / grid.cell_volumes
-    return RadialField(grid, rhs, signed=True)
+    inner = _drift_flux(values, a, dr, flux[1:-1])
+    inner += 0.5 * (a[1:] + a[:-1]) * (values[1:] - values[:-1]) / dr
+    inner *= grid.face_areas[1:-1]
+    return (flux[1:] - flux[:-1]) / grid.cell_volumes
 
 
-def boundary_flux_estimate(f: RadialField, a: RadialField) -> float:
+def boundary_flux_estimate(grid: RadialGrid, values: np.ndarray, a: np.ndarray) -> float:
     """Magnitude of the flux the profile would push through r_max.
 
     One-sided extrapolation of the conservative flux at the outer face; the
     zero-flux boundary suppresses exactly this much per unit time.
     """
-    grid = f.grid
     dr = grid.dr
-    fa, aa = f.values, a.values
-    diff = aa[-1] * (0.0 - fa[-1]) / dr
-    drift = -0.5 * fa[-1] * (aa[-1] - aa[-2]) / dr
+    diff = a[-1] * (0.0 - values[-1]) / dr
+    drift = -0.5 * values[-1] * (a[-1] - a[-2]) / dr
     area = 4.0 * np.pi * grid.r_max**2
     return abs(area * (diff + drift))
 
@@ -147,30 +192,47 @@ def boundary_flux_estimate(f: RadialField, a: RadialField) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _implicit_diffusion_solve(f_star, a_vals, grid, dt):
-    """Solve (I - dt * D_a) f' = f_star, D_a the conservative diffusion stencil."""
-    n = grid.n_cells
-    vols = grid.cell_volumes
-    a_face = np.zeros(n + 1)
-    a_face[1:-1] = 0.5 * (a_vals[1:] + a_vals[:-1])
-    k = dt * grid.face_areas * a_face / grid.dr  # k[0] = 0, k[n] = 0 (zero-flux)
-    k[-1] = 0.0
-    lower = -k[1:-1] / vols[1:]
-    upper = -k[1:-1] / vols[:-1]
-    diag = 1.0 + (k[1:] + k[:-1]) / vols
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
+def _fill_band(stencil: Stencil, a: np.ndarray, dt: float) -> None:
+    """Write I - dt * D_a into the band buffer, D_a the conservative diffusion
+    stencil under the cell coefficients a."""
+    k, vols, neg_vols = stencil.k, stencil.volumes, stencil.neg_volumes
+    band = stencil.band
+    # k[0] = k[n] = 0 (zero flux); the interior is dt * area * a_face / dr
+    inner = k[1:-1]
+    np.add(a[1:], a[:-1], out=inner)
+    inner *= 0.5
+    inner *= stencil.dt_areas(dt)
+    inner /= stencil.dr
+    np.divide(inner, neg_vols[:-1], out=band[0, 1:])   # upper: -k / V_i
+    np.add(k[1:], k[:-1], out=band[1])                  # diagonal
+    band[1] /= vols
+    band[1] += 1.0
+    np.divide(inner, neg_vols[1:], out=band[2, :-1])   # lower: -k / V_{i+1}
+
+
+def _solve_band(stencil: Stencil, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system in the band buffer for rhs; both are overwritten.
+
+    No finite check here: every caller checks the new state, which carries
+    any NaN or infinity of the system or rhs.
+    """
     try:
-        return solve_banded((1, 1), ab, f_star)
+        return solve_banded((1, 1), stencil.band, rhs, overwrite_ab=True,
+                            overwrite_b=True, check_finite=False)
     except Exception as exc:  # degenerate coefficient
         raise SolverError(f"tridiagonal diffusion solve failed: {exc}") from exc
 
 
 def _apply_positivity(values, policy, floor_scale):
-    """Returns (values, clips) after applying the positivity policy."""
+    """Returns (values, clips) after applying the positivity policy.
+
+    floor_scale is values.max().  NaN propagates through min and max and an
+    infinity shows in one of them, so the two reductions are also the state's
+    finite check: FieldError, as a RadialField of the values would raise.
+    """
     lowest = values.min()
+    if not (math.isfinite(lowest) and math.isfinite(floor_scale)):
+        raise FieldError("field values must be finite")
     if lowest >= 0.0:
         return values, 0
     floor = -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300)
@@ -201,42 +263,44 @@ def _reaction_substeps(dt, rate):
     return halvings
 
 
-def _coefficients(f: RadialField, config: SolverConfig):
-    """a[f] and h[f]; h is None where the reaction coefficient 2+gamma vanishes."""
-    pot = config.potential
-    return coeff_a(f, pot), None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
+def _coefficients(grid: RadialGrid, values: np.ndarray, gamma: float):
+    """a[f] and h[f] values; h is None where the reaction coefficient 2+gamma
+    vanishes."""
+    a = radial_convolve(grid, values, 2.0 + gamma)
+    return a, None if 2.0 + gamma == 0.0 else _h_values(grid, values, gamma)
 
 
-def step(f: RadialField, a: RadialField, h: RadialField | None,
+def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | None,
          config: SolverConfig, mass0: float | None = None
-         ) -> tuple[RadialField, StepReport]:
-    """Advance f one dt with the configured radial scheme under the frozen
-    coefficients a = a[f] and h = h[f] (None when 2 + gamma = 0).
+         ) -> tuple[np.ndarray, StepReport]:
+    """Advance the profile `values` on stencil.grid one dt with the configured
+    radial scheme under the frozen coefficients a = a[f] and h = h[f] (None
+    when 2 + gamma = 0), all bare arrays.
 
-    The result is a validated RadialField: non-finite values raise FieldError.
+    Returns the new values, finite and nonnegative; non-finite values raise
+    FieldError.  `values` is never written to.
     """
-    pot = config.potential
-    rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.values.max())
+    rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.max())
     halvings = _reaction_substeps(config.dt, rate)
     sub_dt = config.dt / (1 << halvings)
-    vols = f.grid.cell_volumes
+    vols = stencil.volumes
     if mass0 is None:
-        mass0 = float(np.dot(vols, f.values))
+        mass0 = float(np.dot(vols, values))
 
-    vals = f.values
+    vals = values
     clips = 0
     for _ in range(1 << halvings):
         if config.scheme == "semi-implicit-fv":
-            dflux = np.zeros(f.grid.n_cells + 1)
-            dflux[1:-1] = _drift_flux(vals, a.values, f.grid.dr) * f.grid.face_areas[1:-1]
-            f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
-            vals = _implicit_diffusion_solve(f_star, a.values, f.grid, sub_dt)
+            flux = stencil.flux
+            _drift_flux(vals, a, stencil.dr, flux[1:-1])
+            flux[1:-1] *= stencil.inner_areas
+            f_star = vals + sub_dt * (flux[1:] - flux[:-1]) / vols
+            _fill_band(stencil, a, sub_dt)
+            vals = _solve_band(stencil, f_star)
         else:  # explicit-fv
-            rhs = flux_form_rhs(RadialField(f.grid, vals, signed=True), pot, a=a)
-            vals = vals + sub_dt * rhs.values
+            vals = vals + sub_dt * flux_form_rhs(stencil.grid, vals, a)
         vals, c = _apply_positivity(vals, config.positivity, vals.max())
         clips += c
-    out = RadialField(f.grid, vals)
     mass = float(np.dot(vols, vals))
     report = StepReport(
         dt_used=sub_dt,
@@ -244,54 +308,67 @@ def step(f: RadialField, a: RadialField, h: RadialField | None,
         clips=clips,
         halvings=halvings,
     )
-    return out, report
+    return vals, report
 
 
 def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajectory:
     """Advance f_in to t_end, recording diagnostics every output_stride steps.
 
-    The coefficients are evaluated once per step, for the step and the row.
+    The state and its coefficients are bare arrays between output times; the
+    coefficients are evaluated once per step, for the step and the row.  Each
+    row's `_clips` and `_halvings` count the steps since the previous row.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
     from . import diagnostics  # deferred: diagnostics consumes solver types
 
-    if f_in.grid != config.grid():
+    grid = config.grid()
+    if f_in.grid != grid:
         raise SolverError("initial field grid does not match the configuration")
     pot = config.potential
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise SolverError("t_end must be an integer number of steps")
 
-    mass0 = float(np.dot(f_in.grid.cell_volumes, f_in.values))
-    traj = Trajectory()
+    stencil = Stencil(grid)
     f = f_in
+    vals = f.values
+    mass0 = float(np.dot(stencil.volumes, vals))
+    traj = Trajectory()
     boundary_budget = 0.0
     zero_field = mass0 == 0.0
+    clips = halvings = 0
 
-    a, h = _coefficients(f, config)
-    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, pot, a=a, h=h,
-                                                 mass_drift=0.0,
-                                                 boundary_budget=0.0))
+    def row(t, f, a, h, **bookkeeping):
+        return diagnostics.snapshot_row(
+            t, f, pot, a=RadialField(grid, a),
+            h=None if h is None else RadialField(grid, h), **bookkeeping)
+
+    a, h = _coefficients(grid, vals, config.gamma)
+    traj.append(0.0, f, row(0.0, f, a, h, mass_drift=0.0, boundary_budget=0.0))
     for k in range(1, n_steps + 1):
         if not zero_field:
-            boundary_budget += boundary_flux_estimate(f, a) * config.dt
+            boundary_budget += boundary_flux_estimate(grid, vals, a) * config.dt
         try:
-            f, rep = step(f, a, h, config, mass0=mass0)
+            vals, rep = step(stencil, vals, a, h, config, mass0=mass0)
         except (FieldError, SolverError) as exc:
-            # non-finite values or a degenerate solve: f is the last good state
+            # non-finite values or a degenerate solve: vals is the last good state
             if checkpoint_path is not None:
-                write_checkpoint(checkpoint_path, f, gamma=config.gamma,
-                                 time=(k - 1) * config.dt)
+                write_checkpoint(checkpoint_path, RadialField(grid, vals),
+                                 gamma=config.gamma, time=(k - 1) * config.dt)
             raise SolverError(
                 f"step {k} aborted ({exc}); last good state retained"
             ) from exc
-        a, h = _coefficients(f, config)
+        clips += rep.clips
+        halvings += rep.halvings
+        a, h = _coefficients(grid, vals, config.gamma)
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
-            traj.append(t, f, diagnostics.snapshot_row(
-                t, f, pot, a=a, h=h, mass_drift=rep.mass_drift,
-                boundary_budget=boundary_budget, clips=rep.clips))
+            f = RadialField(grid, vals)
+            traj.append(t, f, row(t, f, a, h, mass_drift=rep.mass_drift,
+                                     boundary_budget=boundary_budget,
+                                     clips=clips, halvings=halvings))
+            clips = halvings = 0
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)
@@ -304,12 +381,16 @@ def run_semilinear(config: SolverConfig,
     at max u >= BLOWUP_THRESHOLD.
 
     Diffusion is implicit (unit coefficient), the quadratic reaction explicit
-    with the same dt-halving guard keyed to max(u).  Returns the trajectory of
-    (t, max u) rows and the detector time (None if it never fires).
+    with the same dt-halving guard keyed to max(u).  The unit-coefficient
+    system is built once per substep size and copied into the band buffer
+    before each solve.  Returns the trajectory of (t, max u) rows and the
+    detector time (None if it never fires).
     """
     grid = u_in.grid
-    n_steps = int(round(config.t_end / config.dt))
+    stencil = Stencil(grid)
     ones = np.ones(grid.n_cells)
+    bands = {}  # substep size -> unit-coefficient system
+    n_steps = int(round(config.t_end / config.dt))
     traj = Trajectory()
     traj.append(0.0, u_in, {"t": 0.0, "max": float(u_in.values.max())})
     vals = u_in.values.copy()
@@ -318,11 +399,18 @@ def run_semilinear(config: SolverConfig,
         rate = float(vals.max())
         halvings = _reaction_substeps(config.dt, rate)
         sub_dt = config.dt / (1 << halvings)
+        band = bands.get(sub_dt)
+        if band is None:
+            _fill_band(stencil, ones, sub_dt)
+            band = bands[sub_dt] = stencil.band.copy()
         for _ in range(1 << halvings):
             f_star = vals + sub_dt * vals**2
-            vals = _implicit_diffusion_solve(f_star, ones, grid, sub_dt)
-            vals = np.maximum(vals, 0.0)
-            if vals.max() >= BLOWUP_THRESHOLD:
+            np.copyto(stencil.band, band)
+            vals = np.maximum(_solve_band(stencil, f_star), 0.0)
+            top = vals.max()
+            if not math.isfinite(top):  # NaN and +inf survive the floor at 0
+                raise FieldError("field values must be finite")
+            if top >= BLOWUP_THRESHOLD:
                 detector = k * config.dt
                 break
         t = k * config.dt

@@ -487,8 +487,8 @@ ROOT_API = {
     "kernels": ("RATIO_WINDOW", "KernelError", "PowerLaw", "RatioWindow",
                 "SoftenedPowerLaw", "cartesian_convolve", "coeff_a", "coeff_h",
                 "gamma_ratio", "nondivergence_rhs", "radial_convolve"),
-    "solver": ("SolverConfig", "SolverError", "StepReport", "flux_form_rhs", "run",
-               "run_cartesian", "run_semilinear", "step"),
+    "solver": ("SolverConfig", "SolverError", "Stencil", "StepReport", "flux_form_rhs",
+               "run", "run_cartesian", "run_semilinear", "step"),
     "diagnostics": ("entropy", "fisher_information", "ellipticity_check",
                     "h_bound_check"),
     "probes": ("ProbeError", "RatioStats", "probe_inequality"),

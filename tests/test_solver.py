@@ -15,6 +15,7 @@ from ksflow.kernels import (
 from ksflow.solver import (
     SolverConfig,
     SolverError,
+    Stencil,
     boundary_flux_estimate,
     flux_form_rhs,
     run,
@@ -25,8 +26,8 @@ from ksflow.solver import (
 
 
 def coefficients(f, cfg):
-    """a[f] and h[f], frozen over one step."""
-    return coeff_a(f, cfg.potential), coeff_h(f, cfg.potential)
+    """a[f] and h[f] values, frozen over one step."""
+    return coeff_a(f, cfg.potential).values, coeff_h(f, cfg.potential).values
 
 
 def heat_kernel(grid, t, sigma0=1.0, mass=1.0):
@@ -54,23 +55,23 @@ class TestFluxFormRHS:
 
         grid = RadialGrid(1024, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(f, PowerLaw(-2.0))
+        rhs = flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-2.0)).values)
         lap = radial_laplacian(f)
         interior = slice(1, -2)
-        err = np.max(np.abs(rhs.values[interior] - lap.values[interior]))
+        err = np.max(np.abs(rhs[interior] - lap.values[interior]))
         assert err <= 5e-4 * np.max(np.abs(lap.values))
 
     def test_zero_field(self):
         grid = RadialGrid(64, 6.0)
         f = RadialField(grid, np.zeros(64))
-        assert np.all(flux_form_rhs(f, PowerLaw(-2.5)).values == 0.0)
+        assert np.all(flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-2.5)).values) == 0.0)
 
     def test_discrete_integral_telescopes(self):
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(f, PowerLaw(-3.0))
-        total = float(np.dot(grid.cell_volumes, rhs.values))
-        scale = float(np.dot(grid.cell_volumes, np.abs(rhs.values)))
+        rhs = flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-3.0)).values)
+        total = float(np.dot(grid.cell_volumes, rhs))
+        scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 1e-12 * scale
 
     @settings(deadline=None, max_examples=60)
@@ -86,20 +87,20 @@ class TestFluxFormRHS:
         grid = RadialGrid(n_cells, r_max)
         values = data.draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
         f = RadialField(grid, values)
-        rhs = flux_form_rhs(f, PowerLaw(gamma)).values
+        rhs = flux_form_rhs(grid, values, coeff_a(f, PowerLaw(gamma)).values)
         total = float(np.dot(grid.cell_volumes, rhs))
         scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 4 * n_cells * np.finfo(float).eps * scale
         cfg = SolverConfig(gamma=gamma, n_cells=n_cells, r_max=r_max, dt=1e-4,
                            t_end=1e-4)
-        _, rep = step(f, *coefficients(f, cfg), cfg)
+        _, rep = step(Stencil(grid), values, *coefficients(f, cfg), cfg)
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_boundary_flux_negligible_for_compact_data(self):
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
         a = coeff_a(f, PowerLaw(-3.0))
-        assert boundary_flux_estimate(f, a) <= 1e-20
+        assert boundary_flux_estimate(grid, f.values, a.values) <= 1e-20
 
 
 class TestNondivergenceRHS:
@@ -109,7 +110,7 @@ class TestNondivergenceRHS:
             grid = RadialGrid(n, 12.0)
             f = gaussian_field(grid, sigma=1.0, mass=1.0)
             pot = PowerLaw(-2.5)
-            fd = flux_form_rhs(f, pot).values
+            fd = flux_form_rhs(grid, f.values, coeff_a(f, pot).values)
             nd = nondivergence_rhs(f, pot).values
             w = grid.cell_volumes
             rel.append(np.dot(w, np.abs(nd - fd)) / np.dot(w, np.abs(fd)))
@@ -153,19 +154,19 @@ class TestStep:
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=1e-4, t_end=0.01,
                            output_stride=10)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
-        f1, rep = step(f0, *coefficients(f0, cfg), cfg)
+        _, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_dt_to_zero_recovers_rhs(self):
         # (f' - f)/dt -> flux_form_rhs(f) at first order in dt
         grid = RadialGrid(256, 12.0)
         f0 = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(f0, PowerLaw(-3.0)).values
+        rhs = flux_form_rhs(grid, f0.values, coeff_a(f0, PowerLaw(-3.0)).values)
         errs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=dt, t_end=1.0)
-            f1, _ = step(f0, *coefficients(f0, cfg), cfg)
-            quotient = (f1.values - f0.values) / dt
+            f1, _ = step(Stencil(grid), f0.values, *coefficients(f0, cfg), cfg)
+            quotient = (f1 - f0.values) / dt
             errs.append(np.max(np.abs(quotient - rhs)))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
@@ -173,7 +174,7 @@ class TestStep:
     def test_reaction_guard_halves_dt(self):
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=5e-3, t_end=1.0)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=60.0)
-        _, rep = step(f0, *coefficients(f0, cfg), cfg)
+        _, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
         # dt * 4 pi * 60 = 3.8 > 0.5 requires at least 3 halvings
         assert rep.halvings >= 3
         assert rep.dt_used * 4 * np.pi * 60.0 <= 0.5 * 1.05
@@ -202,7 +203,7 @@ class TestStep:
         cfg = SolverConfig(gamma=-3.0, n_cells=64, dt=1e-4, t_end=1.0)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=1e20)
         with pytest.raises(SolverError, match="halvings"):
-            step(f0, *coefficients(f0, cfg), cfg)
+            step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
 
     def test_explicit_fv_agrees_with_semi_implicit_at_small_dt(self):
         f0 = gaussian_field(RadialGrid(256, 12.0), sigma=1.0, mass=1.0)
@@ -210,8 +211,8 @@ class TestStep:
         for scheme in ("semi-implicit-fv", "explicit-fv"):
             cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-5, t_end=1.0,
                                scheme=scheme)
-            f1, rep = step(f0, *coefficients(f0, cfg), cfg)
-            outs[scheme] = f1.values
+            f1, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
+            outs[scheme] = f1
             assert abs(rep.mass_drift) <= 1e-12
         diff = np.max(np.abs(outs["explicit-fv"] - outs["semi-implicit-fv"]))
         assert diff <= 1e-8 * np.max(f0.values)
@@ -270,6 +271,83 @@ class TestRun:
         saved, gamma, t_saved = read_checkpoint(ckpt)
         assert np.all(np.isfinite(saved.values))
         assert gamma == -2.0 and t_saved >= 0.0
+
+
+class TestRunBookkeeping:
+    # every reaction-guard halving of this run falls in its first step
+    HALVING = (SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.003,
+                            output_stride=10),
+               lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4))
+    # past its stability limit the explicit scheme clips from step 99 on
+    CLIPPING = (SolverConfig(gamma=-2.5, n_cells=400, dt=1e-4, t_end=0.018,
+                             output_stride=20, scheme="explicit-fv",
+                             positivity="clip-and-log"),
+                lambda g: RadialField(g, np.where(g.centers < 1.0, 1.0, 0.0)))
+
+    @pytest.mark.parametrize("case, busy", [("HALVING", "halvings"), ("CLIPPING", "clips")])
+    def test_rows_count_every_step_since_the_previous_row(self, case, busy, monkeypatch):
+        import ksflow.solver as solver
+        from ksflow.diagnostics import mass_conservation_check
+
+        cfg, initial = getattr(self, case)
+        reports = []
+        step_fn = solver.step
+
+        def recording(*args, **kwargs):
+            values, report = step_fn(*args, **kwargs)
+            reports.append(report)
+            return values, report
+
+        monkeypatch.setattr(solver, "step", recording)
+        traj = run(cfg, initial(cfg.grid()))
+        stride = cfg.output_stride
+        verdict = mass_conservation_check(traj)
+        for key in ("clips", "halvings"):
+            per_step = [getattr(r, key) for r in reports]
+            per_row = [row[f"_{key}"] for row in traj.rows]
+            assert per_row[0] == 0
+            assert per_row[1:] == [sum(per_step[i:i + stride])
+                                   for i in range(0, len(per_step), stride)]
+            assert verdict.get(key, 0) == sum(per_step)
+        assert verdict[busy] > 0
+
+    def test_quiet_runs_keep_the_mass_verdict_keys(self):
+        from ksflow.diagnostics import mass_conservation_check
+
+        cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-4, t_end=0.002,
+                           output_stride=10)
+        verdict = mass_conservation_check(run(cfg, gaussian_field(cfg.grid(), 1.0)))
+        assert set(verdict) == {"monitor", "worst_relative_drift", "boundary_budget",
+                                "passed"}
+
+
+class TestTracedNames:
+    def test_steps_solves_and_convolutions_go_through_the_traced_names(self, monkeypatch):
+        # the benchmark tracer times solver.step, solve_banded as the solver
+        # binds it, and kernels.radial_convolve at every binding; a per-step
+        # path around them would empty the per-layer metrics
+        import ksflow.kernels as kernels
+        import ksflow.solver as solver
+
+        calls = {"step": 0, "solve_banded": 0, "radial_convolve": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "step", counting("step", solver.step))
+        monkeypatch.setattr(solver, "solve_banded",
+                            counting("solve_banded", solver.solve_banded))
+        convolve = counting("radial_convolve", kernels.radial_convolve)
+        for module in (solver, kernels):
+            monkeypatch.setattr(module, "radial_convolve", convolve)
+        cfg = SolverConfig(gamma=-2.5, n_cells=128, dt=1e-4, t_end=0.002,
+                           output_stride=10)
+        run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        # a[f] and h[f] once each for the initial row and after each step
+        assert calls == {"step": 20, "solve_banded": 20, "radial_convolve": 2 * 21}
 
 
 class TestSemilinearHeat:

@@ -1,0 +1,188 @@
+"""Bit-identity gate for the array-level radial stepper.
+
+`solver.run` steps bare arrays through one `Stencil` per run and builds
+fields only at output times.  The oracle below is the field-per-step
+arithmetic it replaced, kept verbatim: fresh arrays every step, a validated
+`RadialField` for each state and coefficient, a freshly built band matrix and
+a checked `solve_banded` per solve.  Only the positivity policy and the
+reaction guard, which neither path changed, are the solver's own.  Both must
+store the same fields and rows bit for bit, and an aborted run must leave the
+same checkpoint.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+
+from ksflow import diagnostics
+from ksflow.grids import (
+    FieldError,
+    RadialField,
+    Trajectory,
+    gaussian_field,
+    write_checkpoint,
+)
+from ksflow.kernels import coeff_a, coeff_h
+from ksflow.solver import (
+    SolverConfig,
+    SolverError,
+    _apply_positivity,
+    _reaction_substeps,
+    run,
+)
+
+
+def _drift_flux(f, a, dr):
+    return -(0.5 * (f[1:] + f[:-1])) * (a[1:] - a[:-1]) / dr
+
+
+def _flux_form_rhs(f, a):
+    grid = f.grid
+    vals, avals = f.values, a.values
+    diff = 0.5 * (avals[1:] + avals[:-1]) * (vals[1:] - vals[:-1]) / grid.dr
+    flux = np.zeros(grid.n_cells + 1)
+    flux[1:-1] = (diff + _drift_flux(vals, avals, grid.dr)) * grid.face_areas[1:-1]
+    return RadialField(grid, (flux[1:] - flux[:-1]) / grid.cell_volumes, signed=True)
+
+
+def _boundary_flux_estimate(f, a):
+    grid = f.grid
+    dr = grid.dr
+    fa, aa = f.values, a.values
+    diff = aa[-1] * (0.0 - fa[-1]) / dr
+    drift = -0.5 * fa[-1] * (aa[-1] - aa[-2]) / dr
+    return abs(4.0 * np.pi * grid.r_max**2 * (diff + drift))
+
+
+def _implicit_diffusion_solve(f_star, a_vals, grid, dt):
+    n = grid.n_cells
+    vols = grid.cell_volumes
+    a_face = np.zeros(n + 1)
+    a_face[1:-1] = 0.5 * (a_vals[1:] + a_vals[:-1])
+    k = dt * grid.face_areas * a_face / grid.dr
+    k[-1] = 0.0
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -k[1:-1] / vols[:-1]
+    ab[1, :] = 1.0 + (k[1:] + k[:-1]) / vols
+    ab[2, :-1] = -k[1:-1] / vols[1:]
+    try:
+        return solve_banded((1, 1), ab, f_star)
+    except Exception as exc:
+        raise SolverError(f"tridiagonal diffusion solve failed: {exc}") from exc
+
+
+def _step(f, a, h, config, mass0):
+    rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.values.max())
+    halvings = _reaction_substeps(config.dt, rate)
+    sub_dt = config.dt / (1 << halvings)
+    grid = f.grid
+    vols = grid.cell_volumes
+    vals = f.values
+    clips = 0
+    for _ in range(1 << halvings):
+        if config.scheme == "semi-implicit-fv":
+            dflux = np.zeros(grid.n_cells + 1)
+            dflux[1:-1] = _drift_flux(vals, a.values, grid.dr) * grid.face_areas[1:-1]
+            f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
+            vals = _implicit_diffusion_solve(f_star, a.values, grid, sub_dt)
+        else:
+            rhs = _flux_form_rhs(RadialField(grid, vals, signed=True), a)
+            vals = vals + sub_dt * rhs.values
+        vals, c = _apply_positivity(vals, config.positivity, vals.max())
+        clips += c
+    mass = float(np.dot(vols, vals))
+    drift = (mass - mass0) / mass0 if mass0 else 0.0
+    return RadialField(grid, vals), drift, clips, halvings
+
+
+def oracle_run(config, f_in, checkpoint_path=None):
+    pot = config.potential
+
+    def coefficients(f):
+        return coeff_a(f, pot), None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
+
+    n_steps = int(round(config.t_end / config.dt))
+    mass0 = float(np.dot(f_in.grid.cell_volumes, f_in.values))
+    traj = Trajectory()
+    f = f_in
+    budget = 0.0
+    clips = halvings = 0
+    a, h = coefficients(f)
+    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, pot, a=a, h=h))
+    for k in range(1, n_steps + 1):
+        if mass0 != 0.0:
+            budget += _boundary_flux_estimate(f, a) * config.dt
+        try:
+            f, drift, c, hv = _step(f, a, h, config, mass0)
+        except (FieldError, SolverError) as exc:
+            if checkpoint_path is not None:
+                write_checkpoint(checkpoint_path, f, gamma=config.gamma,
+                                 time=(k - 1) * config.dt)
+            raise SolverError(f"step {k} aborted ({exc}); last good state retained") from exc
+        clips += c
+        halvings += hv
+        a, h = coefficients(f)
+        if k % config.output_stride == 0 or k == n_steps:
+            t = k * config.dt
+            traj.append(t, f, diagnostics.snapshot_row(
+                t, f, pot, a=a, h=h, mass_drift=drift, boundary_budget=budget,
+                clips=clips, halvings=halvings))
+            clips = halvings = 0
+    diagnostics.finalize_rows(traj, config.gamma)
+    if checkpoint_path is not None:
+        write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)
+    return traj
+
+
+def _tophat(grid):
+    return RadialField(grid, np.where(grid.centers < 1.0, 1.0, 0.0))
+
+
+# (config, initial data, total clips > 0, total halvings > 0)
+CASES = {
+    "gamma-3": (
+        SolverConfig(gamma=-3.0, n_cells=512, dt=1e-4, t_end=0.02, output_stride=50),
+        lambda g: gaussian_field(g, sigma=1.0, mass=1.0), False, False),
+    "halvings": (
+        SolverConfig(gamma=-2.5, n_cells=512, dt=1e-4, t_end=0.02, output_stride=50),
+        lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4), False, True),
+    # past its stability limit the explicit scheme clips from step 99 on and
+    # aborts at step 203
+    "explicit-clip-and-log": (
+        SolverConfig(gamma=-2.5, n_cells=400, dt=1e-4, t_end=0.018, output_stride=10,
+                     scheme="explicit-fv", positivity="clip-and-log"),
+        _tophat, True, False),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stored_fields_rows_and_checkpoint_are_bit_identical(case, tmp_path):
+    cfg, initial, clips, halvings = CASES[case]
+    f0 = initial(cfg.grid())
+    got = run(cfg, f0, checkpoint_path=tmp_path / "got.ckpt")
+    want = oracle_run(cfg, f0, checkpoint_path=tmp_path / "want.ckpt")
+    assert got.times == want.times
+    assert len(got.fields) == len(want.fields)
+    for g, w in zip(got.fields, want.fields):
+        assert np.array_equal(g.values, w.values)
+    assert got.rows == want.rows
+    assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+    # the case exercises what it is named for
+    assert (sum(r["_clips"] for r in got.rows) > 0) == clips
+    assert (sum(r["_halvings"] for r in got.rows) > 0) == halvings
+
+
+def test_abort_leaves_the_same_last_good_checkpoint(tmp_path):
+    cfg, initial, _, _ = CASES["explicit-clip-and-log"]
+    cfg = replace(cfg, t_end=0.03)
+    f0 = initial(cfg.grid())
+    errors = []
+    for name, runner in (("got", run), ("want", oracle_run)):
+        with pytest.raises(SolverError, match="last good state retained") as info:
+            with np.errstate(over="ignore", invalid="ignore"):
+                runner(cfg, f0, checkpoint_path=tmp_path / f"{name}.ckpt")
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
