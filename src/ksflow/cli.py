@@ -8,7 +8,9 @@ Subcommands:
   plot            render CSV columns to a deterministic SVG line chart
 
 Exit status: 0 when every enabled assertion passes, 1 on assertion failure
-(with the verdict table printed), 2 on usage/config errors.
+(with the verdict table printed), 2 on usage/config errors and on a
+`simulate` run that aborts (`simulate aborted: ...`, the last good state
+checkpointed, no report written).
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ def _positive(value) -> bool:
 
 def cmd_simulate(args) -> int:
     from .config import ConfigError, load_config
+    from .grids import FieldError
     from .harness import simulate
+    from .solver import SolverError
 
     try:
         cfg = load_config(args.config)
@@ -51,7 +55,12 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.out
-    ok, verdicts = simulate(cfg, out_dir)
+    try:
+        ok, verdicts = simulate(cfg, out_dir)
+    except (FieldError, SolverError) as exc:
+        # e.g. a positivity violation; the last good state is checkpointed
+        print(f"simulate aborted: {exc}", file=sys.stderr)
+        return 2
     for line in verdict_block(verdicts):
         _print(args.quiet, line)
     _print(args.quiet, f"report written to {out_dir}")

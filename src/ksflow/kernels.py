@@ -21,12 +21,22 @@ Hankel plus a Toeplitz operator built from O(n) sequences.  Their spectra are
 cached per (grid, mu) and a coefficient evaluation is one rfft of f and one
 inverse rfft of two rows: O(n log n) time and O(n) memory, no n x n matrix.
 
-The FFT rounding is relative to the largest kernel entries, those at 2 r_max,
-not to the entries that build a given output, and outputs near the origin
-are divided by r.  Against the dense closed form it is ~1e-11 relative for a
-unit Gaussian on r_max = 12, and it grows with r_max / sigma: ~3e-9 at
-r_max = 160 for mu = -0.1, and ~eps (2n)^{mu+3} of the largest output when
-the mass sits in the first cell.
+Two exponents reduce further.  mu = 0 is the constant mass.  mu = -1, the
+Coulomb kernel f * |.|^{-1} = 4 pi (-Laplacian)^{-1} f that a[f] is at
+gamma = -3, has (r+s) - |r-s| = 2 min(r, s), so Newton's shell theorem gives
+
+    (f * |.|^{-1})(r) = (4 pi / r) int_0^r s^2 f(s) ds + 4 pi int_r^inf s f(s) ds,
+
+and the same closed-form cell-pair integrals become one forward and one
+reversed prefix sum with three cached weight vectors: O(n), no FFT, and
+rounding relative to the terms each output sums.
+
+For every other exponent the FFT rounding is relative to the largest kernel
+entries, those at 2 r_max, not to the entries that build a given output, and
+outputs near the origin are divided by r.  Against the dense closed form it
+is ~1e-11 relative for a unit Gaussian on r_max = 12, and it grows with
+r_max / sigma: ~3e-9 at r_max = 160 for mu = -0.1, and ~eps (2n)^{mu+3} of
+the largest output when the mass sits in the first cell.
 """
 
 from __future__ import annotations
@@ -141,8 +151,8 @@ def gamma_ratio(pot, r):
 # Radial convolution with |.|^mu
 # ---------------------------------------------------------------------------
 
-_spectrum_cache: dict = {}
-_SPECTRUM_CACHE_MAX = 12
+_operator_cache: dict = {}
+_OPERATOR_CACHE_MAX = 12
 
 
 def _smooth_length(m: int) -> int:
@@ -214,21 +224,45 @@ def _kernel_spectrum(grid: RadialGrid, mu: float) -> np.ndarray:
     return np.stack([np.fft.rfft(hankel), np.fft.rfft(toeplitz)])
 
 
+def _shell_weights(grid: RadialGrid) -> np.ndarray:
+    """Shell-theorem weights of the Coulomb kernel mu = -1, shape (3, n).
+
+    For cell-constant f with faces F_j, cell volumes V_j and centres r_i,
+
+        (f * |.|^{-1})_i = (1/r_i) sum_{j<i} V_j x_j + sum_{j>i} w_j x_j + d_i x_i,
+
+    w_j = 2 pi (F_{j+1}^2 - F_j^2) and the split diagonal cell's
+    d_i = 4 pi [(r_i^3 - F_i^3) / (3 r_i) + (F_{i+1}^2 - r_i^2) / 2]: the
+    closed-form cell-pair integrals of the Hankel/Toeplitz form at nu = 1.
+    Differences of powers are factored through the differences of radii,
+    which are exact, so every weight is good to a few ulps (F_{j+1}^3 - F_j^3
+    as written loses ~j ulps in cell j).  Returns the rows (V, w, d).
+    """
+    faces, r = grid.faces, grid.centers
+    lo, hi = faces[:-1], faces[1:]
+    volumes = (4.0 * np.pi / 3.0) * (hi - lo) * (hi * hi + hi * lo + lo * lo)
+    shells = 2.0 * np.pi * (hi - lo) * (hi + lo)
+    diag = 4.0 * np.pi * ((r - lo) * (r * r + r * lo + lo * lo) / (3.0 * r)
+                          + 0.5 * (hi - r) * (hi + r))
+    return np.stack([volumes, shells, diag])
+
+
 def kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
     """Cached convolution operator for the kernel |.|^mu on the given grid.
 
-    The operator is stored in its spectral form (see _kernel_spectrum), a
-    read-only complex array of O(n) size; a cache hit returns the same object.
+    The operator is stored in its O(n) form, a read-only array: the shell
+    weights (_shell_weights) at mu = -1, the spectra (_kernel_spectrum) for
+    every other exponent.  A cache hit returns the same object.
     """
     key = (grid.n_cells, grid.r_max, mu)
-    spectrum = _spectrum_cache.get(key)
-    if spectrum is None:
-        spectrum = _kernel_spectrum(grid, mu)
-        spectrum.setflags(write=False)
-        if len(_spectrum_cache) >= _SPECTRUM_CACHE_MAX:
-            _spectrum_cache.pop(next(iter(_spectrum_cache)))
-        _spectrum_cache[key] = spectrum
-    return spectrum
+    operator = _operator_cache.get(key)
+    if operator is None:
+        operator = _shell_weights(grid) if mu == -1.0 else _kernel_spectrum(grid, mu)
+        operator.setflags(write=False)
+        if len(_operator_cache) >= _OPERATOR_CACHE_MAX:
+            _operator_cache.pop(next(iter(_operator_cache)))
+        _operator_cache[key] = operator
+    return operator
 
 
 def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
@@ -237,8 +271,9 @@ def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
     mu in (-3, 2]; an unsigned profile gives a result clipped at 0.
 
     Works on bare arrays, so the solver convolves its state every step without
-    building fields.  mu = 0 returns the constant mass; mu = -2 is the numerical
-    mu -> -2 limit of the closed form.
+    building fields.  mu = 0 returns the constant mass; mu = -1 is two prefix
+    sums by the shell theorem; mu = -2 is the numerical mu -> -2 limit of the
+    closed form.
     """
     if mu <= -3.0:
         raise KernelError(f"kernel exponent mu = {mu} is not integrable (need mu > -3)")
@@ -246,10 +281,19 @@ def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
         raise KernelError(f"kernel exponent mu = {mu} outside supported range (-3, 2]")
     if mu == 0.0:
         return np.full(grid.n_cells, _radial_moment(grid, values, 0.0))
-    hankel, toeplitz = kernel_matrix(grid, mu)
-    x = np.fft.rfft(values, 2 * (hankel.shape[-1] - 1))
-    a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : grid.n_cells]
-    out = a / grid.centers + b
+    if mu == -1.0:
+        volumes, shells, diag = kernel_matrix(grid, mu)
+        out = np.zeros(grid.n_cells)
+        # np.add.accumulate, not np.cumsum: the wrapper costs as much as the sum
+        np.add.accumulate((volumes * values)[:-1], out=out[1:])
+        out /= grid.centers
+        out[:-1] += np.add.accumulate((shells * values)[:0:-1])[::-1]
+        out += diag * values
+    else:
+        hankel, toeplitz = kernel_matrix(grid, mu)
+        x = np.fft.rfft(values, 2 * (hankel.shape[-1] - 1))
+        a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : grid.n_cells]
+        out = a / grid.centers + b
     if not signed:
         out = np.maximum(out, 0.0)
     return out

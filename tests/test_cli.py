@@ -44,6 +44,28 @@ mass = 1.0
 """
 
 
+#: numbers that pass the config checks but abort the run: the explicit
+#: scheme at this dt turns a tall Gaussian negative at step 3
+ABORTING_CONFIG = """\
+[run]
+scenario = aborting
+
+[solver]
+gamma = -3.0
+n_cells = 256
+r_max = 8.0
+dt = 2e-4
+t_end = 0.01
+scheme = explicit-fv
+positivity = assert
+
+[initial]
+kind = gaussian
+sigma = 1.0
+amplitude = 10.0
+"""
+
+
 def with_solver_line(line):
     """REFERENCE_CONFIG with one [solver] key set to the given line."""
     key = line.partition("=")[0]
@@ -197,6 +219,17 @@ class TestSimulate:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_aborted_run_keeps_its_checkpoint(self, tmp_path, capsys):
+        cfg_path = tmp_path / "aborting.cfg"
+        cfg_path.write_text(ABORTING_CONFIG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate aborted: step 3 aborted (positivity violated")
+        assert (out / "aborting.ckpt").exists()
+        assert not (out / "aborting-report.txt").exists()
+
     def test_seed_option_removed(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(REFERENCE_CONFIG)
@@ -313,11 +346,16 @@ class TestCompareBlowup:
     ["verify-lifted", "--suite", "commutators", "--gamma", "nan"],
     ["verify-lifted", "--suite", "commutators", "--gamma", "inf"],
     ["verify-lifted", "--suite", "dissipation", "--gamma", "-4"],
+    ["simulate", "--config", "aborting.cfg"],
 ])
-def test_bad_numbers_exit_two_with_one_line(capsys, argv):
+def test_bad_numbers_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    # the simulate row reads its config from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "aborting.cfg").write_text(ABORTING_CONFIG)
     assert main([*argv, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{argv[-2]} must be ") and err.count("\n") == 1
+    prefix = "simulate aborted: " if argv[0] == "simulate" else f"{argv[-2]} must be "
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_step_budget_exits_two_at_once(capsys):

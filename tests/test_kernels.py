@@ -265,7 +265,9 @@ class TestSpectralOperator:
         from scipy.special import erf
 
         grid = RadialGrid(65536, 12.0)
-        assert kernel_matrix(grid, -1.0).nbytes <= 8 * 2**20
+        # mu = -1 is served by the shell sums; the spectral path's size is
+        # checked at an exponent it still serves
+        assert kernel_matrix(grid, -0.5).nbytes <= 8 * 2**20
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
         exact = erf(grid.centers / np.sqrt(2.0)) / grid.centers
         assert np.max(np.abs(radial_convolve(f.grid, f.values, -1.0) - exact)) <= 1e-8
@@ -275,6 +277,56 @@ class TestSpectralOperator:
         spectrum = kernel_matrix(grid, -2.5)
         assert kernel_matrix(RadialGrid(96, 7.0), -2.5) is spectrum
         assert not spectrum.flags.writeable
+
+
+def _shell_weights_long(grid: RadialGrid):
+    """The shell-theorem weights (V, w, d) of the mu = -1 kernel and the
+    centres, in np.longdouble from the grid's faces and centres as stored."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    faces, r = grid.faces.astype(ld), grid.centers.astype(ld)
+    lo, hi = faces[:-1], faces[1:]
+    volumes = 4 * pi / 3 * (hi**3 - lo**3)
+    shells = 2 * pi * (hi**2 - lo**2)
+    diag = 4 * pi * ((r**3 - lo**3) / (3 * r) + (hi**2 - r**2) / 2)
+    return volumes, shells, diag, r
+
+
+class TestShellTheorem:
+    """mu = -1, the Coulomb kernel, by Newton's shell theorem: a shell of mass
+    V_k pulls like a point mass from outside and is constant inside."""
+
+    @pytest.mark.parametrize("r_max", [12.0, 160.0])
+    @pytest.mark.parametrize("n_cells", [489, 512, 2048])
+    def test_unit_spike(self, n_cells, r_max):
+        grid = RadialGrid(n_cells, r_max)
+        volumes, shells, _, r = _shell_weights_long(grid)
+        for k in (0, n_cells // 2, n_cells - 1):
+            values = np.zeros(n_cells)
+            values[k] = 1.0
+            got = radial_convolve(grid, values, -1.0).astype(np.longdouble)
+            outside = volumes[k] / r[k + 1:]
+            assert np.all(np.abs(got[k + 1:] - outside) <= 1e-14 * outside)
+            assert np.all(np.abs(got[:k] - shells[k]) <= 1e-14 * shells[k])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        data=st.data(),
+        n_cells=st.integers(4, 512),
+        r_max=st.floats(0.5, 200.0),
+    )
+    def test_property_against_long_double_sums(self, data, n_cells, r_max):
+        grid = RadialGrid(n_cells, r_max)
+        values = data.draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
+        # scaled to a unit peak, as above: no output is subnormal
+        values = values / values.max() if values.any() else values
+        volumes, shells, diag, r = _shell_weights_long(grid)
+        x = values.astype(np.longdouble)
+        below = np.concatenate([[0], np.cumsum(volumes * x)[:-1]])
+        above = np.concatenate([np.cumsum((shells * x)[::-1])[::-1][1:], [0]])
+        expected = below / r + above + diag * x
+        got = radial_convolve(grid, values, -1.0)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestCoefficients:

@@ -349,6 +349,38 @@ class TestTracedNames:
         # a[f] and h[f] once each for the initial row and after each step
         assert calls == {"step": 20, "solve_banded": 20, "radial_convolve": 2 * 21}
 
+    def test_coulomb_coefficient_is_traced_and_builds_no_spectrum(self, monkeypatch):
+        # at gamma = -3, a[f] is the mu = -1 shell sums and h[f] = 4 pi f needs
+        # no convolution; kernels.apply_s must still time a[f] through the
+        # solver's binding, and no FFT spectrum may be built for it
+        import ksflow.kernels as kernels
+        import ksflow.solver as solver
+
+        calls = {"radial_convolve": 0}
+        spectra = []
+        convolve, spectrum = kernels.radial_convolve, kernels._kernel_spectrum
+
+        def counting(*args, **kwargs):
+            calls["radial_convolve"] += 1
+            return convolve(*args, **kwargs)
+
+        def recording(grid, mu):
+            spectra.append(mu)
+            return spectrum(grid, mu)
+
+        monkeypatch.setattr(solver, "radial_convolve", counting)
+        monkeypatch.setattr(kernels, "_kernel_spectrum", recording)
+        monkeypatch.setattr(kernels, "_operator_cache", {})
+        cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-4, t_end=0.002,
+                           output_stride=10)
+        run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        # a[f] once for the initial row and after each of the 20 steps
+        assert calls == {"radial_convolve": 21}
+        assert -1.0 not in spectra
+        operator = kernels.kernel_matrix(cfg.grid(), -1.0)
+        assert isinstance(operator, np.ndarray) and operator.shape == (3, 128)
+        assert operator.dtype == np.float64
+
 
 class TestSemilinearHeat:
     def test_small_data_reaction_negligible(self):
