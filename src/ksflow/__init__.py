@@ -3,14 +3,11 @@
 import importlib
 
 from .grids import (
-    CartesianField3,
-    CartesianGrid3,
     FieldError,
     RadialField,
     RadialGrid,
     Trajectory,
     gaussian_field,
-    gaussian_field3,
     integrate_radial,
     radial_laplacian,
     read_checkpoint,
@@ -23,7 +20,6 @@ from .kernels import (
     PowerLaw,
     RatioWindow,
     SoftenedPowerLaw,
-    cartesian_convolve,
     coeff_a,
     coeff_h,
     gamma_ratio,
@@ -43,8 +39,7 @@ from .probes import ProbeError, RatioStats, probe_inequality
 # so that a command that never steps the radial solver starts without scipy.
 _LAZY = {
     **dict.fromkeys(("SolverConfig", "SolverError", "Stencil", "StepReport",
-                     "flux_form_rhs", "run", "run_cartesian", "run_semilinear",
-                     "step"), "solver"),
+                     "flux_form_rhs", "run", "run_semilinear", "step"), "solver"),
     **dict.fromkeys(("ConfigError", "RunConfig", "load_config", "parse_config_text"),
                     "config"),
     **dict.fromkeys(("compare_blowup", "simulate"), "harness"),

@@ -22,7 +22,6 @@ import numpy as np
 
 from .grids import (
     VACUUM_THRESHOLD,
-    CartesianField3,
     RadialField,
     Trajectory,
     integrate_radial,
@@ -56,12 +55,8 @@ ENERGY_RATE_FACTOR = 2.0  # dE_2/dt = ENERGY_RATE_FACTOR * (5+gamma) * int a[f] 
 # pointwise functionals
 # ---------------------------------------------------------------------------
 
-def entropy(f) -> float:
+def entropy(f: RadialField) -> float:
     """H(f) = int f log f, with x log x -> 0 on vacuum cells."""
-    if isinstance(f, CartesianField3):
-        vals = f.values
-        live = vals > VACUUM_THRESHOLD
-        return float(np.sum(vals[live] * np.log(vals[live])) * f.grid.h**3)
     vals = f.values
     r = f.grid.centers
     live = vals > VACUUM_THRESHOLD
@@ -80,25 +75,12 @@ def _sqrt_gradient_radial(f: RadialField) -> np.ndarray:
     return dg
 
 
-def fisher_information(f) -> float:
+def fisher_information(f: RadialField) -> float:
     """i(f) = 4 int |grad sqrt(f)|^2, central differences on sqrt(f).
 
     The root form is the only one finite and stable where f touches zero;
     vacuum cells contribute nothing.
     """
-    if isinstance(f, CartesianField3):
-        g = np.sqrt(np.maximum(f.values, 0.0))
-        h = f.grid.h
-        total = 0.0
-        for axis in range(3):
-            gp = np.moveaxis(g, axis, 0)
-            d = np.empty_like(gp)
-            d[1:-1] = (gp[2:] - gp[:-2]) / (2.0 * h)
-            d[0] = (gp[1] - gp[0]) / h
-            d[-1] = (gp[-1] - gp[-2]) / h
-            d[np.moveaxis(f.values, axis, 0) <= VACUUM_THRESHOLD] = 0.0
-            total += np.sum(d**2)
-        return float(4.0 * total * h**3)
     dg = _sqrt_gradient_radial(f)
     dg[f.values <= VACUUM_THRESHOLD] = 0.0
     r = f.grid.centers
@@ -187,17 +169,6 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
         elif h is not None:
             row["h_bound_ratio"] = h_bound_check(f, gamma, h=h)
     return row
-
-
-def snapshot_row3(t, f3: CartesianField3, mass_drift=0.0) -> dict:
-    return {
-        "t": float(t),
-        "mass": f3.mass(),
-        "entropy": entropy(f3),
-        "fisher": fisher_information(f3),
-        "linf_norm": float(f3.values.max()),
-        "_mass_drift": float(mass_drift),
-    }
 
 
 def finalize_rows(traj: Trajectory, gamma: float):

@@ -2,8 +2,7 @@
 
 Radial fields live on a uniform cell-centered grid r_i = (i + 1/2) dr on
 (0, r_max]; the origin is deliberately not a node, so 1/r factors are always
-finite.  3D fields live on a cell-centered cubic lattice of the box [-L, L]^3.
-All operations are pure functions of immutable snapshots.
+finite.  All operations are pure functions of immutable snapshots.
 """
 
 from __future__ import annotations
@@ -16,6 +15,9 @@ import numpy as np
 #: values below this threshold are treated as vacuum by the entropy and
 #: Fisher functionals (x log x -> 0 convention).
 VACUUM_THRESHOLD = 1e-30
+
+#: the most cells a RadialGrid may have, so that a grid's arrays stay small
+MAX_CELLS = 1 << 16
 
 _CHECKPOINT_MAGIC = "ksflow-checkpoint"
 _CHECKPOINT_VERSION = 1
@@ -35,10 +37,10 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise FieldError(f"n_cells must be >= 4, got {self.n_cells}")
-        if not (self.r_max > 0):
-            raise FieldError(f"r_max must be positive, got {self.r_max}")
+        if not 4 <= self.n_cells <= MAX_CELLS:
+            raise FieldError(f"n_cells must lie in [4, {MAX_CELLS}], got {self.n_cells}")
+        if not (0 < self.r_max < np.inf):
+            raise FieldError(f"r_max must be finite and positive, got {self.r_max}")
 
     @property
     def dr(self) -> float:
@@ -178,64 +180,6 @@ def radial_laplacian(f: RadialField) -> RadialField:
 
 
 # ---------------------------------------------------------------------------
-# 3D Cartesian fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CartesianGrid3:
-    """Cell-centered cubic lattice of [-L, L]^3 with n points per axis."""
-
-    n: int
-    half_width: float
-
-    def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise FieldError(f"n must be even and >= 4, got {self.n}")
-        if not (self.half_width > 0):
-            raise FieldError(f"half_width must be positive, got {self.half_width}")
-
-    @property
-    def h(self) -> float:
-        return 2.0 * self.half_width / self.n
-
-    @property
-    def axis(self) -> np.ndarray:
-        return -self.half_width + (np.arange(self.n) + 0.5) * self.h
-
-    def mesh(self):
-        x = self.axis
-        return np.meshgrid(x, x, x, indexing="ij")
-
-
-class CartesianField3:
-    """Density samples on a CartesianGrid3 lattice."""
-
-    def __init__(self, grid: CartesianGrid3, values, signed: bool = False):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n,) * 3:
-            raise FieldError(f"values shape {values.shape} does not match grid")
-        if not np.all(np.isfinite(values)):
-            raise FieldError("field values must be finite")
-        if not signed and np.any(values < 0):
-            raise FieldError("negative values in a nonnegative 3D field")
-        self.grid = grid
-        self.values = values
-        self.signed = signed
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.grid.h**3)
-
-
-def gaussian_field3(grid: CartesianGrid3, sigma: float, mass: float = 1.0,
-                    center=(0.0, 0.0, 0.0)) -> CartesianField3:
-    X, Y, Z = grid.mesh()
-    c = np.asarray(center, dtype=float)
-    r2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
-    peak = mass * (2.0 * np.pi * sigma**2) ** -1.5
-    return CartesianField3(grid, peak * np.exp(-0.5 * r2 / sigma**2))
-
-
-# ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
 
@@ -270,35 +214,23 @@ class Trajectory:
 # Versioned checkpoints: text header + byte-order-declared binary block
 # ---------------------------------------------------------------------------
 
-#: field kind -> (grid class, field class, size key, width key, dimensions)
-_CHECKPOINT_KINDS = {
-    "radial": (RadialGrid, RadialField, "n_cells", "r_max", 1),
-    "cartesian": (CartesianGrid3, CartesianField3, "n", "half_width", 3),
-}
-
-
-def write_checkpoint(path, f, gamma: float = float("nan"), time: float = 0.0):
+def write_checkpoint(path, f: RadialField, gamma: float = float("nan"),
+                     time: float = 0.0):
     """Serialize a field with a text header followed by raw little-endian doubles."""
-    for kind, (_, field_cls, size_key, width_key, _) in _CHECKPOINT_KINDS.items():
-        if isinstance(f, field_cls):
-            break
-    else:
-        raise FieldError(f"cannot checkpoint object of type {type(f).__name__}")
-    payload = f.values.ravel()
     header = [
         f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}",
-        f"kind {kind}",
-        f"{size_key} {getattr(f.grid, size_key)}",
-        f"{width_key} {getattr(f.grid, width_key)!r}",
+        "kind radial",
+        f"n_cells {f.grid.n_cells}",
+        f"r_max {f.grid.r_max!r}",
         f"signed {int(f.signed)}",
         f"gamma {gamma!r}",
         f"time {time!r}",
         "byte_order little",
         "dtype float64",
-        f"count {payload.size}",
+        f"count {f.values.size}",
         "end-header",
     ]
-    blob = payload.astype("<f8").tobytes()
+    blob = f.values.astype("<f8").tobytes()
     data = ("\n".join(header) + "\n").encode("ascii") + blob
     with open(path, "wb") as fh:
         fh.write(data)
@@ -308,8 +240,9 @@ def read_checkpoint(path):
     """Read a checkpoint written by write_checkpoint.
 
     Returns (field, gamma, time).  A malformed header (bad magic or version,
-    a line without a value, a non-numeric or missing required value) or a
-    payload whose length disagrees with it raises FieldError.
+    a kind other than radial, a line without a value, a non-numeric or
+    missing required value) or a payload whose length disagrees with it
+    raises FieldError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -334,23 +267,22 @@ def read_checkpoint(path):
         meta[parts[0]] = parts[1]
     if meta.get("byte_order") != "little" or meta.get("dtype") != "float64":
         raise FieldError(f"{path}: unsupported binary encoding")
-    if meta.get("kind") not in _CHECKPOINT_KINDS:
+    if meta.get("kind") != "radial":
         raise FieldError(f"{path}: unknown field kind {meta.get('kind')!r}")
-    grid_cls, field_cls, size_key, width_key, ndim = _CHECKPOINT_KINDS[meta["kind"]]
-    missing = [k for k in ("gamma", "time", "count", size_key, width_key) if k not in meta]
+    missing = [k for k in ("gamma", "time", "count", "n_cells", "r_max") if k not in meta]
     if missing:
         raise FieldError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     try:
-        size, count = int(meta[size_key]), int(meta["count"])
-        width, gamma, time = (float(meta[k]) for k in (width_key, "gamma", "time"))
+        n_cells, count = int(meta["n_cells"]), int(meta["count"])
+        r_max, gamma, time = (float(meta[k]) for k in ("r_max", "gamma", "time"))
         signed = bool(int(meta.get("signed", "0")))
     except ValueError as exc:
         raise FieldError(f"{path}: malformed checkpoint header value ({exc})") from None
-    grid = grid_cls(size, width)
-    if count != size**ndim or len(blob) != 8 * count:
+    grid = RadialGrid(n_cells, r_max)
+    if count != n_cells or len(blob) != 8 * count:
         raise FieldError(
             f"{path}: payload of {len(blob)} bytes, count {count}; "
-            f"the grid needs {size**ndim} float64 values"
+            f"the grid needs {n_cells} float64 values"
         )
-    values = np.frombuffer(blob, dtype="<f8").astype(float).reshape((size,) * ndim)
-    return field_cls(grid, values, signed=signed), gamma, time
+    values = np.frombuffer(blob, dtype="<f8").astype(float)
+    return RadialField(grid, values, signed=signed), gamma, time

@@ -11,12 +11,7 @@ from . import diagnostics as dg
 from .config import RunConfig
 from .grids import RadialField, gaussian_field
 from .report import all_passed, write_csv, write_run_report
-from .solver import SolverConfig, SolverError, run, run_semilinear
-
-# solver steps one compare_blowup call may take: horizon/dt for each dt of
-# the semilinear twin plus horizon/dt_list[0] for the Landau run (the default
-# dt_list at horizon 0.1 takes 12 000)
-BLOWUP_STEP_BUDGET = 200_000
+from .solver import STEP_BUDGET, SolverConfig, SolverError, run, run_semilinear
 
 _MONITOR_DISPATCH = {
     "mass": lambda traj, gamma: dg.mass_conservation_check(traj),
@@ -72,15 +67,17 @@ def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
     solver.BLOWUP_THRESHOLD; the detector time's dt-convergence and the
     Landau twin's max-value bound over the horizon are reported.
     Both-blow-up or neither-blow-up outcomes are reported, never raised.
-    More than BLOWUP_STEP_BUDGET solver steps in total raises SolverError
-    before any step is taken.
+    More than solver.STEP_BUDGET solver steps in total (horizon/dt for each
+    dt of the semilinear twin plus horizon/dt_list[0] for the Landau run; the
+    default dt_list at horizon 0.1 takes 12 000) raises SolverError before
+    any step is taken.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     steps = horizon / dt_list[0] + sum(horizon / dt for dt in dt_list)
-    if not steps <= BLOWUP_STEP_BUDGET:
+    if not steps <= STEP_BUDGET:
         raise SolverError(f"{steps:.3g} solver steps exceed the budget of "
-                          f"{BLOWUP_STEP_BUDGET} (horizon / dt summed over the runs)")
+                          f"{STEP_BUDGET} (horizon / dt summed over the runs)")
     configs = [SolverConfig(gamma=-3.0, n_cells=512, r_max=12.0, dt=dt, t_end=horizon,
                             output_stride=max(1, int(round(0.005 / dt))))
                for dt in dt_list]

@@ -7,8 +7,8 @@ for the power law) and the reaction coefficient is
     h[f] = (3+gamma) f * |.|^gamma     for gamma in (-3, -2],
     h[f] = 4 pi f                      for gamma = -3,
 
-so that Delta a[f] = (2+gamma) h[f].  Radial convolutions use the exact 1D
-reduction
+so that Delta a[f] = (2+gamma) h[f].  Every convolution here is of a radial
+profile on a RadialGrid, by the exact 1D reduction
 
     (f * |.|^mu)(r) = (2 pi / (r (mu+2))) int_0^inf s f(s)
                       [ (r+s)^{mu+2} - |r-s|^{mu+2} ] ds,
@@ -45,13 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    CartesianField3,
-    RadialField,
-    RadialGrid,
-    _radial_moment,
-    radial_laplacian,
-)
+from .grids import RadialField, RadialGrid, _radial_moment, radial_laplacian
 
 
 class KernelError(ValueError):
@@ -348,73 +342,3 @@ def nondivergence_rhs(f: RadialField, pot) -> RadialField:
         h = coeff_h(f, pot)
         reaction = (2.0 + gamma) * h.values * f.values
     return RadialField(f.grid, a.values * lap.values - reaction, signed=True)
-
-
-# ---------------------------------------------------------------------------
-# FFT convolution on the 3D box
-# ---------------------------------------------------------------------------
-
-def _cube_cell_integral(mu: float, h: float, n_sphere: int = 512) -> float:
-    """Exact integral of |z|^mu over the cube [-h/2, h/2]^3.
-
-    In spherical coordinates the cube integral is
-    int_{S^2} R(w)^{3+mu}/(3+mu) dw with R(w) = (h/2)/max_i |w_i|; the sphere
-    integral is evaluated by a product Gauss x trapezoid rule (the integrand is
-    bounded and piecewise smooth).
-    """
-    if mu + 3.0 <= 0:
-        raise KernelError("cell integral requires mu > -3")
-    cos_nodes, cos_w = np.polynomial.legendre.leggauss(n_sphere // 2)
-    phi = (np.arange(n_sphere) + 0.5) * (2.0 * np.pi / n_sphere)
-    st = np.sqrt(1.0 - cos_nodes**2)[:, None]
-    wx = st * np.cos(phi)[None, :]
-    wy = st * np.sin(phi)[None, :]
-    wz = np.broadcast_to(cos_nodes[:, None], wx.shape)
-    m = np.maximum(np.maximum(np.abs(wx), np.abs(wy)), np.abs(wz))
-    R = (0.5 * h) / m
-    vals = R ** (3.0 + mu) / (3.0 + mu)
-    return float(np.sum(cos_w[:, None] * vals) * (2.0 * np.pi / n_sphere))
-
-
-_cube_cache: dict = {}
-
-
-def cartesian_convolve(f3: CartesianField3, mu: float) -> CartesianField3:
-    """FFT convolution of a 3D field with |z|^mu on the box.
-
-    Zero-padded to twice the lattice per axis, so every displacement between
-    two box points is represented and the kernel is never wrapped.  The origin
-    cell carries the exact cell-averaged kernel integral, preserving
-    second-order accuracy despite the singularity.
-    """
-    if not (-3.0 < mu <= 0.0):
-        raise KernelError(f"cartesian kernel exponent mu = {mu} outside (-3, 0]")
-    grid = f3.grid
-    n, h = grid.n, grid.h
-    if mu == 0.0:
-        return CartesianField3(grid, np.full((n,) * 3, f3.mass()), signed=f3.signed)
-    m = 2 * n
-    d = np.concatenate([np.arange(0, n + 1), np.arange(-n + 1, 0)]) * h
-    DX, DY, DZ = np.meshgrid(d, d, d, indexing="ij")
-    rho = np.sqrt(DX**2 + DY**2 + DZ**2)
-    kernel = np.zeros_like(rho)
-    nz = rho > 0
-    kernel[nz] = rho[nz] ** mu
-    key = (mu, h)
-    if key not in _cube_cache:
-        _cube_cache[key] = _cube_cell_integral(mu, h) / h**3
-    kernel[0, 0, 0] = _cube_cache[key]
-
-    src = np.zeros((m,) * 3)
-    src[:n, :n, :n] = f3.values
-    axes = (0, 1, 2)
-    conv = np.fft.irfftn(
-        np.fft.rfftn(src, axes=axes) * np.fft.rfftn(kernel, axes=axes),
-        s=(m,) * 3,
-        axes=axes,
-    )
-    out = conv[:n, :n, :n] * h**3
-    if not f3.signed:
-        out = np.maximum(out, 0.0)
-    return CartesianField3(grid, out, signed=f3.signed)
-

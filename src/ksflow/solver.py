@@ -38,15 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import (
-    CartesianField3,
-    FieldError,
-    RadialField,
-    RadialGrid,
-    Trajectory,
-    write_checkpoint,
-)
-from .kernels import PowerLaw, _h_values, cartesian_convolve, radial_convolve
+from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
+from .kernels import PowerLaw, _h_values, radial_convolve
 
 _SCHEMES = ("semi-implicit-fv", "explicit-fv")
 _POSITIVITY = ("assert", "clip-and-log")
@@ -61,6 +54,10 @@ _MAX_HALVINGS = 16
 
 #: `run_semilinear` detects blow-up when max u reaches this value
 BLOWUP_THRESHOLD = 1e6
+
+#: the most steps one SolverConfig may ask for (t_end / dt), and the most
+#: one compare_blowup call may take summed over its runs
+STEP_BUDGET = 200_000
 
 
 class SolverError(RuntimeError):
@@ -79,10 +76,17 @@ class SolverConfig:
     positivity: str = "assert"
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise SolverError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end > 0):
-            raise SolverError(f"t_end must be positive, got {self.t_end}")
+        if not (0 < self.dt < math.inf):
+            raise SolverError(f"dt must be finite and positive, got {self.dt}")
+        if not (0 < self.t_end < math.inf):
+            raise SolverError(f"t_end must be finite and positive, got {self.t_end}")
+        steps = self.t_end / self.dt
+        # the rounded step count, tested before rounding so that inf fails too
+        if not steps < STEP_BUDGET + 0.5:
+            raise SolverError(f"t_end / dt = {steps:.6g} steps exceed the budget of "
+                              f"{STEP_BUDGET}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise SolverError("t_end must be an integer number of steps")
         if self.scheme not in _SCHEMES:
             raise SolverError(f"unknown scheme {self.scheme!r}; choose from {_SCHEMES}")
         if self.positivity not in _POSITIVITY:
@@ -95,6 +99,10 @@ class SolverConfig:
             )
         if self.output_stride < 1:
             raise SolverError("output_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
     @property
     def potential(self) -> PowerLaw:
@@ -326,9 +334,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     if f_in.grid != grid:
         raise SolverError("initial field grid does not match the configuration")
     pot = config.potential
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise SolverError("t_end must be an integer number of steps")
+    n_steps = config.n_steps
 
     stencil = Stencil(grid)
     f = f_in
@@ -390,7 +396,7 @@ def run_semilinear(config: SolverConfig,
     stencil = Stencil(grid)
     ones = np.ones(grid.n_cells)
     bands = {}  # substep size -> unit-coefficient system
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = config.n_steps
     traj = Trajectory()
     traj.append(0.0, u_in, {"t": 0.0, "max": float(u_in.values.max())})
     vals = u_in.values.copy()
@@ -420,65 +426,3 @@ def run_semilinear(config: SolverConfig,
         if detector is not None:
             break
     return traj, detector
-
-
-# ---------------------------------------------------------------------------
-# explicit 3D evolution (short horizons, non-radial experiments)
-# ---------------------------------------------------------------------------
-
-def cartesian_rhs(f3: CartesianField3, a3: CartesianField3) -> CartesianField3:
-    """Conservative flux-form RHS on the box under the diffusion coefficient
-    a3 = a[f3]; zero flux at the box faces."""
-    h = f3.grid.h
-    f = f3.values
-    a = a3.values
-    rhs = np.zeros_like(f)
-    for axis in range(3):
-        fp = np.moveaxis(f, axis, 0)
-        ap = np.moveaxis(a, axis, 0)
-        a_face = 0.5 * (ap[1:] + ap[:-1])
-        f_face = 0.5 * (fp[1:] + fp[:-1])
-        flux = a_face * (fp[1:] - fp[:-1]) / h - f_face * (ap[1:] - ap[:-1]) / h
-        div = np.zeros_like(fp)
-        div[:-1] += flux / h
-        div[1:] -= flux / h
-        rhs += np.moveaxis(div, 0, axis)
-    return CartesianField3(f3.grid, rhs, signed=True)
-
-
-def run_cartesian(config: SolverConfig, f_in: CartesianField3) -> Trajectory:
-    """Explicit conservative evolution of a 3D field on its own box.
-
-    Reads gamma, dt, t_end, output_stride and positivity from the config; its
-    radial settings (n_cells, r_max, scheme) do not apply.  The box is limited
-    to n <= 64 points per axis and dt to the explicit diffusion limit.
-    """
-    from . import diagnostics
-
-    if not isinstance(f_in, CartesianField3):
-        raise SolverError("run_cartesian requires a CartesianField3")
-    grid = f_in.grid
-    if grid.n > 64:
-        raise SolverError(f"cartesian evolution is restricted to n <= 64, got {grid.n}")
-    n_steps = int(round(config.t_end / config.dt))
-    f = f_in
-    a3 = cartesian_convolve(f, 2.0 + config.gamma)
-    cfl = grid.h**2 / (6.0 * max(a3.values.max(), 1e-300))
-    if config.dt > cfl:
-        raise SolverError(
-            f"explicit 3D diffusion needs dt <= {cfl:.3e}, got {config.dt:.3e}"
-        )
-    traj = Trajectory()
-    traj.append(0.0, f, diagnostics.snapshot_row3(0.0, f, mass_drift=0.0))
-    mass0 = f.mass()
-    for k in range(1, n_steps + 1):
-        rhs = cartesian_rhs(f, a3)
-        vals = f.values + config.dt * rhs.values
-        vals, _ = _apply_positivity(vals, config.positivity, vals.max())
-        f = CartesianField3(grid, vals)
-        a3 = cartesian_convolve(f, 2.0 + config.gamma)
-        if k % config.output_stride == 0 or k == n_steps:
-            drift = (f.mass() - mass0) / mass0 if mass0 else 0.0
-            traj.append(k * config.dt, f,
-                        diagnostics.snapshot_row3(k * config.dt, f, mass_drift=drift))
-    return traj

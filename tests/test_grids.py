@@ -7,10 +7,8 @@ from ksflow.grids import (
     FieldError,
     RadialField,
     RadialGrid,
-    CartesianGrid3,
     Trajectory,
     gaussian_field,
-    gaussian_field3,
     integrate_radial,
     radial_laplacian,
     read_checkpoint,
@@ -206,13 +204,33 @@ class TestCheckpoints:
         assert np.array_equal(g.values, f.values)
         assert g.grid == f.grid
 
-    def test_cartesian_roundtrip(self, tmp_path):
-        f = gaussian_field3(CartesianGrid3(8, 4.0), sigma=1.0)
-        p = tmp_path / "f3.ckpt"
-        write_checkpoint(p, f, gamma=-2.5, time=0.5)
-        g, gamma, t = read_checkpoint(p)
-        assert np.array_equal(g.values, f.values)
-        assert g.grid.half_width == 4.0
+    def test_header_bytes(self, tmp_path):
+        f = gaussian_field(RadialGrid(8, 1.0), sigma=0.5, mass=1.0)
+        p = tmp_path / "f.ckpt"
+        write_checkpoint(p, f, gamma=-2.5, time=0.25)
+        head, _, payload = p.read_bytes().partition(b"end-header\n")
+        assert head.decode("ascii").splitlines() == [
+            "ksflow-checkpoint 1",
+            "kind radial",
+            "n_cells 8",
+            "r_max 1.0",
+            "signed 0",
+            "gamma -2.5",
+            "time 0.25",
+            "byte_order little",
+            "dtype float64",
+            "count 8",
+        ]
+        assert payload == f.values.astype("<f8").tobytes()
+
+    def test_kind_other_than_radial_rejected(self, tmp_path):
+        # a complete header of the 3D lattice checkpoints older versions wrote
+        p = tmp_path / "box.ckpt"
+        p.write_bytes(b"ksflow-checkpoint 1\nkind cartesian\nn 4\nhalf_width 4.0\n"
+                      b"signed 0\ngamma -2.5\ntime 0.5\nbyte_order little\n"
+                      b"dtype float64\ncount 64\nend-header\n" + bytes(8 * 64))
+        with pytest.raises(FieldError, match="unknown field kind 'cartesian'"):
+            read_checkpoint(p)
 
     def test_corrupt_header_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
@@ -314,5 +332,3 @@ class TestGridGeometry:
         a.faces  # a cached array must not enter equality or hashing
         assert a == b and hash(a) == hash(b)
         assert a != RadialGrid(32, 4.5) and a != RadialGrid(33, 4.0)
-        assert CartesianGrid3(8, 4.0) == CartesianGrid3(8, 4.0)
-        assert hash(CartesianGrid3(8, 4.0)) == hash(CartesianGrid3(8, 4.0))

@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ksflow.grids import (
-    CartesianGrid3,
     RadialField,
     RadialGrid,
     gaussian_field,
-    gaussian_field3,
     integrate_radial,
     radial_laplacian,
 )
@@ -17,7 +15,6 @@ from ksflow.kernels import (
     KernelError,
     PowerLaw,
     SoftenedPowerLaw,
-    cartesian_convolve,
     coeff_a,
     coeff_h,
     gamma_ratio,
@@ -410,43 +407,3 @@ class TestSoftenedPowerLaw:
         fd2 = (pot.alpha_prime(r + h) - pot.alpha_prime(r - h)) / (2 * h)
         assert np.max(np.abs(fd1 - pot.alpha_prime(r))) <= 1e-5
         assert np.max(np.abs(fd2 - pot.alpha_second(r))) <= 1e-4
-
-
-class TestCartesianConvolve:
-    def test_matches_radial_on_gaussian(self):
-        grid3 = CartesianGrid3(64, 8.0)
-        f3 = gaussian_field3(grid3, sigma=1.0, mass=1.0)
-        conv3 = cartesian_convolve(f3, -1.0)
-        fine = gaussian_field(RadialGrid(2048, 16.0), sigma=1.0, mass=1.0)
-        conv_r = radial_convolve(fine.grid, fine.values, -1.0)
-        X, Y, Z = grid3.mesh()
-        R = np.sqrt(X**2 + Y**2 + Z**2)
-        interior = R < 4.0
-        expected = np.interp(R[interior], fine.grid.centers, conv_r)
-        rel = np.abs(conv3.values[interior] - expected) / expected
-        assert np.max(rel) <= 1e-2
-
-    def test_mu_zero_constant_mass(self):
-        grid3 = CartesianGrid3(16, 6.0)
-        f3 = gaussian_field3(grid3, sigma=1.0, mass=1.0)
-        conv3 = cartesian_convolve(f3, 0.0)
-        assert np.allclose(conv3.values, f3.mass())
-
-    def test_translation_equivariance(self):
-        grid3 = CartesianGrid3(32, 8.0)
-        h = grid3.h
-        shift_cells = 3
-        centered = gaussian_field3(grid3, sigma=0.8, mass=1.0)
-        shifted = gaussian_field3(grid3, sigma=0.8, mass=1.0,
-                                  center=(shift_cells * h, 0, 0))
-        a = cartesian_convolve(centered, -1.0).values
-        b = cartesian_convolve(shifted, -1.0).values
-        rolled = np.roll(a, shift_cells, axis=0)
-        core = np.s_[8:-8, 8:-8, 8:-8]
-        denom = np.max(np.abs(a))
-        assert np.max(np.abs(b[core] - rolled[core])) <= 1e-6 * denom
-
-    def test_rejects_bad_exponent(self):
-        f3 = gaussian_field3(CartesianGrid3(8, 4.0), sigma=1.0)
-        with pytest.raises(KernelError):
-            cartesian_convolve(f3, -3.2)

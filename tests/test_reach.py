@@ -25,19 +25,8 @@ from pathlib import Path
 
 import pytest
 
-_3D = "the 3D path, which ROADMAP item 4 builds on"
 _GATE = "the integrability gate that ROADMAP item 1 extends to the suites"
 KEEP = {
-    "grids.CartesianGrid3.h": _3D,
-    "grids.CartesianGrid3.axis": _3D,
-    "grids.CartesianGrid3.mesh": _3D,
-    "grids.CartesianField3.mass": _3D,
-    "grids.gaussian_field3": _3D,
-    "kernels._cube_cell_integral": _3D,
-    "kernels.cartesian_convolve": _3D,
-    "diagnostics.snapshot_row3": _3D,
-    "solver.cartesian_rhs": _3D,
-    "solver.run_cartesian": _3D,
     "lifted.functionals.check_integrability": _GATE,
     "lifted.functionals._weight_diagonal_exponent": _GATE,
     "lifted.functionals._direction_compensation": _GATE,

@@ -19,7 +19,6 @@ from ksflow.solver import (
     boundary_flux_estimate,
     flux_form_rhs,
     run,
-    run_cartesian,
     run_semilinear,
     step,
 )
@@ -257,6 +256,11 @@ class TestRun:
         with pytest.raises(SolverError):
             run(cfg, f0)
 
+    def test_field_on_another_r_max_rejected(self):
+        f0 = gaussian_field(RadialGrid(512, 6.0), sigma=1.0)
+        with pytest.raises(SolverError, match="grid does not match"):
+            run(SolverConfig(gamma=-2.5), f0)
+
     def test_nonfinite_abort_retains_last_good_checkpoint(self, tmp_path):
         # explicit diffusion far beyond its stability limit blows up fast
         cfg = SolverConfig(gamma=-2.0, n_cells=512, dt=0.05, t_end=5.0,
@@ -418,45 +422,3 @@ class TestSemilinearHeat:
         traj, t_det = run_semilinear(cfg, u0)
         assert t_det is None
         assert traj.rows[-1]["max"] == 0.0
-
-
-class TestCartesianRun:
-    def test_fisher_and_entropy_decrease_for_nonradial_data(self):
-        from ksflow.grids import CartesianGrid3, gaussian_field3, CartesianField3
-
-        grid = CartesianGrid3(32, 8.0)
-        # anisotropic, off-center data: genuinely non-radial
-        a = gaussian_field3(grid, sigma=1.0, mass=0.6, center=(1.0, 0.5, 0.0))
-        b = gaussian_field3(grid, sigma=1.4, mass=0.4, center=(-0.8, 0.0, 0.3))
-        f0 = CartesianField3(grid, a.values + b.values)
-        cfg = SolverConfig(gamma=-2.5, dt=2e-3, t_end=0.04, output_stride=5)
-        traj = run_cartesian(cfg, f0)
-        fisher = traj.column("fisher")
-        ent = traj.column("entropy")
-        assert np.all(np.diff(fisher) < 0)
-        assert np.all(np.diff(ent) < 0)
-        drift = max(abs(r["_mass_drift"]) for r in traj.rows)
-        assert drift <= 1e-12
-
-    def test_cfl_guard(self):
-        from ksflow.grids import CartesianGrid3, gaussian_field3
-
-        grid = CartesianGrid3(16, 6.0)
-        f0 = gaussian_field3(grid, sigma=1.0, mass=1.0)
-        cfg = SolverConfig(gamma=-2.5, dt=1.0, t_end=2.0)
-        with pytest.raises(SolverError):
-            run_cartesian(cfg, f0)
-
-    def test_box_size_limit_read_from_the_field(self):
-        from ksflow.grids import CartesianField3, CartesianGrid3
-
-        f0 = CartesianField3(CartesianGrid3(128, 8.0), np.zeros((128,) * 3))
-        with pytest.raises(SolverError, match="n <= 64"):
-            run_cartesian(SolverConfig(gamma=-2.5), f0)
-
-    def test_radial_run_rejects_cartesian_field(self):
-        from ksflow.grids import CartesianGrid3, gaussian_field3
-
-        f0 = gaussian_field3(CartesianGrid3(16, 6.0), sigma=1.0)
-        with pytest.raises(SolverError, match="grid does not match"):
-            run(SolverConfig(gamma=-2.5), f0)
