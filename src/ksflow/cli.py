@@ -69,6 +69,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_lifted(args) -> int:
     from .kernels import KernelError
+    from .lifted.functionals import MAX_SAMPLES
     from .lifted.suites import SUITES
 
     names = args.suite or list(SUITES)
@@ -76,7 +77,8 @@ def cmd_verify_lifted(args) -> int:
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if _first_bad_number([("--samples", args.samples, args.samples >= 1, "at least 1"),
+    if _first_bad_number([("--samples", args.samples, 1 <= args.samples <= MAX_SAMPLES,
+                           f"in [1, {MAX_SAMPLES}]"),
                           ("--seed", args.seed, args.seed >= 0, "at least 0"),
                           # the range of kernels.PowerLaw
                           *(("--gamma", g, -3.0 <= g <= 1.0, "in [-3, 1]")

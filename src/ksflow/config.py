@@ -9,6 +9,7 @@ override a knob.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -88,13 +89,22 @@ class RunConfig:
 
 
 def _check_initial(cfg: RunConfig) -> None:
-    """sigma > 0, mass >= 0 and amplitude >= 0, all finite (None: not given)."""
+    """sigma > 0, mass >= 0 and amplitude >= 0, all finite (None: not given),
+    and sigma^2 and (2 pi sigma^2)^{-3/2}, the factors `gaussian_field`
+    computes, finite normal floats."""
     for key, bound in (("sigma", "> 0"), ("mass", ">= 0"), ("amplitude", ">= 0")):
         value = getattr(cfg, key)
         if value is None:
             continue
         if not (math.isfinite(value) and (value > 0.0 if bound == "> 0" else value >= 0.0)):
             raise ConfigError(f"[initial] {key} must be finite and {bound}, got {value!r}")
+    try:
+        factors = (cfg.sigma**2, (2.0 * math.pi * cfg.sigma**2) ** -1.5)
+    except (OverflowError, ZeroDivisionError):
+        factors = (math.inf,)
+    if not all(sys.float_info.min <= x < math.inf for x in factors):
+        raise ConfigError(f"[initial] sigma = {cfg.sigma!r} makes sigma^2 or "
+                          f"(2 pi sigma^2)^(-3/2) no finite normal float")
 
 
 def parse_config_text(text: str) -> RunConfig:

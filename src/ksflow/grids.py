@@ -31,6 +31,9 @@ class FieldError(ValueError):
 class RadialGrid:
     """Uniform cell-centered radial grid with n_cells cells on (0, r_max].
 
+    dr^2 r_0 (r_0 = dr/2), the smallest denominator of `radial_laplacian`,
+    must be a finite normal float.
+
     Its geometry arrays are computed once, on first use, and are read-only."""
 
     n_cells: int
@@ -41,6 +44,9 @@ class RadialGrid:
             raise FieldError(f"n_cells must lie in [4, {MAX_CELLS}], got {self.n_cells}")
         if not (0 < self.r_max < np.inf):
             raise FieldError(f"r_max must be finite and positive, got {self.r_max}")
+        dr = self.dr
+        if not np.finfo(float).smallest_normal <= dr * dr * (0.5 * dr) < np.inf:
+            raise FieldError(f"r_max = {self.r_max!r} makes dr^2 r_0 no finite normal float")
 
     @property
     def dr(self) -> float:

@@ -27,7 +27,6 @@ from .operators import (
     first_variation_density,
 )
 from .functionals import (
-    IntegrabilityError,
     McEstimate,
     estimate_many,
     fisher_functional,

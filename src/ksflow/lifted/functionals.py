@@ -1,4 +1,4 @@
-"""Monte-Carlo estimation of weighted Fisher functionals on R^6.
+"""Monte-Carlo estimation of Fisher functionals and their pairings on R^6.
 
 Every integral against F is an expectation under exact mixture sampling:
 
@@ -27,27 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import PowerLaw
-from . import operators as ops
-from .frames import _grad_along, as_points, vf_eval
+from .frames import _grad_along
 from .gaussians import Mixture6
 
 CHUNK_SIZE = 1 << 17
+#: the most samples one estimator draws, so that no run is unbounded: 16x the
+#: `verify-lifted` default of 2^20
+MAX_SAMPLES = 1 << 24
+
 # rows of a chunk evaluated together: the mixture derivatives and every
 # integrand temporary of a block stay in cache, which halves the time per
 # sample against evaluating the whole chunk at once
 EVAL_BLOCK = 1 << 12
-
-class IntegrabilityError(ValueError):
-    """A weight/direction combination is not integrable near the diagonal."""
 
 
 @dataclass(frozen=True)
 class McEstimate:
     value: float
     stderr: float
-    n_samples: int
-    seed: int
 
     def agrees_with(self, other: "McEstimate", k: float = 3.0) -> bool:
         return abs(self.value - other.value) <= k * self.combined_stderr(other)
@@ -77,8 +74,8 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
     al.), so it does not cancel when |mean| >> stderr the way
     sum g^2 / n - mean^2 does.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"n_samples must be in [1, {MAX_SAMPLES}], got {n_samples}")
     mass = F.mass
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     sums: dict = {}
@@ -107,8 +104,6 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
         out[name] = McEstimate(
             value=mass * (sums[name] / n_samples),
             stderr=mass * float(np.sqrt(var / n_samples)),
-            n_samples=n_samples,
-            seed=seed,
         )
     return out
 
@@ -124,90 +119,14 @@ def _combine(acc, count: int, mean: float, m2: float):
 
 
 # ---------------------------------------------------------------------------
-# weights and directions
-# ---------------------------------------------------------------------------
-
-def weight_values(weight, pot, x) -> np.ndarray:
-    """Evaluate a scalar weight at x (an array or Points): ONE, ALPHA,
-    SQRT_ALPHA_OVER_R2, BETA1 or BETA2."""
-    if weight == "ONE":
-        return np.ones(len(as_points(x)))
-    r, a, ap, _ = ops.alpha_bundle(pot, x)
-    if weight == "ALPHA":
-        return a
-    if weight == "SQRT_ALPHA_OVER_R2":
-        return np.sqrt(a) / r**2
-    if weight == "BETA1":
-        return ops.beta1(pot, x)
-    if weight == "BETA2":
-        return ops.beta2(pot, x)
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def _weight_diagonal_exponent(weight, gamma: float) -> float:
-    if weight == "ONE":
-        return 0.0
-    if weight == "ALPHA":
-        return gamma
-    if weight == "SQRT_ALPHA_OVER_R2":
-        return 0.5 * gamma - 2.0
-    if weight in ("BETA1", "BETA2"):
-        return 0.5 * gamma
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def _direction_compensation(direction) -> float:
-    """Extra |z| powers the squared directional derivative supplies."""
-    if isinstance(direction, str) and direction in ("B0", "B1", "B2", "B3", "L0"):
-        return 2.0
-    return 0.0
-
-
-def check_integrability(weight, direction, pot):
-    """Near-diagonal exponent must exceed -3 (the z-marginal has an r^2 density).
-
-    Raises IntegrabilityError naming the violated condition; soft potentials
-    are always admissible.
-    """
-    if not isinstance(pot, PowerLaw):
-        return
-    e = _weight_diagonal_exponent(weight, pot.gamma) + _direction_compensation(direction)
-    if e <= -3.0:
-        raise IntegrabilityError(
-            f"weight {weight!r} with direction {direction!r} scales like "
-            f"|v-w|^{e:g} near the diagonal; integrability requires the "
-            f"exponent to exceed -3 (gamma = {pot.gamma:g})"
-        )
-
-
-def _is_full(direction) -> bool:
-    return isinstance(direction, str) and direction == "FULL"
-
-
-def _direction_values(direction, pot, x):
-    """Values (n, 6) of a direction; None for FULL (the whole gradient)."""
-    if _is_full(direction):
-        return None
-    if isinstance(direction, str) and direction == "L0":
-        return ops.sqrt_alpha_b0(pot, x)
-    return vf_eval(direction, x)
-
-
-def _weight(weight, pot, x):
-    return 1.0 if weight == "ONE" else weight_values(weight, pot, x)
-
-
-# ---------------------------------------------------------------------------
 # pointwise integrands
 # ---------------------------------------------------------------------------
 
-def _fisher_values(e, beta, F_val, grad) -> np.ndarray:
-    """beta |e . grad log F|^2 per sample; |grad log F|^2 when e is None."""
+def _fisher_values(e, F_val, grad) -> np.ndarray:
+    """|e . grad log F|^2 per sample; |grad log F|^2 when e is None."""
     if e is None:
-        s = np.einsum("ni,ni->n", grad, grad) / F_val**2
-    else:
-        s = np.einsum("ni,ni->n", e, grad) ** 2 / F_val**2
-    return beta * s
+        return np.einsum("ni,ni->n", grad, grad) / F_val**2
+    return np.einsum("ni,ni->n", e, grad) ** 2 / F_val**2
 
 
 def _pairings(vb, Jb, F_val, grad, hess, terms: dict) -> dict:
@@ -235,23 +154,10 @@ def _pairings(vb, Jb, F_val, grad, hess, terms: dict) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# functionals
-# ---------------------------------------------------------------------------
-
-def fisher_functional(F: Mixture6, weight="ONE", direction="FULL",
-                      n_samples: int = 1 << 20, seed: int = 0, pot=None,
+def fisher_functional(F: Mixture6, n_samples: int = 1 << 20, seed: int = 0,
                       stream: int = 0) -> McEstimate:
-    """I_e^beta(F) = int beta |e . grad log F|^2 F  (FULL: |grad log F|^2 F)."""
-    if not _is_full(direction):
-        check_integrability(weight, direction, pot if pot is not None else PowerLaw(0.0))
-    if weight != "ONE" and pot is None:
-        raise ValueError("weighted functionals need a potential")
-
+    """I(F) = int |grad log F|^2 F."""
     def integrand(x, F_val, grad, hess):
-        p = as_points(x)
-        e = _direction_values(direction, pot, p)
-        return {"I": _fisher_values(e, _weight(weight, pot, p), F_val, grad)}
+        return {"I": _fisher_values(None, F_val, grad)}
 
     return estimate_many(F, integrand, n_samples, seed, stream, order=1)["I"]
-

@@ -32,7 +32,6 @@ from .functionals import (
     _pairings,
     estimate_many,
     fisher_functional,
-    weight_values,
 )
 from .gaussians import Mixture6, isotropic_gaussian, random_symmetric_mixture, tensor_product
 
@@ -247,7 +246,7 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
         u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
         nu2 = _nu_quadratic(grad, F_val)
         out = {"prop": -2.0 * u2 - 2.0 * nu2, "conclusion": -8.0 * u2 + 4.0 * nu2}
-        out.update({f"nu{i}": _fisher_values(vf_eval(f"NU{i}", x), 1.0, F_val, grad)
+        out.update({f"nu{i}": _fisher_values(vf_eval(f"NU{i}", x), F_val, grad)
                     for i in (1, 2, 3)})
         return out
 
@@ -259,8 +258,7 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
         rows.append(_equality_row("maxwell", f"{label}:first_order_pairing",
                                   lhs["prop"], rhs["prop"]))
         for i in (1, 2, 3):
-            scaled = McEstimate(-6.0 * rhs[f"nu{i}"].value,
-                                6.0 * rhs[f"nu{i}"].stderr, n_samples, seed)
+            scaled = McEstimate(-6.0 * rhs[f"nu{i}"].value, 6.0 * rhs[f"nu{i}"].stderr)
             rows.append(_equality_row("maxwell", f"{label}:nu{i}_pairing",
                                       lhs[f"nu{i}"], scaled))
         if F.symmetric:
@@ -311,12 +309,13 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
     """
     def pairings(x, F_val, grad, hess):
         p = Points(x)
+        r, a, _, _ = ops.alpha_bundle(pot, p)
         terms = {
             "l42": (None, 1.0),
-            "l43b": (vf_eval("N", p), weight_values("BETA2", pot, p)),
-            "l43c": (None, weight_values("BETA1", pot, p)),
+            "l43b": (vf_eval("N", p), ops.beta2(pot, p)),
+            "l43c": (None, ops.beta1(pot, p)),
         }
-        w43a = weight_values("SQRT_ALPHA_OVER_R2", pot, p)
+        w43a = np.sqrt(a) / r**2
         terms.update({f"l43a_k{k}": (vf_eval(f"B{k}", p), w43a) for k in (1, 2, 3)})
         return _pairings(ops.sqrt_alpha_b0(pot, p), ops.sqrt_alpha_b0_jacobian(pot, p),
                          F_val, grad, hess, terms)
@@ -325,7 +324,6 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
     lhs43a = McEstimate(
         sum(lhs[f"l43a_k{k}"].value for k in (1, 2, 3)),
         float(np.sqrt(sum(lhs[f"l43a_k{k}"].stderr ** 2 for k in (1, 2, 3)))),
-        n_samples, seed,
     )
 
     def right_sides(x, F_val, grad, hess):
@@ -565,8 +563,8 @@ def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0),
 
     i_f = fisher_information(gaussian_field(RadialGrid(2048, 12.0), sigma=1.0, mass=1.0))
     I_F = fisher_functional(F, n_samples=n_samples, seed=seed, stream=30)
-    lhs = McEstimate(i_f, 0.0, 0, seed)
-    rhs = McEstimate(0.5 * I_F.value, 0.5 * I_F.stderr, n_samples, seed)
+    lhs = McEstimate(i_f, 0.0)
+    rhs = McEstimate(0.5 * I_F.value, 0.5 * I_F.stderr)
     rows.append(_equality_row("marginal", "tensor_fisher_identity", lhs, rhs))
     return rows
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import diagnostics
 from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
 from .kernels import PowerLaw, _h_values, radial_convolve
 
@@ -328,8 +329,6 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
-    from . import diagnostics  # deferred: diagnostics consumes solver types
-
     grid = config.grid()
     if f_in.grid != grid:
         raise SolverError("initial field grid does not match the configuration")

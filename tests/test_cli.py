@@ -20,6 +20,7 @@ from ksflow.config import (
     load_config,
     parse_config_text,
 )
+from ksflow.lifted.functionals import MAX_SAMPLES
 from ksflow.probes import MAX_MEMBERS
 from ksflow.solver import STEP_BUDGET, SolverConfig
 from ksflow.report import write_csv
@@ -199,20 +200,29 @@ class TestSimulate:
     @pytest.mark.parametrize("line", ["scheme = foo", "n_cells = 3",
                                       "scheme = explicit-cartesian", "t_end = inf",
                                       "r_max = inf", "dt = 1e-300", "t_end = 1e300",
-                                      "n_cells = 100000000000"])
-    def test_bad_solver_value_exits_two_with_one_line(self, tmp_path, capsys, line):
+                                      "n_cells = 100000000000", "r_max = 1e-300",
+                                      "r_max = 1e-110"])
+    def test_bad_solver_value_exits_two_with_one_line(self, tmp_path, capsys, recwarn,
+                                                      line):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(with_solver_line(line))
         rc = main(["simulate", "--config", str(cfg_path), "--quiet"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        # a tiny r_max used to print numpy's RuntimeWarning lines first
+        assert not recwarn.list
 
     @pytest.mark.parametrize("extra", ["[solver]\nn_cells = 128", "[initial]\nsigma = -1.0",
                                        "[initial]\nmass = -1.0",
-                                       "[initial]\namplitude = -2.0"])
-    def test_config_errors_exit_two_with_one_line(self, tmp_path, capsys, extra):
-        # a repeated key, and initial data that used to reach gaussian_field
+                                       "[initial]\namplitude = -2.0",
+                                       "[initial]\nsigma = 1e-300",
+                                       "[initial]\nsigma = 1e-160",
+                                       "[initial]\nsigma = 1e300",
+                                       "[initial]\nsigma = 1e-300\namplitude = 1.0"])
+    def test_config_errors_exit_two_with_one_line(self, tmp_path, capsys, recwarn, extra):
+        # a repeated key, and initial data that used to reach gaussian_field:
+        # a sigma outside the float range raised there, or warned and ran
         text = REFERENCE_CONFIG.replace("sigma = 1.0\nmass = 1.0\n", "") + f"\n{extra}\n"
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
@@ -222,6 +232,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+        assert not recwarn.list
 
     def test_aborted_run_keeps_its_checkpoint(self, tmp_path, capsys):
         cfg_path = tmp_path / "aborting.cfg"
@@ -351,6 +362,7 @@ class TestCompareBlowup:
     ["verify-lifted", "--suite", "commutators", "--gamma", "inf"],
     ["verify-lifted", "--suite", "dissipation", "--gamma", "-4"],
     ["simulate", "--config", "aborting.cfg"],
+    ["verify-lifted", "--suite", "maxwell", "--samples", str(MAX_SAMPLES + 1)],
 ])
 def test_bad_numbers_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv):
     # the simulate row reads its config from the working directory
@@ -379,6 +391,16 @@ def test_member_budget_exits_two_at_once(capsys):
     assert time.monotonic() - start < 5.0
     err = capsys.readouterr().err
     assert err.startswith("--members must be ") and err.count("\n") == 1
+
+
+def test_sample_budget_exits_two_at_once(capsys):
+    # 10^12 samples ran for longer than anyone waits: rejected before the first draw
+    start = time.monotonic()
+    assert main(["verify-lifted", "--suite", "maxwell", "--samples", "1000000000000",
+                 "--quiet"]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("--samples must be ") and err.count("\n") == 1
 
 
 def test_gamma_outside_a_suite_range_exits_two(capsys):

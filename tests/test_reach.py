@@ -13,7 +13,9 @@ starts before `import ksflow`, so helpers that only run while a module is
 imported count as reached whatever the tests imported before.
 """
 
+import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -25,11 +27,7 @@ from pathlib import Path
 
 import pytest
 
-_GATE = "the integrability gate that ROADMAP item 1 extends to the suites"
 KEEP = {
-    "lifted.functionals.check_integrability": _GATE,
-    "lifted.functionals._weight_diagonal_exponent": _GATE,
-    "lifted.functionals._direction_compensation": _GATE,
     "lifted.frames.vf_divergence": "timed by perfbench's lifted.frames_s metric",
     "grids.read_checkpoint": "the restart API, the reader of write_checkpoint",
 }
@@ -146,6 +144,56 @@ def test_keep_list_is_exact(reach):
 
 def test_commands_run_quickly(reach):
     assert reach["seconds"] <= 10.0
+
+
+def benchmark_tracer(monkeypatch):
+    """perfbench/tracer.py loaded as a module, leaving no bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(span):
+    """The object a tracer span name ('module.qualname' without the leading
+    'ksflow.') names, looked up in the defining namespaces; None if absent."""
+    parts = span.split(".")
+    for split in range(len(parts) - 1, 0, -1):
+        try:
+            obj = importlib.import_module("ksflow." + ".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            obj = vars(obj).get(attr) if hasattr(obj, "__dict__") else None
+        return obj
+    return None
+
+
+def test_every_name_the_benchmark_times_exists(monkeypatch):
+    # the tracer silently reports a metric as absent when its name is gone
+    tracer = benchmark_tracer(monkeypatch)
+    names = {*tracer.OWN_TIMED, *tracer.INCL_TIMED, *tracer.OBSERVERS,
+             *(tracer.span_name(module, f"{cls}.{method}")
+               for module, cls, method in tracer.METHODS)}
+    missing = sorted(n for n in names if not inspect.isfunction(resolve(n)))
+    assert not missing, missing
+    for module, attr in tracer.FOREIGN:
+        assert callable(getattr(importlib.import_module(module), attr, None)), attr
+
+    # the tracer wraps the public module-level functions
+    functions = defined_functions()
+    for prefix in tracer.OWN_TIMED_PREFIXES:
+        assert any(name.startswith(prefix) and "." not in name[len(prefix):]
+                   and not name[len(prefix):].startswith("_") for name in functions), prefix
+
+    from ksflow.lifted.suites import SUITES
+    from ksflow.solver import StepReport
+
+    assert set(tracer.SUITE_KEYS) <= set(SUITES)
+    # the fields _observe_step reads off each step's report
+    assert {"halvings", "clips"} <= {f.name for f in dataclasses.fields(StepReport)}
 
 
 if __name__ == "__main__":
