@@ -150,6 +150,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_compare_blowup(args) -> int:
+    from .config import SIGMA_RULE, sigma_ok
     from .grids import FieldError
     from .harness import blowup_verdicts, compare_blowup
     from .solver import SolverError
@@ -157,7 +158,8 @@ def cmd_compare_blowup(args) -> int:
     if _first_bad_number([
         ("--amplitude", args.amplitude,
          math.isfinite(args.amplitude) and args.amplitude >= 0, "finite and >= 0"),
-        ("--sigma", args.sigma, _positive(args.sigma), "finite and > 0"),
+        # the [initial] sigma rule of simulate's config
+        ("--sigma", args.sigma, sigma_ok(args.sigma), SIGMA_RULE),
         ("--horizon", args.horizon, _positive(args.horizon), "finite and > 0"),
         *(("--dt", dt, _positive(dt), "finite and > 0") for dt in args.dt),
     ]):

@@ -88,23 +88,31 @@ class RunConfig:
         return lines[1:]
 
 
-def _check_initial(cfg: RunConfig) -> None:
-    """sigma > 0, mass >= 0 and amplitude >= 0, all finite (None: not given),
-    and sigma^2 and (2 pi sigma^2)^{-3/2}, the factors `gaussian_field`
-    computes, finite normal floats."""
-    for key, bound in (("sigma", "> 0"), ("mass", ">= 0"), ("amplitude", ">= 0")):
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        if not (math.isfinite(value) and (value > 0.0 if bound == "> 0" else value >= 0.0)):
-            raise ConfigError(f"[initial] {key} must be finite and {bound}, got {value!r}")
+#: the rule for the sigma of Gaussian initial data, as the errors state it;
+#: sigma^2 and (2 pi sigma^2)^(-3/2) are the factors `gaussian_field` computes
+SIGMA_RULE = "finite and > 0 with sigma^2 and (2 pi sigma^2)^(-3/2) finite normal floats"
+
+
+def sigma_ok(sigma: float) -> bool:
+    """Whether sigma obeys SIGMA_RULE ([initial] sigma, compare-blowup --sigma)."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        return False
     try:
-        factors = (cfg.sigma**2, (2.0 * math.pi * cfg.sigma**2) ** -1.5)
+        factors = (sigma**2, (2.0 * math.pi * sigma**2) ** -1.5)
     except (OverflowError, ZeroDivisionError):
-        factors = (math.inf,)
-    if not all(sys.float_info.min <= x < math.inf for x in factors):
-        raise ConfigError(f"[initial] sigma = {cfg.sigma!r} makes sigma^2 or "
-                          f"(2 pi sigma^2)^(-3/2) no finite normal float")
+        return False
+    return all(sys.float_info.min <= x < math.inf for x in factors)
+
+
+def _check_initial(cfg: RunConfig) -> None:
+    """sigma by SIGMA_RULE; mass >= 0 and amplitude >= 0, both finite (None:
+    not given)."""
+    if not sigma_ok(cfg.sigma):
+        raise ConfigError(f"[initial] sigma must be {SIGMA_RULE}, got {cfg.sigma!r}")
+    for key in ("mass", "amplitude"):
+        value = getattr(cfg, key)
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"[initial] {key} must be finite and >= 0, got {value!r}")
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -32,7 +32,9 @@ class RadialGrid:
     """Uniform cell-centered radial grid with n_cells cells on (0, r_max].
 
     dr^2 r_0 (r_0 = dr/2), the smallest denominator of `radial_laplacian`,
-    must be a finite normal float.
+    must be a finite normal float, and r^8 at the outermost center, the
+    largest weight of the moments the diagnostics record (r^(2+s), s <= 6),
+    must be finite.
 
     Its geometry arrays are computed once, on first use, and are read-only."""
 
@@ -47,6 +49,11 @@ class RadialGrid:
         dr = self.dr
         if not np.finfo(float).smallest_normal <= dr * dr * (0.5 * dr) < np.inf:
             raise FieldError(f"r_max = {self.r_max!r} makes dr^2 r_0 no finite normal float")
+        try:
+            ((self.n_cells - 0.5) * dr) ** 8.0
+        except OverflowError:
+            raise FieldError(f"r_max = {self.r_max!r} makes r^8, the e6 moment weight "
+                             f"at the outermost center, overflow") from None
 
     @property
     def dr(self) -> float:

@@ -25,6 +25,12 @@ the checkpoints.  Every step checks its new state for finite values
 convolution and `solve_banded`, as bound here, for each diffusion solve;
 the per-layer timings of the benchmark tracer rely on these names.
 
+`solve_banded` is one direct call of LAPACK `dgtsv` (`ksflow._lapack`).  It
+keeps the name of the banded solver it replaced because the benchmark tracer
+times the diffusion solve as `solver.solve_banded`; it is bound here, not
+defined here, because the tracer would otherwise wrap it twice, as a foreign
+function and as a public function of the solver layer.
+
 The semilinear comparison dynamics d_t u = Laplacian(u) + u^2 shares the same
 machinery (unit diffusion coefficient, reaction u^2, the same stencil and
 band buffer) and is used by the blow-up contrast experiment.
@@ -36,9 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from . import diagnostics
+from . import _lapack, diagnostics
+from ._lapack import solve_banded
 from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
 from .kernels import PowerLaw, _h_values, radial_convolve
 
@@ -132,10 +138,14 @@ class Stencil:
     dt times those areas for each substep size met, and the buffers every
     step refills in place: face fluxes and diffusion weights (length n+1,
     zero at both ends for zero flux at r = 0 and r_max) and the (3, n) band
-    of the diffusion system.
+    of the diffusion system.  Raises SolverError when the LAPACK routine of
+    the diffusion solve is unavailable.
     """
 
     def __init__(self, grid: RadialGrid):
+        if _lapack.UNRESOLVED is not None:
+            raise SolverError(f"tridiagonal diffusion solve unavailable: "
+                              f"{_lapack.UNRESOLVED}")
         n = grid.n_cells
         self.grid = grid
         self.dr = grid.dr
@@ -226,9 +236,8 @@ def _solve_band(stencil: Stencil, rhs: np.ndarray) -> np.ndarray:
     any NaN or infinity of the system or rhs.
     """
     try:
-        return solve_banded((1, 1), stencil.band, rhs, overwrite_ab=True,
-                            overwrite_b=True, check_finite=False)
-    except Exception as exc:  # degenerate coefficient
+        return solve_banded(stencil.band, rhs)
+    except np.linalg.LinAlgError as exc:  # degenerate coefficient
         raise SolverError(f"tridiagonal diffusion solve failed: {exc}") from exc
 
 

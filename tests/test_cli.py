@@ -15,6 +15,7 @@ import ksflow
 from ksflow.cli import main
 from ksflow.config import (
     DEFAULT_MONITORS,
+    SIGMA_RULE,
     ConfigError,
     RunConfig,
     load_config,
@@ -201,7 +202,7 @@ class TestSimulate:
                                       "scheme = explicit-cartesian", "t_end = inf",
                                       "r_max = inf", "dt = 1e-300", "t_end = 1e300",
                                       "n_cells = 100000000000", "r_max = 1e-300",
-                                      "r_max = 1e-110"])
+                                      "r_max = 1e-110", "r_max = 1e40", "r_max = 1e60"])
     def test_bad_solver_value_exits_two_with_one_line(self, tmp_path, capsys, recwarn,
                                                       line):
         cfg_path = tmp_path / "bad.cfg"
@@ -210,7 +211,8 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        # a tiny r_max used to print numpy's RuntimeWarning lines first
+        # a tiny r_max used to print numpy's RuntimeWarning lines first, and
+        # an r_max whose r^8 overflows warned and wrote nan moments
         assert not recwarn.list
 
     @pytest.mark.parametrize("extra", ["[solver]\nn_cells = 128", "[initial]\nsigma = -1.0",
@@ -374,6 +376,34 @@ def test_bad_numbers_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv)
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "1e300"])
+def test_compare_blowup_sigma_follows_the_config_rule(capsys, recwarn, sigma):
+    # these used to warn and run on an all-zero field, or raise
+    assert main(["compare-blowup", "--sigma", sigma, "--horizon", "0.001", "--dt", "1e-3",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"--sigma must be {SIGMA_RULE}, got {float(sigma)!r}\n"
+    assert not recwarn.list
+    with pytest.raises(ConfigError, match="sigma must be"):
+        parse_config_text(REFERENCE_CONFIG.replace("sigma = 1.0", f"sigma = {sigma}"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "run.cfg", "--out", "out"],
+    ["compare-blowup", "--horizon", "0.001", "--dt", "1e-3"],
+])
+def test_missing_lapack_routine_exits_two_with_one_line(capsys, tmp_path, monkeypatch,
+                                                        argv):
+    import ksflow._lapack
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(REFERENCE_CONFIG)
+    monkeypatch.setattr(ksflow._lapack, "UNRESOLVED", "no dgtsv in this LAPACK")
+    assert main([*argv, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "no dgtsv in this LAPACK" in err and err.count("\n") == 1
+
+
 def test_step_budget_exits_two_at_once(capsys):
     # 1e7 + 1e7 solver steps: rejected before the first one
     start = time.monotonic()
@@ -521,25 +551,26 @@ class TestPlot:
         assert out.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("module, loads_linalg", [
+@pytest.mark.parametrize("module, loads_scipy", [
     ("ksflow", False),
     ("ksflow.cli", False),
     ("ksflow.lifted.suites", False),
     ("ksflow.probes", False),
-    ("ksflow.harness", True),  # steps the radial solver: the positive control
+    ("ksflow.harness", False),  # steps the radial solver: LAPACK through numpy
+    ("scipy.linalg", True),  # the positive control
 ])
-def test_cli_import_does_not_load_scipy_fft(module, loads_linalg):
-    # the radial operator runs on numpy.fft; scipy.fft would add ~0.1 s to
-    # every command's start-up, and scipy.linalg ~0.3 s to every command
-    # that never steps the radial solver
+def test_cli_import_does_not_load_scipy_fft(module, loads_scipy):
+    # the radial operator runs on numpy.fft and the diffusion solve on the
+    # LAPACK numpy links; scipy.fft would add ~0.1 s to every command's
+    # start-up, and scipy.linalg ~0.3 s
     src = str(Path(ksflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = (f"import sys, {module}\n"
-            "print(*(m in sys.modules for m in ('scipy.fft', 'scipy.linalg')))")
+            "print(*(m in sys.modules for m in ('scipy', 'scipy.fft', 'scipy.linalg')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False", str(loads_linalg)]
+    assert proc.stdout.split() == [str(loads_scipy), "False", str(loads_scipy)]
 
 
 # every name `ksflow` exports, by the module that defines it

@@ -157,6 +157,14 @@ class TestRadialLaplacian:
         with pytest.raises(FieldError):
             RadialGrid(3, 1.0)
 
+    @pytest.mark.parametrize("r_max", [1e40, 1e60])
+    def test_r_max_whose_sixth_moment_weight_overflows_rejected(self, r_max):
+        with pytest.raises(FieldError, match="r\\^8"):
+            RadialGrid(256, r_max)
+        # just inside: every weight r^(2+s), s <= 6, of the moments is finite
+        grid = RadialGrid(256, 1e38)
+        assert np.isfinite(grid.centers ** 8.0).all()
+
 
 class TestGaussianField:
     def test_unit_mass(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_banded as scipy_solve_banded
 
+import ksflow._lapack as lapack
+import ksflow.solver as solver
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, read_checkpoint
 from ksflow.kernels import (
     KernelError,
@@ -384,6 +387,92 @@ class TestTracedNames:
         operator = kernels.kernel_matrix(cfg.grid(), -1.0)
         assert isinstance(operator, np.ndarray) and operator.shape == (3, 128)
         assert operator.dtype == np.float64
+
+
+def tridiagonal_system(n, seed, pivoting):
+    """A random (3, n) band in the (1, 1) layout and a rhs: diagonally
+    dominant, or, when pivoting, with |lower| > |diagonal| in the first
+    column and in about half the others, so that dgtsv swaps rows there.
+    (With that in every column the solutions overflow at large n.)"""
+    rng = np.random.default_rng(seed)
+    band = rng.uniform(-1.0, 1.0, (3, n))
+    band[1] = np.copysign(rng.uniform(2.5, 3.5, n), band[1])
+    if pivoting:
+        swap = rng.random(n) < 0.5
+        swap[0] = True
+        band[2, swap] = np.copysign(rng.uniform(4.0, 5.0, swap.sum()), band[2, swap])
+    return band, rng.standard_normal(n)
+
+
+class TestDiffusionSolve:
+    """`solve_banded` as the solver binds it, one LAPACK dgtsv call, against
+    scipy.linalg.solve_banded((1, 1), ...), the solve it replaced, called
+    as the solver called it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(4, 4096), seed=st.integers(0, 2**32 - 1), pivoting=st.booleans())
+    @example(n=4, seed=0, pivoting=True)
+    @example(n=4096, seed=1, pivoting=False)
+    @example(n=4096, seed=2, pivoting=True)
+    def test_bit_identical_to_scipy_solve_banded(self, n, seed, pivoting):
+        band, rhs = tridiagonal_system(n, seed, pivoting)
+        expected = scipy_solve_banded((1, 1), band.copy(), rhs.copy(), overwrite_ab=True,
+                                      overwrite_b=True, check_finite=False)
+        b = rhs.copy()
+        x = solver.solve_banded(band.copy(), b)
+        assert x is b  # solved in place
+        assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zero_row", [None, 0, 3, 7])
+    def test_singular_band_raises_solver_error(self, zero_row):
+        stencil = Stencil(RadialGrid(8, 1.0))
+        if zero_row is not None:  # one zero row in an otherwise regular matrix
+            stencil.band[:] = tridiagonal_system(8, 0, False)[0]
+            stencil.band[1, zero_row] = 0.0
+            if zero_row > 0:
+                stencil.band[2, zero_row - 1] = 0.0
+            if zero_row < 7:
+                stencil.band[0, zero_row + 1] = 0.0
+        # else: the band buffer of a new stencil is all zeros
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy_solve_banded((1, 1), stencil.band, np.ones(8))
+        with pytest.raises(SolverError, match="tridiagonal diffusion solve failed"):
+            solver._solve_band(stencil, np.ones(8))
+
+    @pytest.mark.parametrize("case", ["band strided", "rhs strided", "band read-only",
+                                      "rhs read-only", "band float32", "rhs int64",
+                                      "band Fortran order", "rhs 2-D", "rhs short",
+                                      "band a list"])
+    def test_bad_input_is_refused_before_the_call(self, monkeypatch, case):
+        def forbidden(*args):
+            raise AssertionError("dgtsv reached")
+
+        monkeypatch.setattr(lapack, "_DGTSV", forbidden)
+        band, rhs = tridiagonal_system(8, 0, False)
+        which, _, defect = case.partition(" ")
+        value = {"band": band, "rhs": rhs}[which]
+        if defect == "strided":
+            value = np.repeat(value, 2, axis=-1)[..., ::2]
+        elif defect == "read-only":
+            value.setflags(write=False)
+        elif defect in ("float32", "int64"):
+            value = value.astype(defect)
+        elif defect == "Fortran order":
+            value = np.asfortranarray(value)
+        elif defect == "2-D":
+            value = value[:, None]
+        elif defect == "short":
+            value = value[:-1]
+        elif defect == "a list":
+            value = value.tolist()
+        args = {"band": band, "rhs": rhs, which: value}
+        with pytest.raises((TypeError, ValueError)):
+            solver.solve_banded(args["band"], args["rhs"])
+
+    def test_unresolved_routine_fails_when_a_stencil_is_built(self, monkeypatch):
+        monkeypatch.setattr(lapack, "UNRESOLVED", "no dgtsv in this LAPACK")
+        with pytest.raises(SolverError, match="no dgtsv in this LAPACK"):
+            Stencil(RadialGrid(8, 1.0))
 
 
 class TestSemilinearHeat:
