@@ -116,43 +116,40 @@ def cmd_verify_lifted(args) -> int:
 def cmd_probe(args) -> int:
     from .probes import MAX_MEMBERS, PROBE_LEMMAS, ProbeError, probe_inequality
 
-    lemmas = args.lemma or list(PROBE_LEMMAS)
+    lemmas = args.lemma or PROBE_LEMMAS
     if _first_bad_number([("--members", args.members, 1 <= args.members <= MAX_MEMBERS,
                            f"in [1, {MAX_MEMBERS}]"),
                           ("--seed", args.seed, args.seed >= 0, "at least 0")]):
         return 2
-    rows = []
-    verdicts = []
     try:
-        for lemma in lemmas:
-            stats = probe_inequality(lemma, None, family_seed=args.seed,
-                                     n_members=args.members)
-            rows += stats.rows
-            verdict = {
-                "monitor": f"probe_{lemma}",
-                "passed": stats.passed,
-                "max_ratio": stats.max_ratio,
-                "scaling_deviation": stats.scaling_deviation,
-            }
-            # echo the validated hypothesis exponents into the report
-            verdict.update({f"param_{k}": v for k, v in stats.params.items()})
-            verdicts.append(verdict)
+        result = probe_inequality(lemmas, family_seed=args.seed, n_members=args.members)
     except ProbeError as exc:
         print(f"probe rejected: {exc}", file=sys.stderr)
         return 2
+    verdicts = []
+    for stats in result.stats:
+        verdict = {
+            "monitor": f"probe_{stats.lemma}",
+            "passed": stats.passed,
+            "max_ratio": stats.max_ratio,
+            "scaling_deviation": stats.scaling_deviation,
+        }
+        # echo the validated hypothesis exponents into the report
+        verdict.update({f"param_{k}": v for k, v in stats.params.items()})
+        verdicts.append(verdict)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "probes.csv"),
-                  ("lemma", "seed", "lambda", "lhs", "rhs", "ratio"), rows)
+                  ("lemma", "seed", "lambda", "lhs", "rhs", "ratio"), result.rows)
     for line in verdict_block(verdicts):
         _print(args.quiet, line)
     return 0 if all_passed(verdicts) else 1
 
 
 def cmd_compare_blowup(args) -> int:
-    from .config import SIGMA_RULE, sigma_ok
+    from .config import SIGMA_RULE, gaussian_vanishes, sigma_ok
     from .grids import FieldError
-    from .harness import blowup_verdicts, compare_blowup
+    from .harness import BLOWUP_GRID, blowup_verdicts, compare_blowup
     from .solver import SolverError
 
     if _first_bad_number([
@@ -162,6 +159,13 @@ def cmd_compare_blowup(args) -> int:
         ("--sigma", args.sigma, sigma_ok(args.sigma), SIGMA_RULE),
         ("--horizon", args.horizon, _positive(args.horizon), "finite and > 0"),
         *(("--dt", dt, _positive(dt), "finite and > 0") for dt in args.dt),
+    ]) or _first_bad_number([
+        # the [initial] zero-field rule of simulate's config, on the twins'
+        # grid; it needs the finite sigma and amplitude checked above
+        ("--sigma", args.sigma,
+         not gaussian_vanishes(BLOWUP_GRID, args.sigma, amplitude=args.amplitude),
+         f"large enough that amplitude {args.amplitude!r} is not zero in every "
+         f"cell of the grid"),
     ]):
         return 2
     try:

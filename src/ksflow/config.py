@@ -13,7 +13,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
-from .grids import FieldError
+import numpy as np
+
+from .grids import FieldError, RadialGrid
 from .solver import SolverConfig, SolverError
 
 DEFAULT_MONITORS = (
@@ -104,15 +106,35 @@ def sigma_ok(sigma: float) -> bool:
     return all(sys.float_info.min <= x < math.inf for x in factors)
 
 
+def gaussian_vanishes(grid: RadialGrid, sigma: float, mass: float | None = None,
+                      amplitude: float | None = None) -> bool:
+    """Whether Gaussian data of positive mass or amplitude (the one not None)
+    round to zero in every cell of grid, as `gaussian_field` computes them.
+
+    The first cell holds the largest value, so only it is evaluated.  sigma
+    must obey SIGMA_RULE ([initial] data, compare-blowup --sigma).
+    """
+    peak = amplitude if amplitude is not None else mass * (2.0 * np.pi * sigma**2) ** -1.5
+    with np.errstate(over="ignore"):  # (r/sigma)^2 = inf: exp gives the 0 it means
+        first = peak * np.exp(-0.5 * (np.array([0.5 * grid.dr]) / sigma) ** 2)
+    return peak > 0.0 and first[0] == 0.0
+
+
 def _check_initial(cfg: RunConfig) -> None:
     """sigma by SIGMA_RULE; mass >= 0 and amplitude >= 0, both finite (None:
-    not given)."""
+    not given); Gaussian data of positive size not all zeros on the grid."""
     if not sigma_ok(cfg.sigma):
         raise ConfigError(f"[initial] sigma must be {SIGMA_RULE}, got {cfg.sigma!r}")
     for key in ("mass", "amplitude"):
         value = getattr(cfg, key)
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"[initial] {key} must be finite and >= 0, got {value!r}")
+    if cfg.initial_kind == "gaussian" and gaussian_vanishes(
+            cfg.solver.grid(), cfg.sigma, cfg.mass, cfg.amplitude):
+        size = "mass" if cfg.amplitude is None else "amplitude"
+        raise ConfigError(f"[initial] sigma = {cfg.sigma!r} with {size} = "
+                          f"{getattr(cfg, size)!r} rounds to zero in every cell "
+                          f"of the grid")
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -328,21 +328,34 @@ def linf_envelope(traj: Trajectory) -> dict:
     }
 
 
+#: K^2 / 4, where K^2 = 4^(2/3) / (3 pi^(4/3)) is the sharp constant of
+#: ||g||_{L^6}^2 <= K^2 ||grad g||_{L^2}^2 on R^3 (Aubin-Talenti).  With g = sqrt f,
+#: ||f||_{L^3} = ||g||_{L^6}^2 <= K^2 ||grad sqrt f||_{L^2}^2 = (K^2 / 4) i(f).
+L3_FISHER_CONSTANT = 4.0 ** (2.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0)) / 4.0
+
+
 def l3_bound_check(traj: Trajectory) -> dict:
-    """||f(t)||_{L^3} <= (ratio at t=0) * i(f_in), the Sobolev-route consequence
-    of Fisher monotonicity."""
+    """The paper's Sobolev route to an L^3 bound, at every output time t:
+
+        ||f(t)||_{L^3} <= (K^2/4) i(f(t)) <= (K^2/4) i(f_in).
+
+    The first inequality is Sobolev's, checked on the grid; the chained bound
+    is what a non-increasing Fisher information gives.  `gap_ratio` is the
+    worst ||f(t)||_{L^3} / ((K^2/4) i(f(t))) of the run, 0.671 for a Gaussian.
+    """
     l3 = traj.column("l3_norm")
-    fisher0 = traj.rows[0]["fisher"]
-    if fisher0 <= 0.0 or traj.rows[0]["l3_norm"] <= 0.0:
+    fisher = traj.column("fisher")
+    if fisher[0] <= 0.0 or l3[0] <= 0.0:
         return {"monitor": "l3_fisher_bound", "passed": True, "skipped": True}
-    ratio0 = 4.0 * traj.rows[0]["l3_norm"] / fisher0
-    bound = ratio0 * fisher0
+    gap = float(np.max(l3 / (L3_FISHER_CONSTANT * fisher)))
+    bound = float(L3_FISHER_CONSTANT * fisher[0])
     worst = float(l3.max())
     return {
         "monitor": "l3_fisher_bound",
         "bound": bound,
         "worst_l3": worst,
-        "passed": worst <= bound,
+        "gap_ratio": gap,
+        "passed": gap <= 1.0 and worst <= bound,
     }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .config import RunConfig
-from .grids import RadialField, gaussian_field
+from .grids import RadialField, RadialGrid, gaussian_field
 from .report import all_passed, write_csv, write_run_report
 from .solver import STEP_BUDGET, SolverConfig, SolverError, run, run_semilinear
 
@@ -58,10 +58,14 @@ def simulate(cfg: RunConfig, out_dir) -> tuple[bool, list]:
     return all_passed(verdicts), verdicts
 
 
+#: the grid of both twins of `compare_blowup`
+BLOWUP_GRID = RadialGrid(512, 12.0)
+
+
 def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
                    dt_list=(1e-4, 1e-5)) -> dict:
     """Twin experiment: d_t u = Lap u + u^2 versus the gamma = -3 flow from
-    identical peak-height data, on 512 cells of (0, 12].
+    identical peak-height data, on BLOWUP_GRID (512 cells of (0, 12]).
 
     Blow-up of the semilinear twin is detected at max u >=
     solver.BLOWUP_THRESHOLD; the detector time's dt-convergence and the
@@ -78,7 +82,8 @@ def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
     if not steps <= STEP_BUDGET:
         raise SolverError(f"{steps:.3g} solver steps exceed the budget of "
                           f"{STEP_BUDGET} (horizon / dt summed over the runs)")
-    configs = [SolverConfig(gamma=-3.0, n_cells=512, r_max=12.0, dt=dt, t_end=horizon,
+    configs = [SolverConfig(gamma=-3.0, n_cells=BLOWUP_GRID.n_cells,
+                            r_max=BLOWUP_GRID.r_max, dt=dt, t_end=horizon,
                             output_stride=max(1, int(round(0.005 / dt))))
                for dt in dt_list]
     u0 = gaussian_field(configs[0].grid(), sigma=sigma, amplitude=amplitude)

@@ -145,7 +145,7 @@ class TestCriterion5:
             rep = dg.l3_bound_check(traj)
             ok &= rep["passed"]
             details.append(f"gamma {gamma:g}: worst L3 {rep['worst_l3']:.4f} "
-                           f"<= {rep['bound']:.4f}")
+                           f"<= {rep['bound']:.4f}, gap {rep['gap_ratio']:.4f}")
         report(5, ok, "; ".join(details))
 
 
@@ -253,9 +253,9 @@ class TestCriterion14:
     def test_appendix_probes(self):
         ok = True
         details = []
-        for lemma in PROBE_LEMMAS:
-            stats = probe_inequality(lemma, None, family_seed=0, n_members=64)
+        for stats in probe_inequality(PROBE_LEMMAS, None, family_seed=0,
+                                      n_members=64).stats:
             ok &= stats.passed
-            details.append(f"{lemma}: max ratio {stats.max_ratio:.3g}, "
+            details.append(f"{stats.lemma}: max ratio {stats.max_ratio:.3g}, "
                            f"scaling dev {stats.scaling_deviation:.2e}")
         report(14, ok, "; ".join(details))

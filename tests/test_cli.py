@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import importlib
 import inspect
 import os
@@ -8,8 +9,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ksflow
 from ksflow.cli import main
@@ -18,9 +20,11 @@ from ksflow.config import (
     SIGMA_RULE,
     ConfigError,
     RunConfig,
+    gaussian_vanishes,
     load_config,
     parse_config_text,
 )
+from ksflow.grids import RadialGrid, gaussian_field
 from ksflow.lifted.functionals import MAX_SAMPLES
 from ksflow.probes import MAX_MEMBERS
 from ksflow.solver import STEP_BUDGET, SolverConfig
@@ -113,6 +117,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"\[initial\] {key} must be finite"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("size", [{"mass": 1.0}, {"amplitude": 1.0},
+                                      {"mass": 1e-300}])
+    def test_vanishing_rule_matches_the_field(self, size):
+        # on both sides of the threshold sigma ~ r_0 / 38.6, r_0 = dr / 2
+        grid = RadialGrid(256, 12.0)
+        for sigma in np.linspace(5.9e-4, 6.3e-4, 401):
+            field = gaussian_field(grid, sigma=float(sigma), **size)
+            assert gaussian_vanishes(grid, float(sigma), **size) == (
+                field.values.max() == 0.0)
+
     def test_zero_mass_and_amplitude_allowed(self):
         assert parse_config_text(REFERENCE_CONFIG.replace("mass = 1.0", "mass = 0.0")).mass == 0.0
         text = REFERENCE_CONFIG.replace("mass = 1.0", "amplitude = 0.0")
@@ -159,6 +173,9 @@ class TestConfig:
         solver = SolverConfig(gamma=gamma, n_cells=n_cells, r_max=r_max, dt=dt,
                               t_end=n_steps * dt, scheme=scheme,
                               output_stride=output_stride, positivity=positivity)
+        # Gaussian data that round to zero on the grid are a config error
+        # (test_config_errors_exit_two_with_one_line), not a config to echo
+        assume(kind == "zero" or not gaussian_vanishes(solver.grid(), sigma, *size))
         cfg = RunConfig(scenario=scenario, seed=seed, out=scenario, solver=solver,
                         initial_kind=kind, sigma=sigma, mass=size[0],
                         amplitude=size[1], monitors=tuple(monitors))
@@ -221,10 +238,13 @@ class TestSimulate:
                                        "[initial]\nsigma = 1e-300",
                                        "[initial]\nsigma = 1e-160",
                                        "[initial]\nsigma = 1e300",
-                                       "[initial]\nsigma = 1e-300\namplitude = 1.0"])
+                                       "[initial]\nsigma = 1e-300\namplitude = 1.0",
+                                       "[initial]\nsigma = 1e-100",
+                                       "[initial]\nsigma = 1e-100\namplitude = 1.0"])
     def test_config_errors_exit_two_with_one_line(self, tmp_path, capsys, recwarn, extra):
         # a repeated key, and initial data that used to reach gaussian_field:
-        # a sigma outside the float range raised there, or warned and ran
+        # a sigma outside the float range raised there, or warned and ran;
+        # sigma = 1e-100 ran on an all-zero field and passed every monitor
         text = REFERENCE_CONFIG.replace("sigma = 1.0\nmass = 1.0\n", "") + f"\n{extra}\n"
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
@@ -333,6 +353,17 @@ class TestProbeCommand:
             assert main(["probe", "--members", "3", "--out", str(out), "--quiet"]) == 0
         assert (outs[0] / "probes.csv").read_bytes() == (outs[1] / "probes.csv").read_bytes()
 
+    # recorded when every lemma evaluated the family on its own; one shared
+    # evaluation per member and grid must reproduce these bytes
+    @pytest.mark.parametrize("seed, sha256", [
+        (0, "e4623a1fc42975d18ccbcb5c28f272ce89c9fae15a2098eab001ed0504e62109"),
+        (3, "d9ca2860c7e601f4f598cdb5e4be041c142edcf60a77587a63e6a60c3446009b"),
+    ])
+    def test_probes_csv_bytes_as_recorded(self, tmp_path, seed, sha256):
+        assert main(["probe", "--members", "4", "--seed", str(seed), "--out",
+                     str(tmp_path), "--quiet"]) == 0
+        assert hashlib.sha256((tmp_path / "probes.csv").read_bytes()).hexdigest() == sha256
+
     def test_unknown_lemma_exits_two_with_one_line(self, capsys):
         assert main(["probe", "--lemma", "A2", "--quiet"]) == 2
         err = capsys.readouterr().err
@@ -358,6 +389,7 @@ class TestCompareBlowup:
     ["compare-blowup", "--amplitude", "-1"],
     ["compare-blowup", "--sigma", "0"],
     ["compare-blowup", "--sigma", "nan"],
+    ["compare-blowup", "--sigma", "1e-100"],
     ["verify-lifted", "--suite", "frames", "--seed", "-1"],
     ["probe", "--seed", "-1"],
     ["verify-lifted", "--suite", "commutators", "--gamma", "nan"],

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ksflow.config import load_config
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
+from ksflow.harness import _MONITOR_DISPATCH, initial_field
 from ksflow.solver import SolverConfig, run
 from ksflow import diagnostics as dg
 
@@ -277,3 +281,58 @@ class TestSampledFacts:
             for col in dg.ROW_COLUMNS:
                 assert col in row
                 assert np.isfinite(row[col])
+
+
+# ---------------------------------------------------------------------------
+# mutation table: every monitor below fails on one planted defect
+# ---------------------------------------------------------------------------
+
+COMMITTED_CONFIGS = ("configs/reference.cfg", "perfbench/flow-wide.cfg")
+
+
+def _plant_mass_drift(rows):
+    rows[len(rows) // 2]["_mass_drift"] = 1e-8
+
+
+def _plant_fisher_increment(rows):
+    rows[-1]["fisher"] = rows[-2]["fisher"] * (1.0 + 1e-6)
+
+
+def _plant_entropy_increment(rows):
+    rows[-1]["entropy"] = rows[-2]["entropy"] + 1e-6 * abs(rows[-2]["entropy"])
+
+
+def _plant_l3_above_sobolev(rows):
+    rows[-1]["l3_norm"] = 1.001 * dg.L3_FISHER_CONSTANT * rows[-1]["fisher"]
+
+
+#: `[monitors]` name -> the defect that monitor must fail on
+MUTATIONS = {
+    "mass": _plant_mass_drift,
+    "fisher": _plant_fisher_increment,
+    "entropy": _plant_entropy_increment,
+    "l3bound": _plant_l3_above_sobolev,
+}
+
+
+@pytest.fixture(scope="module")
+def committed_runs():
+    """(gamma, trajectory) of each committed config."""
+    root = Path(__file__).parents[1]
+    runs = []
+    for path in COMMITTED_CONFIGS:
+        cfg = load_config(root / path)
+        runs.append((cfg.solver.gamma, run(cfg.solver, initial_field(cfg))))
+    return runs
+
+
+@pytest.mark.parametrize("monitor", list(MUTATIONS))
+def test_monitor_fails_on_its_planted_defect(monitor, committed_runs):
+    check = _MONITOR_DISPATCH[monitor]
+    for gamma, traj in committed_runs:
+        assert check(traj, gamma)["passed"]
+    cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.02, output_stride=5)
+    traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+    assert check(traj, -3.0)["passed"]
+    MUTATIONS[monitor](traj.rows)
+    assert not check(traj, -3.0)["passed"]
