@@ -39,6 +39,14 @@ def _first_bad_number(checks) -> bool:
     return False
 
 
+def _distinct(flag, values):
+    """Checks for `_first_bad_number` that a repeatable flag names no value
+    twice: a repeat would run, print and write the same rows twice."""
+    values = values or []
+    return [(flag, value, value not in values[:i], "given once per value")
+            for i, value in enumerate(values)]
+
+
 def _positive(value) -> bool:
     return math.isfinite(value) and value > 0
 
@@ -82,7 +90,9 @@ def cmd_verify_lifted(args) -> int:
                           ("--seed", args.seed, args.seed >= 0, "at least 0"),
                           # the range of kernels.PowerLaw
                           *(("--gamma", g, -3.0 <= g <= 1.0, "in [-3, 1]")
-                            for g in args.gamma or ())]):
+                            for g in args.gamma or ()),
+                          *_distinct("--suite", args.suite),
+                          *_distinct("--gamma", args.gamma)]):
         return 2
     rows = []
     for name in names:
@@ -119,7 +129,8 @@ def cmd_probe(args) -> int:
     lemmas = args.lemma or PROBE_LEMMAS
     if _first_bad_number([("--members", args.members, 1 <= args.members <= MAX_MEMBERS,
                            f"in [1, {MAX_MEMBERS}]"),
-                          ("--seed", args.seed, args.seed >= 0, "at least 0")]):
+                          ("--seed", args.seed, args.seed >= 0, "at least 0"),
+                          *_distinct("--lemma", args.lemma)]):
         return 2
     try:
         result = probe_inequality(lemmas, family_seed=args.seed, n_members=args.members)
@@ -159,6 +170,7 @@ def cmd_compare_blowup(args) -> int:
         ("--sigma", args.sigma, sigma_ok(args.sigma), SIGMA_RULE),
         ("--horizon", args.horizon, _positive(args.horizon), "finite and > 0"),
         *(("--dt", dt, _positive(dt), "finite and > 0") for dt in args.dt),
+        *_distinct("--dt", args.dt),
     ]) or _first_bad_number([
         # the [initial] zero-field rule of simulate's config, on the twins'
         # grid; it needs the finite sigma and amplitude checked above
@@ -275,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify-lifted", help="run R^6 identity suites")
     ver.add_argument("--suite", action="append",
-                     help="suite name, repeatable (default: all)")
+                     help="suite name, repeatable, each name once (default: all)")
     ver.add_argument("--gamma", type=float, action="append",
                      help="power-law exponent in [-3, 1] ([-3, -2] for marginal), "
-                          "repeatable; used by the commutators, qks, derivatives, "
-                          "dissipation and marginal suites, ignored by frames, "
-                          "flows and maxwell")
+                          "repeatable, each value once; used by the commutators, qks, "
+                          "derivatives, dissipation and marginal suites, ignored by "
+                          "frames, flows and maxwell")
     ver.add_argument("--samples", type=int, default=1 << 20)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None)
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prb = sub.add_parser("probe", help="convolution/interpolation inequality probes")
     prb.add_argument("--lemma", action="append",
-                     help="A1|A3|A4|A5|A7, repeatable (default: all)")
+                     help="A1|A3|A4|A5|A7, repeatable, each lemma once (default: all)")
     prb.add_argument("--members", type=int, default=64)
     prb.add_argument("--seed", type=int, default=0)
     prb.add_argument("--out", default=None)

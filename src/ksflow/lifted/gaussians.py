@@ -13,6 +13,7 @@ built from a common 3D factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,13 @@ class Gaussian6:
 class MixtureHessian:
     """Hess F = sum_k c_k (A_k d_k (A_k d_k)^T - A_k) at n points, never formed.
 
-    comp (n, K) holds the component values c_k(x) and Ad (n, K, 6) the
-    products A_k d_k, d_k = x - m_k: for K = 6 components that is the size of
+    Component-major: comp (K, n) holds the component values c_k(x) and
+    Ad (K, n, 6) the products A_k d_k, d_k = x - m_k, so each component's
+    rows are one contiguous block.  For K = 6 components that is the size of
     the one dense (n, 6, 6) Hessian it replaces.  Each contraction the lifted
-    calculus needs costs O(n 6 K).
+    calculus needs costs O(n 6 K); the difference-block ones (along
+    d_i = d/dv_i - d/dw_i) work in 3-D and share the per-component
+    differences, computed once per instance.
     """
 
     def __init__(self, comp: np.ndarray, Ad: np.ndarray, precisions: np.ndarray):
@@ -67,31 +71,51 @@ class MixtureHessian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(Hess F) v = sum_k c_k (A_k d_k (A_k d_k . v) - A_k v), shape (n, 6)."""
-        n, n_comp, _ = self.Ad.shape
-        along = self.comp * np.einsum("nki,ni->nk", self.Ad, v)
-        # every A_k v from one (n, 6) x (6, 6K) product; A_k is symmetric
-        Av = (v @ self.precisions.transpose(1, 0, 2).reshape(6, 6 * n_comp))
-        return (np.einsum("nk,nki->ni", along, self.Ad)
-                - np.einsum("nk,nki->ni", self.comp, Av.reshape(n, n_comp, 6)))
+        along = self.comp * np.einsum("kni,ni->kn", self.Ad, v)
+        # every A_k v from one broadcast product; A_k is symmetric
+        Av = np.matmul(v, self.precisions)
+        return (np.einsum("kn,kni->ni", along, self.Ad)
+                - np.einsum("kn,kni->ni", self.comp, Av))
 
     def trace(self) -> np.ndarray:
         """Laplacian of F: sum_k c_k (|A_k d_k|^2 - tr A_k)."""
-        sq = np.einsum("nki,nki->nk", self.Ad, self.Ad)
+        sq = np.einsum("kni,kni->kn", self.Ad, self.Ad)
         tr = np.trace(self.precisions, axis1=1, axis2=2)
-        return np.einsum("nk,nk->n", self.comp, sq - tr)
+        return np.einsum("kn,kn->n", self.comp, sq - tr[:, None])
+
+    @functools.cached_property
+    def _difference(self):
+        """(delta, B): delta_k = P^T A_k d_k (K, n, 3) and the difference
+        blocks B_k = P^T A_k P (K, 3, 3), P = [Id; -Id]."""
+        A = self.precisions
+        return (self.Ad[:, :, :3] - self.Ad[:, :, 3:],
+                A[:, :3, :3] - A[:, :3, 3:] - A[:, 3:, :3] + A[:, 3:, 3:])
+
+    @functools.cached_property
+    def _difference_trace(self) -> np.ndarray:
+        delta, B = self._difference
+        block_tr = np.trace(B, axis1=1, axis2=2)
+        out = np.einsum("kn,kn->n", self.comp,
+                        np.einsum("kni,kni->kn", delta, delta) - block_tr[:, None])
+        out.setflags(write=False)   # one array serves every caller
+        return out
 
     def difference_trace(self) -> np.ndarray:
         """Trace of the difference block P^T (Hess F) P, P = [Id; -Id].
 
         That is sum_i (d/dv_i - d/dw_i)^2 F; per component the block is
-        delta_k delta_k^T - P^T A_k P with delta_k = P^T A_k d_k.
+        delta_k delta_k^T - B_k.
         """
-        delta = self.Ad[:, :, :3] - self.Ad[:, :, 3:]
-        A = self.precisions
-        block_tr = np.trace(A[:, :3, :3] - A[:, :3, 3:] - A[:, 3:, :3] + A[:, 3:, 3:],
-                            axis1=1, axis2=2)
-        return np.einsum("nk,nk->n", self.comp,
-                         np.einsum("nki,nki->nk", delta, delta) - block_tr)
+        return self._difference_trace
+
+    def difference_quadratic(self, u: np.ndarray) -> np.ndarray:
+        """(u, -u) . (Hess F) (u, -u) = sum_k c_k ((delta_k . u)^2 - u^T B_k u)
+        for u of shape (n, 3): the difference block's quadratic form, with no
+        (n, 6) vector formed."""
+        delta, B = self._difference
+        along = np.einsum("kni,ni->kn", delta, u)
+        curv = np.einsum("kni,ni->kn", np.matmul(u, B), u)
+        return np.einsum("kn,kn->n", self.comp, along * along - curv)
 
 
 class Mixture6:
@@ -131,20 +155,21 @@ class Mixture6:
         n_comp = len(self.components)
         F = np.zeros(n)
         grad = np.zeros((n, 6))
+        hess = None
         if order >= 2:
-            comps = np.empty((n, n_comp))
-            Ads = np.empty((n, n_comp, 6))
+            hess = MixtureHessian(np.empty((n_comp, n)), np.empty((n_comp, n, 6)),
+                                  self._precisions)
         for k in range(n_comp):
             d = x - self._means[k]            # (n, 6)
-            Ad = d @ self._precisions[k]      # (n, 6), A symmetric
+            # A symmetric; with a Hessian, A_k d_k is written into its block
+            Ad = (d @ self._precisions[k] if hess is None
+                  else np.matmul(d, self._precisions[k], out=hess.Ad[k]))
             q = np.einsum("ni,ni->n", d, Ad)
             comp = np.exp(self._lognorms[k] - 0.5 * q)
             F += comp
             grad += -comp[:, None] * Ad
-            if order >= 2:
-                comps[:, k] = comp
-                Ads[:, k] = Ad
-        hess = MixtureHessian(comps, Ads, self._precisions) if order >= 2 else None
+            if hess is not None:
+                hess.comp[k] = comp
         return F, grad, hess
 
     def eval_density(self, x: np.ndarray) -> np.ndarray:
@@ -166,7 +191,8 @@ class Mixture6:
             if c == 0:
                 continue
             z = rng.standard_normal((c, 6))
-            out[pos:pos + c] = self._means[k] + z @ self._chol_cov[k].T
+            block = np.matmul(z, self._chol_cov[k].T, out=out[pos:pos + c])
+            block += self._means[k]
             pos += c
         return out
 

@@ -134,8 +134,7 @@ def apply_QL(pot, x, grad, hess, form: str = "frames") -> np.ndarray:
         first = -4.0 * a * np.einsum("nj,nj->n", z, dgrad)
         # a_ij against the difference-Hessian block D_ij = d_i d_j F:
         # |z|^2 tr D - z.D z, and z.D z = bt_0 . (Hess F) bt_0
-        b0 = vf_eval("B0", p)
-        zDz = np.einsum("ni,ni->n", b0, hess.matvec(b0))
+        zDz = hess.difference_quadratic(z)
         second = a * (p.r**2 * hess.difference_trace() - zDz)
         return first + second
     raise ValueError(f"unknown Q_L form {form!r}")

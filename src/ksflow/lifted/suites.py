@@ -14,6 +14,8 @@ noise allowance.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..grids import RadialGrid, gaussian_field
@@ -422,21 +424,27 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
     return rows
 
 
+def _dissipation_pairings(pot, x, F_val, grad, hess):
+    """Per-unit-F integrands of < I'(F), G > for G = Q_KS F, Q_L F and the
+    remainder (L0 L0 + beta1 L0) F = Q_KS F - Q_L F.
+
+    < I'(F), G > per unit F is psi G / F, psi = |grad log F|^2 - 2 Lap F / F.
+    Q_KS takes its direct form and Q_L its a_ij form, so no Hessian matvec
+    is made; the frame and decomposed forms they equal pointwise are the
+    cross-checks of the qks suite.
+    """
+    p = Points(x)
+    psi = ops.first_variation_density(F_val, grad, hess)
+    qks = ops.apply_QKS(pot, p, grad, hess, form="direct")
+    ql = ops.apply_QL(pot, p, grad, hess, form="aij")
+    return {"qks": psi * qks / F_val, "ql": psi * ql / F_val,
+            "rest": psi * (qks - ql) / F_val}
+
+
 def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = ""):
     rows = []
-
-    def pairings(x, F_val, grad, hess):
-        # < I'(F), G > per unit F is psi G / F, psi = |grad log F|^2 - 2 Lap F / F;
-        # Q_KS = Q_L + (L0 L0 + beta1 L0) per sample
-        p = Points(x)
-        psi = ops.first_variation_density(F_val, grad, hess)
-        ql = ops.apply_QL(pot, p, grad, hess, form="frames")
-        rest = (ops.apply_L0L0(pot, p, grad, hess)
-                + ops.beta1(pot, p) * ops.apply_L0(pot, p, grad))
-        return {"qks": psi * (ql + rest) / F_val, "ql": psi * ql / F_val,
-                "rest": psi * rest / F_val}
-
-    ests = estimate_many(F, pairings, n_samples, seed, stream=20)
+    ests = estimate_many(F, functools.partial(_dissipation_pairings, pot),
+                         n_samples, seed, stream=20)
 
     def right_sides(x, F_val, grad, hess):
         p = Points(x)

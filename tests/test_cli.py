@@ -397,6 +397,11 @@ class TestCompareBlowup:
     ["verify-lifted", "--suite", "dissipation", "--gamma", "-4"],
     ["simulate", "--config", "aborting.cfg"],
     ["verify-lifted", "--suite", "maxwell", "--samples", str(MAX_SAMPLES + 1)],
+    # a repeated value used to run, print and write the same rows twice
+    ["verify-lifted", "--suite", "frames", "--suite", "flows", "--suite", "frames"],
+    ["verify-lifted", "--suite", "dissipation", "--gamma", "-2.5", "--gamma", "-2.50"],
+    ["probe", "--lemma", "A5", "--lemma", "A5"],
+    ["compare-blowup", "--dt", "1e-3", "--dt", "0.001"],
 ])
 def test_bad_numbers_exit_two_with_one_line(capsys, tmp_path, monkeypatch, argv):
     # the simulate row reads its config from the working directory

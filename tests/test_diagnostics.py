@@ -306,11 +306,32 @@ def _plant_l3_above_sobolev(rows):
     rows[-1]["l3_norm"] = 1.001 * dg.L3_FISHER_CONSTANT * rows[-1]["fisher"]
 
 
+def _plant_energy_residual(rows):
+    rows[len(rows) // 2]["energy_residual"] = 2e-2
+
+
+def _plant_laplacian_at_argmax(rows):
+    row = rows[len(rows) // 2]
+    assert not row["_argmax_boundary"]
+    row["_lap_at_argmax"] = 1e-6 * row["linf_norm"]
+
+
+def _plant_e4_jump(rows):
+    # dE_4/dt at the middle row twice the bound 4 * 5 * sup a[f] * E_2
+    j = len(rows) // 2
+    bound = 20.0 * rows[j]["_sup_a"] * rows[j]["energy"]
+    span = rows[j + 1]["t"] - rows[j - 1]["t"]
+    rows[j + 1]["e4"] = rows[j - 1]["e4"] + 2.0 * bound * span
+
+
 #: `[monitors]` name -> the defect that monitor must fail on
 MUTATIONS = {
     "mass": _plant_mass_drift,
     "fisher": _plant_fisher_increment,
     "entropy": _plant_entropy_increment,
+    "energy": _plant_energy_residual,
+    "maxpoint": _plant_laplacian_at_argmax,
+    "moments": _plant_e4_jump,
     "l3bound": _plant_l3_above_sobolev,
 }
 

@@ -91,7 +91,9 @@ class TestMixtureEval:
         x = rand_points(20, seed=4)
         val1, grad1, hess1 = F.eval(x, order=1)
         val2, grad2, hess2 = F.eval(x)
-        assert hess1 is None and hess2.Ad.shape == (len(x), 4, 6)
+        # component-major: each component's rows are one contiguous block
+        assert hess1 is None and hess2.Ad.shape == (4, len(x), 6)
+        assert hess2.comp.shape == (4, len(x))
         assert np.array_equal(val1, val2) and np.array_equal(grad1, grad2)
 
     def test_mixture_linearity(self):
@@ -343,13 +345,17 @@ class TestContractionPath:
                            np.einsum("nii->n", difference_block(dense)), scale) <= 1e-13
 
     def test_difference_block_quadratic(self):
-        # z . D z for the difference block D equals bt_0 . (Hess F) bt_0
+        # u . D u for the difference block D equals (u, -u) . (Hess F) (u, -u),
+        # through difference_quadratic and through matvec
         z = X[:, :3] - X[:, 3:]
-        b0 = vf_eval("B0", X)
+        u = np.random.default_rng(26).standard_normal(z.shape)
         for _, _, hess, dense in derivs():
-            want = np.einsum("ni,nij,nj->n", z, difference_block(dense), z)
-            got = np.einsum("ni,ni->n", b0, hess.matvec(b0))
-            assert rel_err(got, want, np.max(np.abs(want))) <= 1e-13
+            for w in (z, u):
+                want = np.einsum("ni,nij,nj->n", w, difference_block(dense), w)
+                lifted = np.concatenate([w, -w], axis=1)
+                for got in (hess.difference_quadratic(w),
+                            np.einsum("ni,ni->n", lifted, hess.matvec(lifted))):
+                    assert rel_err(got, want, np.max(np.abs(want))) <= 1e-13
 
     @pytest.mark.parametrize("which", ["N", "L0"])
     def test_structured_jacobians(self, which):

@@ -86,11 +86,13 @@ class TestOperators:
         # a constant F has zero gradient and Hessian: every form returns 0
         pot = PowerLaw(-2.5)
         n = X.shape[0]
-        zero_hessian = MixtureHessian(np.zeros((n, 1)), np.zeros((n, 1, 6)),
+        zero_hessian = MixtureHessian(np.zeros((1, n)), np.zeros((1, n, 6)),
                                       np.zeros((1, 6, 6)))
         zero_grad = np.zeros((n, 6))
         for form in ("direct", "decomposed"):
             assert np.all(ops.apply_QKS(pot, X, zero_grad, zero_hessian, form=form) == 0.0)
+        for form in ("frames", "aij"):
+            assert np.all(ops.apply_QL(pot, X, zero_grad, zero_hessian, form=form) == 0.0)
 
     def test_radial_in_z_annihilated_by_ql_when_alpha_constant(self):
         # F depending on |v - w| only: bt_k tangent to its level sets
