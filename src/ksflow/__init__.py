@@ -10,7 +10,6 @@ from .grids import (
     gaussian_field,
     integrate_radial,
     radial_laplacian,
-    read_checkpoint,
     weighted_lp_norm,
     write_checkpoint,
 )
@@ -38,8 +37,8 @@ from .probes import ProbeError, RatioStats, probe_inequality
 # three modules add about 20 ms to an import of ksflow, which the commands
 # that never step the radial solver (verify-lifted, probe, plot) need not pay.
 _LAZY = {
-    **dict.fromkeys(("SolverConfig", "SolverError", "Stencil", "StepReport",
-                     "flux_form_rhs", "run", "run_semilinear", "step"), "solver"),
+    **dict.fromkeys(("SolverConfig", "SolverError", "Stencil", "StepReport", "run",
+                     "run_semilinear", "step"), "solver"),
     **dict.fromkeys(("ConfigError", "RunConfig", "load_config", "parse_config_text"),
                     "config"),
     **dict.fromkeys(("compare_blowup", "simulate"), "harness"),

@@ -115,8 +115,7 @@ def h_bound_check(f: RadialField, gamma: float,
 # ---------------------------------------------------------------------------
 
 def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
-                 mass_drift=0.0, boundary_budget=0.0, clips=0,
-                 halvings=0) -> dict:
+                 mass_drift=0.0, boundary_budget=0.0, halvings=0) -> dict:
     gamma = pot.gamma
     if a is None:
         a = coeff_a(f, pot)
@@ -156,7 +155,6 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
         ),
         "_mass_drift": float(mass_drift),
         "_boundary_budget": float(boundary_budget),
-        "_clips": int(clips),
         "_halvings": int(halvings),
         "_sup_a": float(a.values.max()),
         "_argmax_boundary": boundary,
@@ -394,11 +392,10 @@ def mass_conservation_check(traj: Trajectory, tol: float = 1e-10) -> dict:
         "boundary_budget": float(budget),
         "passed": worst <= allowed,
     }
-    # run totals of positivity clips and reaction-guard halvings, echoed only
-    # when nonzero so that runs without either keep their report bytes
-    for key in ("clips", "halvings"):
-        total = sum(row[f"_{key}"] for row in traj.rows)
-        if total:
-            verdict[key] = total
+    # the run total of reaction-guard halvings, echoed only when nonzero so
+    # that runs without any keep their report bytes
+    halvings = sum(row["_halvings"] for row in traj.rows)
+    if halvings:
+        verdict["halvings"] = halvings
     return verdict
 

@@ -327,9 +327,10 @@ def _h_values(grid: RadialGrid, values: np.ndarray, gamma: float,
 def nondivergence_rhs(f: RadialField, pot) -> RadialField:
     """Pointwise a[f] Laplacian(f) - (2+gamma) h[f] f (signed field).
 
-    Analytically identical to `solver.flux_form_rhs` and never used for
-    stepping: it is the 3D operator the marginal suite compares
-    pi(Q(f (x) f)) against, and a cross-check of the discretization.
+    Analytically identical to the divergence form the solver discretizes
+    and never used for stepping: it is the 3D operator the marginal suite
+    compares pi(Q(f (x) f)) against, and a cross-check of the solver's
+    finite-volume fluxes.
     """
     if not isinstance(pot, PowerLaw):
         raise KernelError("nondivergence form requires a power-law potential")

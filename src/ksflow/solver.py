@@ -11,10 +11,11 @@ with face fluxes
 
 on r^2-weighted cells.  Interior fluxes telescope, so the discrete mass is
 conserved exactly; the outer boundary is zero-flux with the suppressed flux
-logged as a truncation budget.  The default `semi-implicit-fv` scheme freezes
+logged as a truncation budget.  The one scheme, `semi-implicit-fv`, freezes
 a[f], h[f] at the current time, advances the diffusion flux implicitly (one
 tridiagonal solve per step) and the drift flux explicitly.  A reaction guard
-halves dt whenever dt * max(-(2+gamma) h[f]) > 0.5.
+halves dt whenever dt * max(-(2+gamma) h[f]) > 0.5.  A new state with a
+negative value deeper than roundoff aborts the step (positivity `assert`).
 
 Between output times the state and its coefficients are bare arrays:
 `step(stencil, values, a, h, config)` returns `(values, StepReport)`, with a
@@ -48,11 +49,13 @@ from ._lapack import solve_banded
 from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
 from .kernels import PowerLaw, _h_values, radial_convolve
 
-_SCHEMES = ("semi-implicit-fv", "explicit-fv")
-_POSITIVITY = ("assert", "clip-and-log")
+#: the one value of each of SolverConfig's `scheme` and `positivity` keys,
+#: which stay so that configs and their report echoes name the scheme
+_SCHEME = "semi-implicit-fv"
+_POSITIVITY = "assert"
 
 #: negatives above this (relative) depth are treated as roundoff and floored
-#: silently; anything deeper triggers the configured positivity policy.
+#: silently; anything deeper aborts the step.
 _ROUNDOFF_FLOOR = 1e-13
 
 #: the reaction guard may halve dt this often in one step (2^16 sub-steps);
@@ -94,12 +97,12 @@ class SolverConfig:
                               f"{STEP_BUDGET}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise SolverError("t_end must be an integer number of steps")
-        if self.scheme not in _SCHEMES:
-            raise SolverError(f"unknown scheme {self.scheme!r}; choose from {_SCHEMES}")
-        if self.positivity not in _POSITIVITY:
-            raise SolverError(
-                f"unknown positivity policy {self.positivity!r}; choose from {_POSITIVITY}"
-            )
+        if self.scheme != _SCHEME:
+            raise SolverError(f"unknown scheme {self.scheme!r}; the one scheme is "
+                              f"{_SCHEME!r}")
+        if self.positivity != _POSITIVITY:
+            raise SolverError(f"unknown positivity policy {self.positivity!r}; the one "
+                              f"policy is {_POSITIVITY!r}")
         if not (-3.0 <= self.gamma <= -2.0):
             raise SolverError(
                 f"evolution runs require gamma in [-3, -2], got {self.gamma}"
@@ -123,7 +126,7 @@ class SolverConfig:
 class StepReport:
     dt_used: float
     mass_drift: float
-    clips: int = 0
+    clips: int = 0  # always 0: a negative deeper than roundoff aborts the step
     halvings: int = 0
 
 
@@ -179,21 +182,6 @@ def _drift_flux(f: np.ndarray, a: np.ndarray, dr: float, out: np.ndarray) -> np.
     return out
 
 
-def flux_form_rhs(grid: RadialGrid, values: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Finite-volume divergence of the conservative fluxes of the profile
-    `values` under the diffusion coefficient a = a[f] (bare arrays).
-
-    Zero flux is imposed at r = 0 (zero face area) and at r_max, so the
-    discrete integral of the output telescopes to 0 exactly.
-    """
-    dr = grid.dr
-    flux = np.zeros(grid.n_cells + 1)
-    inner = _drift_flux(values, a, dr, flux[1:-1])
-    inner += 0.5 * (a[1:] + a[:-1]) * (values[1:] - values[:-1]) / dr
-    inner *= grid.face_areas[1:-1]
-    return (flux[1:] - flux[:-1]) / grid.cell_volumes
-
-
 def boundary_flux_estimate(grid: RadialGrid, values: np.ndarray, a: np.ndarray) -> float:
     """Magnitude of the flux the profile would push through r_max.
 
@@ -241,8 +229,9 @@ def _solve_band(stencil: Stencil, rhs: np.ndarray) -> np.ndarray:
         raise SolverError(f"tridiagonal diffusion solve failed: {exc}") from exc
 
 
-def _apply_positivity(values, policy, floor_scale):
-    """Returns (values, clips) after applying the positivity policy.
+def _apply_positivity(values, floor_scale):
+    """Returns values with roundoff-depth negatives floored at 0; a deeper
+    negative raises SolverError.
 
     floor_scale is values.max().  NaN propagates through min and max and an
     infinity shows in one of them, so the two reductions are also the state's
@@ -252,16 +241,12 @@ def _apply_positivity(values, policy, floor_scale):
     if not (math.isfinite(lowest) and math.isfinite(floor_scale)):
         raise FieldError("field values must be finite")
     if lowest >= 0.0:
-        return values, 0
-    floor = -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300)
-    if lowest >= floor:
-        return np.maximum(values, 0.0), 0
-    if policy == "assert":
+        return values
+    if lowest < -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300):
         raise SolverError(
             f"positivity violated: min value {lowest:.3e} below roundoff floor"
         )
-    clips = int(np.sum(values < 0.0))
-    return np.maximum(values, 0.0), clips
+    return np.maximum(values, 0.0)
 
 
 def _reaction_substeps(dt, rate):
@@ -291,9 +276,10 @@ def _coefficients(grid: RadialGrid, values: np.ndarray, gamma: float):
 def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | None,
          config: SolverConfig, mass0: float | None = None
          ) -> tuple[np.ndarray, StepReport]:
-    """Advance the profile `values` on stencil.grid one dt with the configured
-    radial scheme under the frozen coefficients a = a[f] and h = h[f] (None
-    when 2 + gamma = 0), all bare arrays.
+    """Advance the profile `values` on stencil.grid one dt under the frozen
+    coefficients a = a[f] and h = h[f] (None when 2 + gamma = 0), all bare
+    arrays: the drift explicitly, then one implicit diffusion solve, per
+    reaction-guard substep.
 
     Returns the new values, finite and nonnegative; non-finite values raise
     FieldError.  `values` is never written to.
@@ -306,24 +292,18 @@ def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | No
         mass0 = float(np.dot(vols, values))
 
     vals = values
-    clips = 0
+    flux = stencil.flux
     for _ in range(1 << halvings):
-        if config.scheme == "semi-implicit-fv":
-            flux = stencil.flux
-            _drift_flux(vals, a, stencil.dr, flux[1:-1])
-            flux[1:-1] *= stencil.inner_areas
-            f_star = vals + sub_dt * (flux[1:] - flux[:-1]) / vols
-            _fill_band(stencil, a, sub_dt)
-            vals = _solve_band(stencil, f_star)
-        else:  # explicit-fv
-            vals = vals + sub_dt * flux_form_rhs(stencil.grid, vals, a)
-        vals, c = _apply_positivity(vals, config.positivity, vals.max())
-        clips += c
+        _drift_flux(vals, a, stencil.dr, flux[1:-1])
+        flux[1:-1] *= stencil.inner_areas
+        f_star = vals + sub_dt * (flux[1:] - flux[:-1]) / vols
+        _fill_band(stencil, a, sub_dt)
+        vals = _solve_band(stencil, f_star)
+        vals = _apply_positivity(vals, vals.max())
     mass = float(np.dot(vols, vals))
     report = StepReport(
         dt_used=sub_dt,
         mass_drift=(mass - mass0) / mass0 if mass0 else 0.0,
-        clips=clips,
         halvings=halvings,
     )
     return vals, report
@@ -334,7 +314,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
 
     The state and its coefficients are bare arrays between output times; the
     coefficients are evaluated once per step, for the step and the row.  Each
-    row's `_clips` and `_halvings` count the steps since the previous row.
+    row's `_halvings` counts the halvings since the previous row.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
@@ -351,7 +331,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     traj = Trajectory()
     boundary_budget = 0.0
     zero_field = mass0 == 0.0
-    clips = halvings = 0
+    halvings = 0
 
     def row(t, f, a, h, **bookkeeping):
         return diagnostics.snapshot_row(
@@ -366,14 +346,14 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
         try:
             vals, rep = step(stencil, vals, a, h, config, mass0=mass0)
         except (FieldError, SolverError) as exc:
-            # non-finite values or a degenerate solve: vals is the last good state
+            # non-finite values, a negative state or a degenerate solve: vals
+            # is the last good state
             if checkpoint_path is not None:
                 write_checkpoint(checkpoint_path, RadialField(grid, vals),
                                  gamma=config.gamma, time=(k - 1) * config.dt)
             raise SolverError(
                 f"step {k} aborted ({exc}); last good state retained"
             ) from exc
-        clips += rep.clips
         halvings += rep.halvings
         a, h = _coefficients(grid, vals, config.gamma)
         if k % config.output_stride == 0 or k == n_steps:
@@ -381,8 +361,8 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
             f = RadialField(grid, vals)
             traj.append(t, f, row(t, f, a, h, mass_drift=rep.mass_drift,
                                      boundary_budget=boundary_budget,
-                                     clips=clips, halvings=halvings))
-            clips = halvings = 0
+                                     halvings=halvings))
+            halvings = 0
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksflow.config import load_config
+from ksflow.config import DEFAULT_MONITORS, load_config
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
 from ksflow.harness import _MONITOR_DISPATCH, initial_field
 from ksflow.solver import SolverConfig, run
@@ -324,6 +324,21 @@ def _plant_e4_jump(rows):
     rows[j + 1]["e4"] = rows[j - 1]["e4"] + 2.0 * bound * span
 
 
+def _plant_ellipticity_below_floor(rows):
+    # the monitor's floor is 0.1; a ratio of 0 means a zero field and is skipped
+    rows[len(rows) // 2]["ellipticity_ratio"] = 0.05
+
+
+def _plant_hbound_off_4pi(rows):
+    # at gamma = -3 the ratio is exactly 4 pi, checked to 1e-12 relative
+    rows[len(rows) // 2]["h_bound_ratio"] = 4.0 * np.pi * (1.0 + 1e-9)
+
+
+def _plant_nonfinite_envelope(rows):
+    # the envelope's stated criterion: sup f(t) min(t, 1)^{3/4} stays finite
+    rows[len(rows) // 2]["linf_envelope"] = np.inf
+
+
 #: `[monitors]` name -> the defect that monitor must fail on
 MUTATIONS = {
     "mass": _plant_mass_drift,
@@ -333,7 +348,14 @@ MUTATIONS = {
     "maxpoint": _plant_laplacian_at_argmax,
     "moments": _plant_e4_jump,
     "l3bound": _plant_l3_above_sobolev,
+    "ellipticity": _plant_ellipticity_below_floor,
+    "hbound": _plant_hbound_off_4pi,
+    "envelope": _plant_nonfinite_envelope,
 }
+
+
+def test_every_monitor_has_a_planted_defect():
+    assert set(MUTATIONS) == set(DEFAULT_MONITORS)
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,11 @@ from ksflow.grids import (
     gaussian_field,
     integrate_radial,
     radial_laplacian,
-    read_checkpoint,
     weighted_lp_norm,
     write_checkpoint,
 )
+
+from checkpoint_reader import read_checkpoint
 
 GRID = RadialGrid(4096, 12.0)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,7 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 import ksflow._lapack as lapack
 import ksflow.solver as solver
-from ksflow.grids import RadialField, RadialGrid, gaussian_field, read_checkpoint
+from ksflow.grids import RadialField, RadialGrid, gaussian_field
 from ksflow.kernels import (
     KernelError,
     PowerLaw,
@@ -20,11 +22,13 @@ from ksflow.solver import (
     SolverError,
     Stencil,
     boundary_flux_estimate,
-    flux_form_rhs,
     run,
     run_semilinear,
     step,
 )
+
+from checkpoint_reader import read_checkpoint
+from test_step_oracle import NAN_STEP, _flux_form_rhs, nan_at_call
 
 
 def coefficients(f, cfg):
@@ -57,7 +61,7 @@ class TestFluxFormRHS:
 
         grid = RadialGrid(1024, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-2.0)).values)
+        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(-2.0))).values
         lap = radial_laplacian(f)
         interior = slice(1, -2)
         err = np.max(np.abs(rhs[interior] - lap.values[interior]))
@@ -66,12 +70,12 @@ class TestFluxFormRHS:
     def test_zero_field(self):
         grid = RadialGrid(64, 6.0)
         f = RadialField(grid, np.zeros(64))
-        assert np.all(flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-2.5)).values) == 0.0)
+        assert np.all(_flux_form_rhs(f, coeff_a(f, PowerLaw(-2.5))).values == 0.0)
 
     def test_discrete_integral_telescopes(self):
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(grid, f.values, coeff_a(f, PowerLaw(-3.0)).values)
+        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(-3.0))).values
         total = float(np.dot(grid.cell_volumes, rhs))
         scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 1e-12 * scale
@@ -89,7 +93,7 @@ class TestFluxFormRHS:
         grid = RadialGrid(n_cells, r_max)
         values = data.draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
         f = RadialField(grid, values)
-        rhs = flux_form_rhs(grid, values, coeff_a(f, PowerLaw(gamma)).values)
+        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(gamma))).values
         total = float(np.dot(grid.cell_volumes, rhs))
         scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 4 * n_cells * np.finfo(float).eps * scale
@@ -112,7 +116,7 @@ class TestNondivergenceRHS:
             grid = RadialGrid(n, 12.0)
             f = gaussian_field(grid, sigma=1.0, mass=1.0)
             pot = PowerLaw(-2.5)
-            fd = flux_form_rhs(grid, f.values, coeff_a(f, pot).values)
+            fd = _flux_form_rhs(f, coeff_a(f, pot)).values
             nd = nondivergence_rhs(f, pot).values
             w = grid.cell_volumes
             rel.append(np.dot(w, np.abs(nd - fd)) / np.dot(w, np.abs(fd)))
@@ -160,10 +164,10 @@ class TestStep:
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_dt_to_zero_recovers_rhs(self):
-        # (f' - f)/dt -> flux_form_rhs(f) at first order in dt
+        # (f' - f)/dt -> the flux-form divergence of f at first order in dt
         grid = RadialGrid(256, 12.0)
         f0 = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = flux_form_rhs(grid, f0.values, coeff_a(f0, PowerLaw(-3.0)).values)
+        rhs = _flux_form_rhs(f0, coeff_a(f0, PowerLaw(-3.0))).values
         errs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=dt, t_end=1.0)
@@ -186,13 +190,10 @@ class TestStep:
 
         deep = np.array([1.0, -1e-3, 0.5])
         with pytest.raises(SolverError, match="positivity"):
-            _apply_positivity(deep.copy(), "assert", 1.0)
-        clipped, clips = _apply_positivity(deep.copy(), "clip-and-log", 1.0)
-        assert clips == 1 and clipped.min() == 0.0
-        # roundoff-depth negatives are floored silently under either policy
+            _apply_positivity(deep.copy(), 1.0)
+        # roundoff-depth negatives are floored silently
         shallow = np.array([1.0, -1e-16, 0.5])
-        floored, clips = _apply_positivity(shallow.copy(), "assert", 1.0)
-        assert clips == 0 and floored.min() == 0.0
+        assert _apply_positivity(shallow.copy(), 1.0).min() == 0.0
 
     def test_reaction_guard_budget_fails_instead_of_hanging(self):
         from ksflow.solver import _MAX_HALVINGS, _reaction_substeps
@@ -206,18 +207,6 @@ class TestStep:
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=1e20)
         with pytest.raises(SolverError, match="halvings"):
             step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
-
-    def test_explicit_fv_agrees_with_semi_implicit_at_small_dt(self):
-        f0 = gaussian_field(RadialGrid(256, 12.0), sigma=1.0, mass=1.0)
-        outs = {}
-        for scheme in ("semi-implicit-fv", "explicit-fv"):
-            cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-5, t_end=1.0,
-                               scheme=scheme)
-            f1, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
-            outs[scheme] = f1
-            assert abs(rep.mass_drift) <= 1e-12
-        diff = np.max(np.abs(outs["explicit-fv"] - outs["semi-implicit-fv"]))
-        assert diff <= 1e-8 * np.max(f0.values)
 
 
 class TestRun:
@@ -264,20 +253,22 @@ class TestRun:
         with pytest.raises(SolverError, match="grid does not match"):
             run(SolverConfig(gamma=-2.5), f0)
 
-    def test_nonfinite_abort_retains_last_good_checkpoint(self, tmp_path):
-        # explicit diffusion far beyond its stability limit blows up fast
+    def test_nonfinite_abort_retains_last_good_checkpoint(self, tmp_path, monkeypatch):
+        # gamma = -2 has no reaction guard, so the k-th solve is step k's
         cfg = SolverConfig(gamma=-2.0, n_cells=512, dt=0.05, t_end=5.0,
-                           scheme="explicit-fv", positivity="clip-and-log",
                            output_stride=1)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
+        last_good = run(replace(cfg, t_end=(NAN_STEP - 1) * cfg.dt), f0).fields[-1]
+        monkeypatch.setattr(solver, "solve_banded",
+                            nan_at_call(solver.solve_banded, NAN_STEP))
         ckpt = tmp_path / "last_good.ckpt"
-        with pytest.raises(SolverError, match="last good state retained"):
-            with np.errstate(over="ignore", invalid="ignore"):
-                run(cfg, f0, checkpoint_path=ckpt)
-        assert ckpt.exists()
+        with pytest.raises(SolverError, match=f"step {NAN_STEP} aborted "
+                                              r"\(field values must be finite\); "
+                                              "last good state retained"):
+            run(cfg, f0, checkpoint_path=ckpt)
         saved, gamma, t_saved = read_checkpoint(ckpt)
-        assert np.all(np.isfinite(saved.values))
-        assert gamma == -2.0 and t_saved >= 0.0
+        assert np.array_equal(saved.values, last_good.values)
+        assert gamma == -2.0 and t_saved == (NAN_STEP - 1) * cfg.dt
 
 
 class TestRunBookkeeping:
@@ -285,13 +276,8 @@ class TestRunBookkeeping:
     HALVING = (SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.003,
                             output_stride=10),
                lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4))
-    # past its stability limit the explicit scheme clips from step 99 on
-    CLIPPING = (SolverConfig(gamma=-2.5, n_cells=400, dt=1e-4, t_end=0.018,
-                             output_stride=20, scheme="explicit-fv",
-                             positivity="clip-and-log"),
-                lambda g: RadialField(g, np.where(g.centers < 1.0, 1.0, 0.0)))
 
-    @pytest.mark.parametrize("case, busy", [("HALVING", "halvings"), ("CLIPPING", "clips")])
+    @pytest.mark.parametrize("case, busy", [("HALVING", "halvings")])
     def test_rows_count_every_step_since_the_previous_row(self, case, busy, monkeypatch):
         import ksflow.solver as solver
         from ksflow.diagnostics import mass_conservation_check
@@ -309,14 +295,12 @@ class TestRunBookkeeping:
         traj = run(cfg, initial(cfg.grid()))
         stride = cfg.output_stride
         verdict = mass_conservation_check(traj)
-        for key in ("clips", "halvings"):
-            per_step = [getattr(r, key) for r in reports]
-            per_row = [row[f"_{key}"] for row in traj.rows]
-            assert per_row[0] == 0
-            assert per_row[1:] == [sum(per_step[i:i + stride])
-                                   for i in range(0, len(per_step), stride)]
-            assert verdict.get(key, 0) == sum(per_step)
-        assert verdict[busy] > 0
+        per_step = [getattr(r, busy) for r in reports]
+        per_row = [row[f"_{busy}"] for row in traj.rows]
+        assert per_row[0] == 0
+        assert per_row[1:] == [sum(per_step[i:i + stride])
+                               for i in range(0, len(per_step), stride)]
+        assert verdict[busy] == sum(per_step) > 0
 
     def test_quiet_runs_keep_the_mass_verdict_keys(self):
         from ksflow.diagnostics import mass_conservation_check

@@ -4,18 +4,21 @@
 fields only at output times.  The oracle below is the field-per-step
 arithmetic it replaced, kept verbatim: fresh arrays every step, a validated
 `RadialField` for each state and coefficient, a freshly built band matrix and
-a checked `solve_banded` per solve.  Only the positivity policy and the
+a checked `solve_banded` per solve.  Only the positivity floor and the
 reaction guard, which neither path changed, are the solver's own.  Both must
 store the same fields and rows bit for bit, and an aborted run must leave the
 same checkpoint.
-"""
 
-from dataclasses import replace
+`_flux_form_rhs` is the explicit finite-volume divergence of the scheme's
+fluxes, the one test-side copy that `test_solver.py` checks the
+discretization and the step against.
+"""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import ksflow.solver as solver
 from ksflow import diagnostics
 from ksflow.grids import (
     FieldError,
@@ -33,12 +36,20 @@ from ksflow.solver import (
     run,
 )
 
+from checkpoint_reader import read_checkpoint
+
 
 def _drift_flux(f, a, dr):
     return -(0.5 * (f[1:] + f[:-1])) * (a[1:] - a[:-1]) / dr
 
 
 def _flux_form_rhs(f, a):
+    """Finite-volume divergence of the conservative fluxes of the field f
+    under the diffusion coefficient field a = a[f] (a signed field).
+
+    Zero flux is imposed at r = 0 (zero face area) and at r_max, so the
+    discrete integral of the output telescopes to 0 exactly.
+    """
     grid = f.grid
     vals, avals = f.values, a.values
     diff = 0.5 * (avals[1:] + avals[:-1]) * (vals[1:] - vals[:-1]) / grid.dr
@@ -80,21 +91,15 @@ def _step(f, a, h, config, mass0):
     grid = f.grid
     vols = grid.cell_volumes
     vals = f.values
-    clips = 0
     for _ in range(1 << halvings):
-        if config.scheme == "semi-implicit-fv":
-            dflux = np.zeros(grid.n_cells + 1)
-            dflux[1:-1] = _drift_flux(vals, a.values, grid.dr) * grid.face_areas[1:-1]
-            f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
-            vals = _implicit_diffusion_solve(f_star, a.values, grid, sub_dt)
-        else:
-            rhs = _flux_form_rhs(RadialField(grid, vals, signed=True), a)
-            vals = vals + sub_dt * rhs.values
-        vals, c = _apply_positivity(vals, config.positivity, vals.max())
-        clips += c
+        dflux = np.zeros(grid.n_cells + 1)
+        dflux[1:-1] = _drift_flux(vals, a.values, grid.dr) * grid.face_areas[1:-1]
+        f_star = vals + sub_dt * (dflux[1:] - dflux[:-1]) / vols
+        vals = _implicit_diffusion_solve(f_star, a.values, grid, sub_dt)
+        vals = _apply_positivity(vals, vals.max())
     mass = float(np.dot(vols, vals))
     drift = (mass - mass0) / mass0 if mass0 else 0.0
-    return RadialField(grid, vals), drift, clips, halvings
+    return RadialField(grid, vals), drift, halvings
 
 
 def oracle_run(config, f_in, checkpoint_path=None):
@@ -108,58 +113,47 @@ def oracle_run(config, f_in, checkpoint_path=None):
     traj = Trajectory()
     f = f_in
     budget = 0.0
-    clips = halvings = 0
+    halvings = 0
     a, h = coefficients(f)
     traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, pot, a=a, h=h))
     for k in range(1, n_steps + 1):
         if mass0 != 0.0:
             budget += _boundary_flux_estimate(f, a) * config.dt
         try:
-            f, drift, c, hv = _step(f, a, h, config, mass0)
+            f, drift, hv = _step(f, a, h, config, mass0)
         except (FieldError, SolverError) as exc:
             if checkpoint_path is not None:
                 write_checkpoint(checkpoint_path, f, gamma=config.gamma,
                                  time=(k - 1) * config.dt)
             raise SolverError(f"step {k} aborted ({exc}); last good state retained") from exc
-        clips += c
         halvings += hv
         a, h = coefficients(f)
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
             traj.append(t, f, diagnostics.snapshot_row(
                 t, f, pot, a=a, h=h, mass_drift=drift, boundary_budget=budget,
-                clips=clips, halvings=halvings))
-            clips = halvings = 0
+                halvings=halvings))
+            halvings = 0
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)
     return traj
 
 
-def _tophat(grid):
-    return RadialField(grid, np.where(grid.centers < 1.0, 1.0, 0.0))
-
-
-# (config, initial data, total clips > 0, total halvings > 0)
+# (config, initial data, total halvings > 0)
 CASES = {
     "gamma-3": (
         SolverConfig(gamma=-3.0, n_cells=512, dt=1e-4, t_end=0.02, output_stride=50),
-        lambda g: gaussian_field(g, sigma=1.0, mass=1.0), False, False),
+        lambda g: gaussian_field(g, sigma=1.0, mass=1.0), False),
     "halvings": (
         SolverConfig(gamma=-2.5, n_cells=512, dt=1e-4, t_end=0.02, output_stride=50),
-        lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4), False, True),
-    # past its stability limit the explicit scheme clips from step 99 on and
-    # aborts at step 203
-    "explicit-clip-and-log": (
-        SolverConfig(gamma=-2.5, n_cells=400, dt=1e-4, t_end=0.018, output_stride=10,
-                     scheme="explicit-fv", positivity="clip-and-log"),
-        _tophat, True, False),
+        lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4), True),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_stored_fields_rows_and_checkpoint_are_bit_identical(case, tmp_path):
-    cfg, initial, clips, halvings = CASES[case]
+    cfg, initial, halvings = CASES[case]
     f0 = initial(cfg.grid())
     got = run(cfg, f0, checkpoint_path=tmp_path / "got.ckpt")
     want = oracle_run(cfg, f0, checkpoint_path=tmp_path / "want.ckpt")
@@ -170,19 +164,38 @@ def test_stored_fields_rows_and_checkpoint_are_bit_identical(case, tmp_path):
     assert got.rows == want.rows
     assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
     # the case exercises what it is named for
-    assert (sum(r["_clips"] for r in got.rows) > 0) == clips
     assert (sum(r["_halvings"] for r in got.rows) > 0) == halvings
 
 
-def test_abort_leaves_the_same_last_good_checkpoint(tmp_path):
-    cfg, initial, _, _ = CASES["explicit-clip-and-log"]
-    cfg = replace(cfg, t_end=0.03)
+def nan_at_call(solve, k):
+    """solve, returning NaN in place of its k-th solution (k from 1)."""
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        x = solve(*args, **kwargs)
+        return np.full_like(x, np.nan) if calls == k else x
+    return patched
+
+
+#: the step whose diffusion solve returns NaN in the abort tests
+NAN_STEP = 7
+
+
+def test_abort_leaves_the_same_last_good_checkpoint(tmp_path, monkeypatch):
+    # the gamma-3 case takes no halvings, so its k-th solve is step k's
+    cfg, initial, _ = CASES["gamma-3"]
     f0 = initial(cfg.grid())
+    monkeypatch.setattr(solver, "solve_banded", nan_at_call(solver.solve_banded, NAN_STEP))
+    monkeypatch.setitem(globals(), "solve_banded", nan_at_call(solve_banded, NAN_STEP))
     errors = []
     for name, runner in (("got", run), ("want", oracle_run)):
-        with pytest.raises(SolverError, match="last good state retained") as info:
-            with np.errstate(over="ignore", invalid="ignore"):
-                runner(cfg, f0, checkpoint_path=tmp_path / f"{name}.ckpt")
+        with pytest.raises(SolverError, match=f"step {NAN_STEP} aborted .*finite.* "
+                                              "last good state retained") as info:
+            runner(cfg, f0, checkpoint_path=tmp_path / f"{name}.ckpt")
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+    _, _, t_saved = read_checkpoint(tmp_path / "got.ckpt")
+    assert t_saved == (NAN_STEP - 1) * cfg.dt
