@@ -324,6 +324,24 @@ def _h_values(grid: RadialGrid, values: np.ndarray, gamma: float,
     return (3.0 + gamma) * radial_convolve(grid, values, gamma, signed)
 
 
+def _h_sup_constant(gamma: float) -> float:
+    """C(gamma) = 3^{1+gamma/3} (4 pi)^{-gamma/3}, the sharp constant of
+    sup h[f] <= C(gamma) M^{1+gamma/3} ||f||_inf^{-gamma/3}; 4 pi at gamma = -3."""
+    return 3.0 ** (1.0 + gamma / 3.0) * (4.0 * np.pi) ** (-gamma / 3.0)
+
+
+def _h_sup_bound(mass: float, sup: float, gamma: float) -> float:
+    """Upper bound on max h[f] for cell-constant f >= 0 with max f = sup and
+    finite-volume mass sum_j V_j f_j = mass, gamma in [-3, -2).
+
+    The closed form is the exact 3D convolution of the piecewise-constant
+    profile, so the bathtub principle applies: g = sup on the ball of that
+    mass maximizes (g * |.|^gamma)(0).  At gamma = -3 it equals the max of
+    _h_values bit for bit.
+    """
+    return _h_sup_constant(gamma) * mass ** (1.0 + gamma / 3.0) * sup ** (-gamma / 3.0)
+
+
 def nondivergence_rhs(f: RadialField, pot) -> RadialField:
     """Pointwise a[f] Laplacian(f) - (2+gamma) h[f] f (signed field).
 

@@ -17,14 +17,19 @@ tridiagonal solve per step) and the drift flux explicitly.  A reaction guard
 halves dt whenever dt * max(-(2+gamma) h[f]) > 0.5.  A new state with a
 negative value deeper than roundoff aborts the step (positivity `assert`).
 
+Between output times the guard alone reads h[f], as its max; where the
+bound `kernels._h_sup_bound` on it (exact at gamma = -3) clears the guard
+with a 2x margin, h[f] is not convolved.
+
 Between output times the state and its coefficients are bare arrays:
 `step(stencil, values, a, h, config)` returns `(values, StepReport)`, with a
 `Stencil` holding the per-run constants and the band buffer of the diffusion
 system.  `run` builds `RadialField`s only for the rows, the trajectory and
 the checkpoints.  Every step checks its new state for finite values
-(FieldError) and calls `kernels.radial_convolve` for each coefficient
-convolution and `solve_banded`, as bound here, for each diffusion solve;
-the per-layer timings of the benchmark tracer rely on these names.
+(FieldError) and calls `solve_banded`, as bound here, for each diffusion
+solve; a[f] each step, and h[f] where it is convolved, go through
+`kernels.radial_convolve`.  The benchmark tracer's per-layer timings rely
+on these names.
 
 `solve_banded` is one direct call of LAPACK `dgtsv` (`ksflow._lapack`).  It
 keeps the name of the banded solver it replaced because the benchmark tracer
@@ -47,7 +52,7 @@ import numpy as np
 from . import _lapack, diagnostics
 from ._lapack import solve_banded
 from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
-from .kernels import PowerLaw, _h_values, radial_convolve
+from .kernels import PowerLaw, _h_sup_bound, _h_values, radial_convolve
 
 #: the one value of each of SolverConfig's `scheme` and `positivity` keys,
 #: which stay so that configs and their report echoes name the scheme
@@ -128,6 +133,8 @@ class StepReport:
     mass_drift: float
     clips: int = 0  # always 0: a negative deeper than roundoff aborts the step
     halvings: int = 0
+    sup: float = 0.0   # max of the new values
+    mass: float = 0.0  # finite-volume mass of the new values
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +273,34 @@ def _reaction_substeps(dt, rate):
     return halvings
 
 
-def _coefficients(grid: RadialGrid, values: np.ndarray, gamma: float):
-    """a[f] and h[f] values; h is None where the reaction coefficient 2+gamma
-    vanishes."""
-    a = radial_convolve(grid, values, 2.0 + gamma)
-    return a, None if 2.0 + gamma == 0.0 else _h_values(grid, values, gamma)
+def _guard_h(grid: RadialGrid, values: np.ndarray, config: SolverConfig,
+             report: StepReport) -> float:
+    """max h[f] of `values` for the next reaction guard: the bound on it from
+    the max and mass in `report` where that clears the guard twice over (the
+    margin covers the FFT rounding of h[f]; NaN fails <=), else exact."""
+    gamma = config.gamma
+    bound = _h_sup_bound(report.mass, report.sup, gamma)
+    if gamma == -3.0 or config.dt * -(2.0 + gamma) * bound <= 0.25:
+        return bound
+    return _h_values(grid, values, gamma).max()
 
 
-def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | None,
-         config: SolverConfig, mass0: float | None = None
-         ) -> tuple[np.ndarray, StepReport]:
+def step(stencil: Stencil, values: np.ndarray, a: np.ndarray,
+         h: np.ndarray | float | None, config: SolverConfig,
+         mass0: float | None = None) -> tuple[np.ndarray, StepReport]:
     """Advance the profile `values` on stencil.grid one dt under the frozen
     coefficients a = a[f] and h = h[f] (None when 2 + gamma = 0), all bare
     arrays: the drift explicitly, then one implicit diffusion solve, per
-    reaction-guard substep.
+    reaction-guard substep.  The guard reads only max h, so h may also be
+    that max, or a bound on it that the guard clears without halving.
 
     Returns the new values, finite and nonnegative; non-finite values raise
     FieldError.  `values` is never written to.
     """
-    rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.max())
+    if h is None:
+        rate = 0.0
+    else:  # the values, or their max alone (a float) between output rows
+        rate = float(-(2.0 + config.gamma) * (h if isinstance(h, float) else h.max()))
     halvings = _reaction_substeps(config.dt, rate)
     sub_dt = config.dt / (1 << halvings)
     vols = stencil.volumes
@@ -299,12 +315,15 @@ def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | No
         f_star = vals + sub_dt * (flux[1:] - flux[:-1]) / vols
         _fill_band(stencil, a, sub_dt)
         vals = _solve_band(stencil, f_star)
-        vals = _apply_positivity(vals, vals.max())
+        top = vals.max()
+        vals = _apply_positivity(vals, top)
     mass = float(np.dot(vols, vals))
     report = StepReport(
         dt_used=sub_dt,
         mass_drift=(mass - mass0) / mass0 if mass0 else 0.0,
         halvings=halvings,
+        sup=max(float(top), 0.0),  # the max after flooring negatives at 0
+        mass=mass,
     )
     return vals, report
 
@@ -312,9 +331,10 @@ def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h: np.ndarray | No
 def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajectory:
     """Advance f_in to t_end, recording diagnostics every output_stride steps.
 
-    The state and its coefficients are bare arrays between output times; the
-    coefficients are evaluated once per step, for the step and the row.  Each
-    row's `_halvings` counts the halvings since the previous row.
+    The state and its coefficients are bare arrays between output times;
+    a[f] is evaluated once per step, h[f] at output times and otherwise only
+    as the guard needs it (_guard_h).  Each row's `_halvings` counts the
+    halvings since the previous row.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
@@ -338,7 +358,9 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
             t, f, pot, a=RadialField(grid, a),
             h=None if h is None else RadialField(grid, h), **bookkeeping)
 
-    a, h = _coefficients(grid, vals, config.gamma)
+    reaction = 2.0 + config.gamma != 0.0
+    a = radial_convolve(grid, vals, 2.0 + config.gamma)
+    h = _h_values(grid, vals, config.gamma) if reaction else None
     traj.append(0.0, f, row(0.0, f, a, h, mass_drift=0.0, boundary_budget=0.0))
     for k in range(1, n_steps + 1):
         if not zero_field:
@@ -355,14 +377,17 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
                 f"step {k} aborted ({exc}); last good state retained"
             ) from exc
         halvings += rep.halvings
-        a, h = _coefficients(grid, vals, config.gamma)
+        a = radial_convolve(grid, vals, 2.0 + config.gamma)
         if k % config.output_stride == 0 or k == n_steps:
+            h = _h_values(grid, vals, config.gamma) if reaction else None
             t = k * config.dt
             f = RadialField(grid, vals)
             traj.append(t, f, row(t, f, a, h, mass_drift=rep.mass_drift,
                                      boundary_budget=boundary_budget,
                                      halvings=halvings))
             halvings = 0
+        elif reaction:
+            h = _guard_h(grid, vals, config, rep)
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)

@@ -6,6 +6,7 @@ import pytest
 from ksflow.config import DEFAULT_MONITORS, load_config
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
 from ksflow.harness import _MONITOR_DISPATCH, initial_field
+from ksflow.kernels import _h_sup_constant
 from ksflow.solver import SolverConfig, run
 from ksflow import diagnostics as dg
 
@@ -155,6 +156,14 @@ class TestRatios:
     def test_h_bound_exact_4pi_in_coulomb_case(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
         assert dg.h_bound_check(f, -3.0) == pytest.approx(4 * np.pi, rel=1e-12)
+
+    def test_h_bound_ratio_of_a_spike_is_below_the_bathtub_constant(self):
+        # with the midpoint mass instead of the finite-volume mass the
+        # convolution integrates, a unit spike in cell 0 read 1.0032 C
+        spike = np.zeros(GRID.n_cells)
+        spike[0] = 1.0
+        ratio = dg.h_bound_check(RadialField(GRID, spike), -2.01)
+        assert 0.9 * _h_sup_constant(-2.01) < ratio <= _h_sup_constant(-2.01)
 
     def test_h_bound_scale_invariance(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
@@ -334,6 +343,11 @@ def _plant_hbound_off_4pi(rows):
     rows[len(rows) // 2]["h_bound_ratio"] = 4.0 * np.pi * (1.0 + 1e-9)
 
 
+def _plant_hbound_above_bathtub(rows):
+    # at gamma != -3 the ratio is bounded by the bathtub constant C(gamma)
+    rows[len(rows) // 2]["h_bound_ratio"] = 1.001 * _h_sup_constant(-2.5)
+
+
 def _plant_nonfinite_envelope(rows):
     # the envelope's stated criterion: sup f(t) min(t, 1)^{3/4} stays finite
     rows[len(rows) // 2]["linf_envelope"] = np.inf
@@ -356,6 +370,16 @@ MUTATIONS = {
 
 def test_every_monitor_has_a_planted_defect():
     assert set(MUTATIONS) == set(DEFAULT_MONITORS)
+
+
+def test_hbound_fails_above_the_bathtub_constant_off_coulomb():
+    # the second hbound row of the mutation table, on a gamma = -2.5 run
+    cfg = SolverConfig(gamma=-2.5, n_cells=128, dt=1e-3, t_end=0.02, output_stride=5)
+    traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+    check = _MONITOR_DISPATCH["hbound"]
+    assert check(traj, -2.5)["passed"]
+    _plant_hbound_above_bathtub(traj.rows)
+    assert not check(traj, -2.5)["passed"]
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from ksflow.kernels import (
     KernelError,
     PowerLaw,
     SoftenedPowerLaw,
+    _h_sup_bound,
     coeff_a,
     coeff_h,
     nondivergence_rhs,
@@ -27,8 +28,9 @@ from ksflow.solver import (
     step,
 )
 
+import test_step_oracle as step_oracle
 from checkpoint_reader import read_checkpoint
-from test_step_oracle import NAN_STEP, _flux_form_rhs, nan_at_call
+from test_step_oracle import NAN_STEP, _flux_form_rhs, nan_at_call, oracle_run
 
 
 def coefficients(f, cfg):
@@ -337,8 +339,9 @@ class TestTracedNames:
         cfg = SolverConfig(gamma=-2.5, n_cells=128, dt=1e-4, t_end=0.002,
                            output_stride=10)
         run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
-        # a[f] and h[f] once each for the initial row and after each step
-        assert calls == {"step": 20, "solve_banded": 20, "radial_convolve": 2 * 21}
+        # a[f] for the initial row and after each step; h[f] only at the three
+        # output rows, since the bound on max h[f] clears the reaction guard
+        assert calls == {"step": 20, "solve_banded": 20, "radial_convolve": 21 + 3}
 
     def test_coulomb_coefficient_is_traced_and_builds_no_spectrum(self, monkeypatch):
         # at gamma = -3, a[f] is the mu = -1 shell sums and h[f] = 4 pi f needs
@@ -371,6 +374,94 @@ class TestTracedNames:
         operator = kernels.kernel_matrix(cfg.grid(), -1.0)
         assert isinstance(operator, np.ndarray) and operator.shape == (3, 128)
         assert operator.dtype == np.float64
+
+
+class TestReactionBound:
+    """Between output rows `run` reads h[f] only as the reaction guard's max,
+    from the bound on it where that bound clears the guard twice over."""
+
+    @staticmethod
+    def guard_bound(cfg, report):
+        return -(2.0 + cfg.gamma) * _h_sup_bound(report.mass, report.sup, cfg.gamma)
+
+    def test_tall_data_convolve_h_on_the_steps_the_bound_does_not_clear(
+            self, monkeypatch):
+        # the bound stays above the guard's half after steps 1 and 2; after
+        # step 1 it would even halve dt where the exact h[f] does not
+        cfg = SolverConfig(gamma=-2.5, n_cells=128, dt=1e-4, t_end=0.002,
+                           output_stride=10)
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=4e4)
+        reports, h_steps = [], []
+        step_fn, h_values = solver.step, solver._h_values
+
+        def recording(*args, **kwargs):
+            values, report = step_fn(*args, **kwargs)
+            reports.append(report)
+            return values, report
+
+        def h_recording(*args, **kwargs):
+            h_steps.append(len(reports))
+            return h_values(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", recording)
+        monkeypatch.setattr(solver, "_h_values", h_recording)
+        got = run(cfg, f0)
+        uncleared = [k for k, rep in enumerate(reports, 1)
+                     if not cfg.dt * self.guard_bound(cfg, rep) <= 0.25]
+        assert uncleared == [1, 2]
+        # h[f] at the rows (steps 0, 10, 20) and for the guards after 1 and 2
+        assert h_steps == [0, 1, 2, 10, 20]
+        assert reports[0].halvings > 0 and reports[1].halvings == 0
+        assert solver._reaction_substeps(cfg.dt, self.guard_bound(cfg, reports[0])) == 1
+        want = oracle_run(cfg, f0)
+        assert got.rows == want.rows
+        for g, w in zip(got.fields, want.fields, strict=True):
+            assert np.array_equal(g.values, w.values)
+
+    def test_coulomb_guard_is_exact_without_h(self, monkeypatch):
+        # at gamma = -3 the bound 4 pi max f is the exact rate: tall data
+        # halve dt as the oracle does, and h[f] is formed at the rows only
+        cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.03,
+                           output_stride=7)
+        f0 = gaussian_field(cfg.grid(), sigma=0.5, amplitude=3e3)
+        calls = []
+        h_values = solver._h_values
+        monkeypatch.setattr(solver, "_h_values",
+                            lambda *args: calls.append(1) or h_values(*args))
+        got = run(cfg, f0)
+        assert len(calls) == len(got.rows) == 6
+        want = oracle_run(cfg, f0)
+        assert got.rows == want.rows
+        assert sum(row["_halvings"] for row in got.rows) > 0
+
+    @pytest.mark.parametrize("mass", [np.inf, np.nan])
+    def test_nonfinite_bound_takes_the_exact_path(self, mass):
+        cfg = SolverConfig(gamma=-2.5, n_cells=64, dt=1e-4, t_end=1e-4)
+        f = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
+        report = solver.StepReport(dt_used=cfg.dt, mass_drift=0.0,
+                                   sup=float(f.values.max()), mass=mass)
+        exact = coeff_h(f, cfg.potential).values.max()
+        assert solver._guard_h(f.grid, f.values, cfg, report) == exact
+
+    def test_nan_state_aborts_with_the_oracle_message_and_checkpoint(
+            self, tmp_path, monkeypatch):
+        # smooth data: no halvings, every step after the first takes the bound
+        cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.002,
+                           output_stride=10)
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
+        monkeypatch.setattr(solver, "solve_banded",
+                            nan_at_call(solver.solve_banded, NAN_STEP))
+        monkeypatch.setattr(step_oracle, "solve_banded",
+                            nan_at_call(step_oracle.solve_banded, NAN_STEP))
+        errors = []
+        for name, runner in (("got", run), ("want", oracle_run)):
+            with pytest.raises(SolverError, match=f"step {NAN_STEP} aborted "
+                                                  r"\(field values must be finite\); "
+                                                  "last good state retained") as info:
+                runner(cfg, f0, checkpoint_path=tmp_path / f"{name}.ckpt")
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
 
 def tridiagonal_system(n, seed, pivoting):
