@@ -19,9 +19,8 @@ from .kernels import (
     PowerLaw,
     RatioWindow,
     SoftenedPowerLaw,
-    coeff_a,
-    coeff_h,
     gamma_ratio,
+    h_values,
     nondivergence_rhs,
     radial_convolve,
 )

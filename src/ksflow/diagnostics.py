@@ -28,7 +28,7 @@ from .grids import (
     radial_laplacian,
     weighted_lp_norm,
 )
-from .kernels import PowerLaw, _h_sup_constant, coeff_a, coeff_h
+from .kernels import _h_sup_constant
 
 #: canonical diagnostics column order for CSV emission
 ROW_COLUMNS = (
@@ -87,19 +87,16 @@ def fisher_information(f: RadialField) -> float:
     return float(16.0 * np.pi * f.grid.dr * np.sum(r**2 * dg**2))
 
 
-def ellipticity_check(f: RadialField, gamma: float,
-                      a: RadialField | None = None) -> tuple[float, float]:
-    """(min, max) over the grid of a[f](r) / <r>^{2+gamma}."""
-    if a is None:
-        a = coeff_a(f, PowerLaw(gamma))
+def ellipticity_check(f: RadialField, gamma: float, a: np.ndarray) -> tuple[float, float]:
+    """(min, max) over the grid of a[f](r) / <r>^{2+gamma}, a = a[f] as an array."""
     w = (1.0 + f.grid.centers**2) ** (0.5 * (2.0 + gamma))
-    ratio = a.values / w
+    ratio = a / w
     return float(ratio.min()), float(ratio.max())
 
 
-def h_bound_check(f: RadialField, gamma: float,
-                  h: RadialField | None = None) -> float:
-    """sup h[f] / ( M^{1+gamma/3} ||f||_inf^{-gamma/3} ); exactly 4 pi at gamma=-3.
+def h_bound_check(f: RadialField, gamma: float, h: np.ndarray) -> float:
+    """sup h[f] / ( M^{1+gamma/3} ||f||_inf^{-gamma/3} ), h = h[f] as an array;
+    exactly 4 pi at gamma=-3.
 
     M is the finite-volume mass sum_j V_j f_j, the mass the convolution
     integrates, so the ratio is at most C(gamma) (kernels._h_sup_constant)
@@ -108,27 +105,20 @@ def h_bound_check(f: RadialField, gamma: float,
     linf = float(f.values.max())
     if linf <= 0.0:
         raise ValueError("h_bound_check skipped for the zero field")
-    if h is None:
-        h = coeff_h(f, PowerLaw(gamma))
     mass = float(np.dot(f.grid.cell_volumes, f.values))
     denom = mass ** (1.0 + gamma / 3.0) * linf ** (-gamma / 3.0)
-    return float(h.values.max() / denom)
+    return float(h.max() / denom)
 
 
 # ---------------------------------------------------------------------------
 # trajectory row assembly
 # ---------------------------------------------------------------------------
 
-def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
+def snapshot_row(t, f: RadialField, gamma: float, a: np.ndarray, h: np.ndarray,
                  mass_drift=0.0, boundary_budget=0.0, halvings=0) -> dict:
-    gamma = pot.gamma
-    if a is None:
-        a = coeff_a(f, pot)
+    """The diagnostics row of f at time t from its coefficients a = a[f] and
+    h = h[f], both arrays; the series columns are 0 until finalize_rows."""
     zero = f.values.max() <= 0.0
-    # h[f] is defined for all gamma in [-3, -2] even where the reaction
-    # coefficient (2+gamma) vanishes, so the bound ratio is always recorded
-    if h is None and not zero and -3.0 <= gamma <= -2.0:
-        h = coeff_h(f, pot)
     # the max-point monitor's inputs: Laplacian and h[f] at the argmax of f,
     # unless the argmax sits in the last two cells (boundary-affected)
     idx = int(np.argmax(f.values))
@@ -146,9 +136,7 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
         "linf_norm": weighted_lp_norm(f, np.inf, 0.0),
         "e4": integrate_radial(f, 4.0),
         "e6": integrate_radial(f, 6.0),
-        "ellipticity_ratio": (
-            0.0 if zero else ellipticity_check(f, gamma, a=a)[0]
-        ),
+        "ellipticity_ratio": 0.0 if zero else ellipticity_check(f, gamma, a)[0],
         "h_bound_ratio": 0.0,
         "energy_residual": 0.0,
         "fisher_increment": 0.0,
@@ -156,21 +144,20 @@ def snapshot_row(t, f: RadialField, pot: PowerLaw, a=None, h=None,
         # private bookkeeping, not emitted to CSV
         "_aff": float(
             4.0 * np.pi * f.grid.dr
-            * np.sum(f.grid.centers**2 * a.values * f.values)
+            * np.sum(f.grid.centers**2 * a * f.values)
         ),
         "_mass_drift": float(mass_drift),
         "_boundary_budget": float(boundary_budget),
         "_halvings": int(halvings),
-        "_sup_a": float(a.values.max()),
+        "_sup_a": float(a.max()),
         "_argmax_boundary": boundary,
         "_lap_at_argmax": lap_at_max,
-        "_h_at_argmax": 0.0 if h is None else float(h.values[idx]),
+        "_h_at_argmax": float(h[idx]),
     }
     if not zero:
-        if gamma == -3.0:
-            row["h_bound_ratio"] = 4.0 * np.pi
-        elif h is not None:
-            row["h_bound_ratio"] = h_bound_check(f, gamma, h=h)
+        # h[f] is defined for all gamma in [-3, -2] even where the reaction
+        # coefficient (2+gamma) vanishes, so the bound ratio is always recorded
+        row["h_bound_ratio"] = 4.0 * np.pi if gamma == -3.0 else h_bound_check(f, gamma, h)
     return row
 
 
@@ -291,7 +278,11 @@ def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
     """dE_k/dt <= k(k+1) sup a[f] E_{k-2} + tol along the run, plus the
     envelope-shape fit E_k(t) <= C (E_k(0) t^{(k-2)/2} + t^{k/2}) over t > 0.
 
-    k is 4 or 6, the moments the snapshot rows record.
+    At gamma = -2, a[f] is the constant mass M and the bound is the identity
+    dE_k/dt = k(k+1) M E_{k-2} of the heat flow; the discrete rate sits above
+    it by O(dt, dr^2), so it is checked to 1e-2 relative, the criterion of
+    the energy identity, on both sides.  k is 4 or 6, the moments the
+    snapshot rows record.
     """
     if k not in _MOMENT_COLUMNS:
         raise ValueError(f"moment growth check expects k = 4 or 6, got {k}")
@@ -305,7 +296,10 @@ def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
         rate = (ek[j + 1] - ek[j - 1]) / (t[j + 1] - t[j - 1])
         bound = k * (k + 1) * sup_a[j] * ekm2[j]
         margin = min(margin, bound - rate)
-        if rate > bound * (1.0 + tol_rel) + 1e-12:
+        if gamma == -2.0:
+            if abs(rate - bound) > 1e-2 * bound:
+                ok = False
+        elif rate > bound * (1.0 + tol_rel) + 1e-12:
             ok = False
     # fitted envelope constant over positive times
     mask = t > 0

@@ -7,7 +7,9 @@ for the power law) and the reaction coefficient is
     h[f] = (3+gamma) f * |.|^gamma     for gamma in (-3, -2],
     h[f] = 4 pi f                      for gamma = -3,
 
-so that Delta a[f] = (2+gamma) h[f].  Every convolution here is of a radial
+so that Delta a[f] = (2+gamma) h[f].  Both are bare arrays of a radial
+profile: a[f] is `radial_convolve(grid, values, 2+gamma)` and h[f] is
+`h_values(grid, values, gamma)`.  Every convolution here is of a radial
 profile on a RadialGrid, by the exact 1D reduction
 
     (f * |.|^mu)(r) = (2 pi / (r (mu+2))) int_0^inf s f(s)
@@ -259,15 +261,14 @@ def kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
     return operator
 
 
-def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
-                    signed: bool = False) -> np.ndarray:
-    """3D convolution (f * |.|^mu)(r) of the radial profile `values` on `grid`,
-    mu in (-3, 2]; an unsigned profile gives a result clipped at 0.
+def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
+    """3D convolution (f * |.|^mu)(r) of the nonnegative radial profile
+    `values` on `grid`, mu in (-3, 2], clipped at 0.
 
     Works on bare arrays, so the solver convolves its state every step without
-    building fields.  mu = 0 returns the constant mass; mu = -1 is two prefix
-    sums by the shell theorem; mu = -2 is the numerical mu -> -2 limit of the
-    closed form.
+    building fields; a[f] is radial_convolve(grid, values, 2 + gamma).  mu = 0
+    returns the constant mass; mu = -1 is two prefix sums by the shell
+    theorem; mu = -2 is the numerical mu -> -2 limit of the closed form.
     """
     if mu <= -3.0:
         raise KernelError(f"kernel exponent mu = {mu} is not integrable (need mu > -3)")
@@ -288,40 +289,17 @@ def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
         x = np.fft.rfft(values, 2 * (hankel.shape[-1] - 1))
         a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : grid.n_cells]
         out = a / grid.centers + b
-    if not signed:
-        out = np.maximum(out, 0.0)
-    return out
+    return np.maximum(out, 0.0)
 
 
-def coeff_a(f: RadialField, pot) -> RadialField:
-    """Diffusion coefficient a[f] = f * alpha(|.|)|.|^2 (>= 0 everywhere).
-
-    Power law: a[f] = f * |.|^{2+gamma}; gamma = -2 gives the constant mass and
-    the flow degenerates to the heat equation.
-    """
-    if not isinstance(pot, PowerLaw):
-        raise KernelError("a[f] is defined for power-law potentials only")
-    return RadialField(f.grid, radial_convolve(f.grid, f.values, 2.0 + pot.gamma, f.signed),
-                       signed=f.signed)
-
-
-def coeff_h(f: RadialField, pot) -> RadialField:
-    """Reaction coefficient h[f]: 4 pi f at gamma = -3, else (3+gamma) f * |.|^gamma."""
-    if not isinstance(pot, PowerLaw):
-        raise KernelError("h[f] is defined for power-law potentials only")
-    gamma = pot.gamma
+def h_values(grid: RadialGrid, values: np.ndarray, gamma: float) -> np.ndarray:
+    """Reaction coefficient h[f] of the radial profile `values`, gamma in
+    [-3, -2]: 4 pi f at gamma = -3, else (3+gamma) f * |.|^gamma."""
     if not (-3.0 <= gamma <= -2.0):
         raise KernelError(f"h[f] requires gamma in [-3, -2], got {gamma}")
-    return RadialField(f.grid, _h_values(f.grid, f.values, gamma, f.signed),
-                       signed=f.signed)
-
-
-def _h_values(grid: RadialGrid, values: np.ndarray, gamma: float,
-              signed: bool = False) -> np.ndarray:
-    """h[f] on bare arrays, for gamma in [-3, -2] (unchecked; see coeff_h)."""
     if gamma == -3.0:
         return 4.0 * np.pi * values
-    return (3.0 + gamma) * radial_convolve(grid, values, gamma, signed)
+    return (3.0 + gamma) * radial_convolve(grid, values, gamma)
 
 
 def _h_sup_constant(gamma: float) -> float:
@@ -337,7 +315,7 @@ def _h_sup_bound(mass: float, sup: float, gamma: float) -> float:
     The closed form is the exact 3D convolution of the piecewise-constant
     profile, so the bathtub principle applies: g = sup on the ball of that
     mass maximizes (g * |.|^gamma)(0).  At gamma = -3 it equals the max of
-    _h_values bit for bit.
+    h_values bit for bit.
     """
     return _h_sup_constant(gamma) * mass ** (1.0 + gamma / 3.0) * sup ** (-gamma / 3.0)
 
@@ -352,12 +330,11 @@ def nondivergence_rhs(f: RadialField, pot) -> RadialField:
     """
     if not isinstance(pot, PowerLaw):
         raise KernelError("nondivergence form requires a power-law potential")
-    a = coeff_a(f, pot)
-    lap = radial_laplacian(f)
     gamma = pot.gamma
+    a = radial_convolve(f.grid, f.values, 2.0 + gamma)
+    lap = radial_laplacian(f)
     if 2.0 + gamma == 0.0:
         reaction = np.zeros_like(f.values)
     else:
-        h = coeff_h(f, pot)
-        reaction = (2.0 + gamma) * h.values * f.values
-    return RadialField(f.grid, a.values * lap.values - reaction, signed=True)
+        reaction = (2.0 + gamma) * h_values(f.grid, f.values, gamma) * f.values
+    return RadialField(f.grid, a * lap.values - reaction, signed=True)

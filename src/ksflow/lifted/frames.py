@@ -223,7 +223,7 @@ def frame_identities(x: np.ndarray) -> dict:
         / scale
     )
     Jb0 = vf_jacobian("B0", x)
-    res_div = abs(np.trace(Jb0) - 6.0)
+    res_div = np.max(np.abs(np.trace(Jb0) - vf_divergence("B0", x)))
     block = np.zeros((6, 6))
     block[:3, :3] = np.eye(3)
     block[3:, 3:] = np.eye(3)

@@ -39,22 +39,19 @@ def write_csv(path, columns, rows):
 def verdict_block(verdicts) -> list:
     """key = value lines summarizing monitor verdicts.
 
-    Each verdict is a dict with at least `monitor` and `passed` (or a
-    `verdict` string); remaining numeric entries are echoed after the flag.
+    Each verdict is a dict with at least `monitor` and `passed` (and
+    `skipped` where it may skip); remaining numeric entries are echoed after
+    the flag.
     """
     lines = []
     for v in verdicts:
-        name = v.get("monitor") or v.get("identity") or "check"
-        if "verdict" in v:
-            flag = v["verdict"]
-        else:
-            flag = "pass" if v.get("passed") else ("skip" if v.get("skipped") else "fail")
+        flag = "pass" if v.get("passed") else ("skip" if v.get("skipped") else "fail")
         detail = " ".join(
             f"{k}={fmt(val)}" for k, val in sorted(v.items())
-            if k not in ("monitor", "identity", "passed", "skipped", "verdict")
+            if k not in ("monitor", "passed", "skipped")
             and isinstance(val, (int, float, bool))
         )
-        lines.append(f"{name} = {flag}" + (f"  # {detail}" if detail else ""))
+        lines.append(f"{v['monitor']} = {flag}" + (f"  # {detail}" if detail else ""))
     return lines
 
 
@@ -70,10 +67,4 @@ def write_run_report(path, config_lines, verdicts, manifest):
 
 
 def all_passed(verdicts) -> bool:
-    for v in verdicts:
-        if "verdict" in v:
-            if v["verdict"] == "fail":
-                return False
-        elif not v.get("passed", False) and not v.get("skipped", False):
-            return False
-    return True
+    return all(v.get("passed", False) or v.get("skipped", False) for v in verdicts)

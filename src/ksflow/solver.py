@@ -17,19 +17,20 @@ tridiagonal solve per step) and the drift flux explicitly.  A reaction guard
 halves dt whenever dt * max(-(2+gamma) h[f]) > 0.5.  A new state with a
 negative value deeper than roundoff aborts the step (positivity `assert`).
 
-Between output times the guard alone reads h[f], as its max; where the
-bound `kernels._h_sup_bound` on it (exact at gamma = -3) clears the guard
-with a 2x margin, h[f] is not convolved.
-
-Between output times the state and its coefficients are bare arrays:
-`step(stencil, values, a, h, config)` returns `(values, StepReport)`, with a
-`Stencil` holding the per-run constants and the band buffer of the diffusion
-system.  `run` builds `RadialField`s only for the rows, the trajectory and
-the checkpoints.  Every step checks its new state for finite values
-(FieldError) and calls `solve_banded`, as bound here, for each diffusion
-solve; a[f] each step, and h[f] where it is convolved, go through
-`kernels.radial_convolve`.  The benchmark tracer's per-layer timings rely
-on these names.
+The state and its coefficients are bare arrays from the step to the row:
+`step(stencil, values, a, h_max, config, mass0)` returns
+`(values, StepReport)` under a = a[f], `kernels.radial_convolve(grid,
+values, 2+gamma)`, with a `Stencil` holding the per-run constants and the
+band buffer of the diffusion system.  The guard reads h[f] only as the float
+h_max.  `run` forms h[f] (`kernels.h_values`) at every output row, for every
+gamma, and hands a[f] and h[f] to `diagnostics.snapshot_row`; between rows,
+where the bound `kernels._h_sup_bound` on max h[f] (exact at gamma = -3)
+clears the guard with a 2x margin, h_max is that bound and h[f] is not
+convolved.  `RadialField`s are built only for the state at the rows, the
+trajectory and the checkpoints.  Every step checks its new state for finite
+values (FieldError) and calls `solve_banded`, as bound here, for each
+diffusion solve; every convolution goes through `kernels.radial_convolve`.
+The benchmark tracer's per-layer timings rely on these names.
 
 `solve_banded` is one direct call of LAPACK `dgtsv` (`ksflow._lapack`).  It
 keeps the name of the banded solver it replaced because the benchmark tracer
@@ -38,8 +39,8 @@ defined here, because the tracer would otherwise wrap it twice, as a foreign
 function and as a public function of the solver layer.
 
 The semilinear comparison dynamics d_t u = Laplacian(u) + u^2 shares the same
-machinery (unit diffusion coefficient, reaction u^2, the same stencil and
-band buffer) and is used by the blow-up contrast experiment.
+machinery (unit diffusion coefficient, reaction u^2, the same stencil, band
+buffer and positivity check) and is used by the blow-up contrast experiment.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from . import _lapack, diagnostics
 from ._lapack import solve_banded
 from .grids import FieldError, RadialField, RadialGrid, Trajectory, write_checkpoint
-from .kernels import PowerLaw, _h_sup_bound, _h_values, radial_convolve
+from .kernels import _h_sup_bound, h_values, radial_convolve
 
 #: the one value of each of SolverConfig's `scheme` and `positivity` keys,
 #: which stay so that configs and their report echoes name the scheme
@@ -118,10 +119,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    @property
-    def potential(self) -> PowerLaw:
-        return PowerLaw(self.gamma)
 
     def grid(self) -> RadialGrid:
         return RadialGrid(self.n_cells, self.r_max)
@@ -282,30 +279,24 @@ def _guard_h(grid: RadialGrid, values: np.ndarray, config: SolverConfig,
     bound = _h_sup_bound(report.mass, report.sup, gamma)
     if gamma == -3.0 or config.dt * -(2.0 + gamma) * bound <= 0.25:
         return bound
-    return _h_values(grid, values, gamma).max()
+    return h_values(grid, values, gamma).max()
 
 
-def step(stencil: Stencil, values: np.ndarray, a: np.ndarray,
-         h: np.ndarray | float | None, config: SolverConfig,
-         mass0: float | None = None) -> tuple[np.ndarray, StepReport]:
+def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h_max: float,
+         config: SolverConfig, mass0: float) -> tuple[np.ndarray, StepReport]:
     """Advance the profile `values` on stencil.grid one dt under the frozen
-    coefficients a = a[f] and h = h[f] (None when 2 + gamma = 0), all bare
-    arrays: the drift explicitly, then one implicit diffusion solve, per
-    reaction-guard substep.  The guard reads only max h, so h may also be
-    that max, or a bound on it that the guard clears without halving.
+    coefficient array a = a[f]: the drift explicitly, then one implicit
+    diffusion solve, per reaction-guard substep.  The guard reads h[f] only
+    as h_max, its max or a bound on it that the guard clears without
+    halving.  mass0 is the initial mass the reported drift is relative to.
 
     Returns the new values, finite and nonnegative; non-finite values raise
     FieldError.  `values` is never written to.
     """
-    if h is None:
-        rate = 0.0
-    else:  # the values, or their max alone (a float) between output rows
-        rate = float(-(2.0 + config.gamma) * (h if isinstance(h, float) else h.max()))
+    rate = float(-(2.0 + config.gamma) * h_max)
     halvings = _reaction_substeps(config.dt, rate)
     sub_dt = config.dt / (1 << halvings)
     vols = stencil.volumes
-    if mass0 is None:
-        mass0 = float(np.dot(vols, values))
 
     vals = values
     flux = stencil.flux
@@ -331,17 +322,17 @@ def step(stencil: Stencil, values: np.ndarray, a: np.ndarray,
 def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajectory:
     """Advance f_in to t_end, recording diagnostics every output_stride steps.
 
-    The state and its coefficients are bare arrays between output times;
-    a[f] is evaluated once per step, h[f] at output times and otherwise only
-    as the guard needs it (_guard_h).  Each row's `_halvings` counts the
-    halvings since the previous row.
+    The state and its coefficients are bare arrays throughout; a[f] is
+    evaluated once per step, h[f] at output times and otherwise only as the
+    guard needs it (_guard_h).  Each row's `_halvings` counts the halvings
+    since the previous row.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
     grid = config.grid()
     if f_in.grid != grid:
         raise SolverError("initial field grid does not match the configuration")
-    pot = config.potential
+    gamma = config.gamma
     n_steps = config.n_steps
 
     stencil = Stencil(grid)
@@ -353,44 +344,40 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     zero_field = mass0 == 0.0
     halvings = 0
 
-    def row(t, f, a, h, **bookkeeping):
-        return diagnostics.snapshot_row(
-            t, f, pot, a=RadialField(grid, a),
-            h=None if h is None else RadialField(grid, h), **bookkeeping)
-
-    reaction = 2.0 + config.gamma != 0.0
-    a = radial_convolve(grid, vals, 2.0 + config.gamma)
-    h = _h_values(grid, vals, config.gamma) if reaction else None
-    traj.append(0.0, f, row(0.0, f, a, h, mass_drift=0.0, boundary_budget=0.0))
+    a = radial_convolve(grid, vals, 2.0 + gamma)
+    h = h_values(grid, vals, gamma)
+    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, gamma, a, h))
+    h_max = h.max()
     for k in range(1, n_steps + 1):
         if not zero_field:
             boundary_budget += boundary_flux_estimate(grid, vals, a) * config.dt
         try:
-            vals, rep = step(stencil, vals, a, h, config, mass0=mass0)
+            vals, rep = step(stencil, vals, a, h_max, config, mass0)
         except (FieldError, SolverError) as exc:
             # non-finite values, a negative state or a degenerate solve: vals
             # is the last good state
             if checkpoint_path is not None:
                 write_checkpoint(checkpoint_path, RadialField(grid, vals),
-                                 gamma=config.gamma, time=(k - 1) * config.dt)
+                                 gamma=gamma, time=(k - 1) * config.dt)
             raise SolverError(
                 f"step {k} aborted ({exc}); last good state retained"
             ) from exc
         halvings += rep.halvings
-        a = radial_convolve(grid, vals, 2.0 + config.gamma)
+        a = radial_convolve(grid, vals, 2.0 + gamma)
         if k % config.output_stride == 0 or k == n_steps:
-            h = _h_values(grid, vals, config.gamma) if reaction else None
+            h = h_values(grid, vals, gamma)
             t = k * config.dt
             f = RadialField(grid, vals)
-            traj.append(t, f, row(t, f, a, h, mass_drift=rep.mass_drift,
-                                     boundary_budget=boundary_budget,
-                                     halvings=halvings))
+            traj.append(t, f, diagnostics.snapshot_row(
+                t, f, gamma, a, h, mass_drift=rep.mass_drift,
+                boundary_budget=boundary_budget, halvings=halvings))
             halvings = 0
-        elif reaction:
-            h = _guard_h(grid, vals, config, rep)
-    diagnostics.finalize_rows(traj, config.gamma)
+            h_max = h.max()
+        else:
+            h_max = _guard_h(grid, vals, config, rep)
+    diagnostics.finalize_rows(traj, gamma)
     if checkpoint_path is not None:
-        write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)
+        write_checkpoint(checkpoint_path, f, gamma=gamma, time=config.t_end)
     return traj
 
 
@@ -400,10 +387,12 @@ def run_semilinear(config: SolverConfig,
     at max u >= BLOWUP_THRESHOLD.
 
     Diffusion is implicit (unit coefficient), the quadratic reaction explicit
-    with the same dt-halving guard keyed to max(u).  The unit-coefficient
-    system is built once per substep size and copied into the band buffer
-    before each solve.  Returns the trajectory of (t, max u) rows and the
-    detector time (None if it never fires).
+    with the same dt-halving guard keyed to max(u) and the same positivity
+    check as `step` (a negative deeper than roundoff raises SolverError, a
+    non-finite value FieldError).  The unit-coefficient system is built once
+    per substep size and copied into the band buffer before each solve.
+    Returns the trajectory of (t, max u) rows and the detector time (None if
+    it never fires).
     """
     grid = u_in.grid
     stencil = Stencil(grid)
@@ -425,10 +414,9 @@ def run_semilinear(config: SolverConfig,
         for _ in range(1 << halvings):
             f_star = vals + sub_dt * vals**2
             np.copyto(stencil.band, band)
-            vals = np.maximum(_solve_band(stencil, f_star), 0.0)
+            vals = _solve_band(stencil, f_star)
             top = vals.max()
-            if not math.isfinite(top):  # NaN and +inf survive the floor at 0
-                raise FieldError("field values must be finite")
+            vals = _apply_positivity(vals, top)
             if top >= BLOWUP_THRESHOLD:
                 detector = k * config.dt
                 break

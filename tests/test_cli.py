@@ -384,6 +384,30 @@ class TestCompareBlowup:
         assert rc in (0, 1)
         assert (tmp_path / "blowup.csv").exists()
 
+    def test_deep_negative_in_a_semilinear_solve_exits_two(self, capsys, monkeypatch):
+        # the semilinear twin keeps the Landau stepper's positivity check: a
+        # negative deeper than roundoff aborts the run instead of being clipped
+        import ksflow.solver as solver
+
+        solve = solver.solve_banded
+        calls = 0
+
+        def planted(*args):
+            nonlocal calls
+            calls += 1
+            x = solve(*args)
+            if calls == 2:  # the second step of the semilinear twin
+                x[-1] = -1e-3 * x.max()
+            return x
+
+        monkeypatch.setattr(solver, "solve_banded", planted)
+        assert main(["compare-blowup", "--horizon", "0.003", "--dt", "1e-3",
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare-blowup rejected: positivity violated")
+        assert err.count("\n") == 1
+        assert calls == 2
+
 
 @pytest.mark.parametrize("argv", [
     ["verify-lifted", "--suite", "maxwell", "--samples", "-4"],
@@ -622,8 +646,8 @@ ROOT_API = {
               "gaussian_field", "integrate_radial", "radial_laplacian",
               "weighted_lp_norm", "write_checkpoint"),
     "kernels": ("RATIO_WINDOW", "KernelError", "PowerLaw", "RatioWindow",
-                "SoftenedPowerLaw", "coeff_a", "coeff_h",
-                "gamma_ratio", "nondivergence_rhs", "radial_convolve"),
+                "SoftenedPowerLaw", "gamma_ratio", "h_values",
+                "nondivergence_rhs", "radial_convolve"),
     "solver": ("SolverConfig", "SolverError", "Stencil", "StepReport", "run",
                "run_semilinear", "step"),
     "diagnostics": ("entropy", "fisher_information", "ellipticity_check",

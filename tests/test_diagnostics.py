@@ -1,3 +1,5 @@
+import copy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +8,21 @@ import pytest
 from ksflow.config import DEFAULT_MONITORS, load_config
 from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
 from ksflow.harness import _MONITOR_DISPATCH, initial_field
-from ksflow.kernels import _h_sup_constant
+from ksflow.kernels import _h_sup_constant, h_values, radial_convolve
 from ksflow.solver import SolverConfig, run
 from ksflow import diagnostics as dg
 
 GRID = RadialGrid(2048, 12.0)
+
+
+def ellipticity(f, gamma):
+    """dg.ellipticity_check of f under its own a[f]."""
+    return dg.ellipticity_check(f, gamma, radial_convolve(f.grid, f.values, 2.0 + gamma))
+
+
+def h_bound(f, gamma):
+    """dg.h_bound_check of f under its own h[f]."""
+    return dg.h_bound_check(f, gamma, h_values(f.grid, f.values, gamma))
 
 
 def fisher_convexity_gap(f, g, theta):
@@ -136,44 +148,44 @@ class TestRatios:
 
     def test_ellipticity_gaussian_coulomb(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        rmin, rmax = dg.ellipticity_check(f, -3.0)
+        rmin, rmax = ellipticity(f, -3.0)
         assert rmin > 0.5
         assert np.isfinite(rmax)
 
     def test_ellipticity_heat_case_identity(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        rmin, rmax = dg.ellipticity_check(f, -2.0)
+        rmin, rmax = ellipticity(f, -2.0)
         assert rmin == pytest.approx(1.0, abs=1e-6)
         assert rmax == pytest.approx(1.0, abs=1e-6)
 
     def test_ellipticity_linearity_in_mass(self):
         f1 = gaussian_field(GRID, sigma=1.0, mass=1.0)
         f2 = gaussian_field(GRID, sigma=1.0, mass=2.0)
-        r1 = dg.ellipticity_check(f1, -2.5)
-        r2 = dg.ellipticity_check(f2, -2.5)
+        r1 = ellipticity(f1, -2.5)
+        r2 = ellipticity(f2, -2.5)
         assert r2[0] == pytest.approx(2 * r1[0], rel=1e-12)
 
     def test_h_bound_exact_4pi_in_coulomb_case(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        assert dg.h_bound_check(f, -3.0) == pytest.approx(4 * np.pi, rel=1e-12)
+        assert h_bound(f, -3.0) == pytest.approx(4 * np.pi, rel=1e-12)
 
     def test_h_bound_ratio_of_a_spike_is_below_the_bathtub_constant(self):
         # with the midpoint mass instead of the finite-volume mass the
         # convolution integrates, a unit spike in cell 0 read 1.0032 C
         spike = np.zeros(GRID.n_cells)
         spike[0] = 1.0
-        ratio = dg.h_bound_check(RadialField(GRID, spike), -2.01)
+        ratio = h_bound(RadialField(GRID, spike), -2.01)
         assert 0.9 * _h_sup_constant(-2.01) < ratio <= _h_sup_constant(-2.01)
 
     def test_h_bound_scale_invariance(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
         g = RadialField(GRID, 3.0 * f.values)
-        a = dg.h_bound_check(f, -2.5)
-        b = dg.h_bound_check(g, -2.5)
+        a = h_bound(f, -2.5)
+        b = h_bound(g, -2.5)
         assert a == pytest.approx(b, rel=1e-10)
         # and stability under dilation of the profile
         wide = gaussian_field(GRID, sigma=1.5, mass=1.0)
-        c = dg.h_bound_check(wide, -2.5)
+        c = h_bound(wide, -2.5)
         assert 0.2 * a < c < 5 * a
 
 
@@ -233,17 +245,15 @@ class TestTrajectoryMonitors:
 
     def test_rows_carry_the_maxpoint_and_moment_inputs(self):
         from ksflow.grids import radial_laplacian
-        from ksflow.kernels import PowerLaw, coeff_a, coeff_h
 
         cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.01,
                            output_stride=20)
         traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
-        pot = PowerLaw(-2.5)
         for f, row in zip(traj.fields, traj.rows):
             idx = int(np.argmax(f.values))
             assert not row["_argmax_boundary"]
-            assert row["_sup_a"] == coeff_a(f, pot).values.max()
-            assert row["_h_at_argmax"] == coeff_h(f, pot).values[idx]
+            assert row["_sup_a"] == radial_convolve(f.grid, f.values, -0.5).max()
+            assert row["_h_at_argmax"] == h_values(f.grid, f.values, -2.5)[idx]
             assert row["_lap_at_argmax"] == radial_laplacian(f).values[idx]
         traj.fields.clear()  # the monitors read the rows only
         assert dg.maxpoint_growth_check(traj, -2.5)["passed"]
@@ -333,6 +343,17 @@ def _plant_e4_jump(rows):
     rows[j + 1]["e4"] = rows[j - 1]["e4"] + 2.0 * bound * span
 
 
+def _plant_e4_off_heat_identity(rows, offset):
+    # at gamma = -2 the moment bound is the identity dE_4/dt = 20 M E_2;
+    # shifting E_4 from the row after the middle on moves the centred rates
+    # of the middle row and the next by `offset` of it, and no other rate
+    j = len(rows) // 2
+    bound = 20.0 * rows[j]["_sup_a"] * rows[j]["energy"]
+    shift = offset * bound * (rows[j + 1]["t"] - rows[j - 1]["t"])
+    for row in rows[j + 1:]:
+        row["e4"] += shift
+
+
 def _plant_ellipticity_below_floor(rows):
     # the monitor's floor is 0.1; a ratio of 0 means a zero field and is skipped
     rows[len(rows) // 2]["ellipticity_ratio"] = 0.05
@@ -380,6 +401,19 @@ def test_hbound_fails_above_the_bathtub_constant_off_coulomb():
     assert check(traj, -2.5)["passed"]
     _plant_hbound_above_bathtub(traj.rows)
     assert not check(traj, -2.5)["passed"]
+
+
+def test_moments_check_the_heat_identity_on_both_sides():
+    # configs/reference.cfg at gamma = -2 to t = 0.1: a[f] is the constant
+    # mass, and the discrete rate exceeds the identity by about 2e-4 relative
+    cfg = load_config(Path(__file__).parents[1] / "configs/reference.cfg")
+    clean = run(replace(cfg.solver, gamma=-2.0, t_end=0.1), initial_field(cfg))
+    check = _MONITOR_DISPATCH["moments"]
+    assert check(clean, -2.0)["passed"]
+    for offset in (2e-2, -2e-2):
+        traj = copy.deepcopy(clean)
+        _plant_e4_off_heat_identity(traj.rows, offset)
+        assert not check(traj, -2.0)["passed"], offset
 
 
 @pytest.fixture(scope="module")

@@ -17,10 +17,8 @@ from ksflow.kernels import (
     SoftenedPowerLaw,
     _h_sup_bound,
     _h_sup_constant,
-    _h_values,
-    coeff_a,
-    coeff_h,
     gamma_ratio,
+    h_values,
     kernel_matrix,
     radial_convolve,
 )
@@ -332,52 +330,48 @@ class TestShellTheorem:
 class TestCoefficients:
     def test_gamma_minus_two_gives_constant_mass(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        a = coeff_a(f, PowerLaw(-2.0))
-        assert np.allclose(a.values, 1.0, atol=1e-6)
+        a = radial_convolve(f.grid, f.values, 0.0)
+        assert np.allclose(a, 1.0, atol=1e-6)
 
     def test_coulomb_a_at_origin(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        a = coeff_a(f, PowerLaw(-3.0))
-        assert abs(a.values[0] - np.sqrt(2 / np.pi)) <= 3e-4
+        a = radial_convolve(f.grid, f.values, -1.0)
+        assert abs(a[0] - np.sqrt(2 / np.pi)) <= 3e-4
 
     def test_zero_field(self):
         f = RadialField(GRID, np.zeros(GRID.n_cells))
-        assert np.all(coeff_a(f, PowerLaw(-2.5)).values == 0.0)
-        assert np.all(coeff_h(f, PowerLaw(-2.5)).values == 0.0)
+        assert np.all(radial_convolve(f.grid, f.values, -0.5) == 0.0)
+        assert np.all(h_values(f.grid, f.values, -2.5) == 0.0)
 
     def test_h_is_4pi_f_in_coulomb_case(self):
         rng = np.random.default_rng(5)
         f = RadialField(GRID, rng.uniform(0, 2, GRID.n_cells))
-        h = coeff_h(f, PowerLaw(-3.0))
-        assert np.array_equal(h.values, 4 * np.pi * f.values)
+        h = h_values(f.grid, f.values, -3.0)
+        assert np.array_equal(h, 4 * np.pi * f.values)
 
     def test_h_at_gamma_minus_two(self):
         # (3+gamma) int f/|w|^2 dw = 1 * 4 pi int f dr = 1 for the unit Gaussian
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-        h = coeff_h(f, PowerLaw(-2.0))
+        h = h_values(f.grid, f.values, -2.0)
         r = np.linspace(0, 14, 100_001)
         oracle = 4 * np.pi * np.trapezoid(
             (2 * np.pi) ** -1.5 * np.exp(-0.5 * r**2), r
         )
         assert abs(oracle - 1.0) <= 1e-6
-        assert abs(h.values[0] - oracle) <= 2e-3
+        assert abs(h[0] - oracle) <= 2e-3
 
     def test_h_range_checked(self):
         f = gaussian_field(GRID, sigma=1.0)
-        with pytest.raises(KernelError):
-            coeff_h(f, PowerLaw(-1.5))
-
-    def test_a_needs_power_law(self):
-        f = gaussian_field(GRID, sigma=1.0)
-        with pytest.raises(KernelError, match="power-law"):
-            coeff_a(f, SoftenedPowerLaw(-3.0, eps=0.1))
+        with pytest.raises(KernelError, match=r"\[-3, -2\]"):
+            h_values(f.grid, f.values, -1.5)
 
     def test_laplacian_identity(self):
         # Delta a[f] = (2+gamma) h[f] on the grid, gamma in (-3, -2)
         gamma = -2.5
         f = gaussian_field(RadialGrid(2048, 12.0), sigma=1.0, mass=1.0)
-        lap_a = radial_laplacian(coeff_a(f, PowerLaw(gamma)))
-        target = (2.0 + gamma) * coeff_h(f, PowerLaw(gamma)).values
+        a = radial_convolve(f.grid, f.values, 2.0 + gamma)
+        lap_a = radial_laplacian(RadialField(f.grid, a))
+        target = (2.0 + gamma) * h_values(f.grid, f.values, gamma)
         interior = slice(2, -4)
         scale = np.max(np.abs(target))
         assert np.max(np.abs(lap_a.values[interior] - target[interior])) <= 2e-3 * scale
@@ -386,9 +380,9 @@ class TestCoefficients:
         # c1 <r>^{2+gamma} <= a[f] <= c2 <r>^{2+gamma} with positive fitted constants
         for gamma in (-3.0, -2.5):
             f = gaussian_field(GRID, sigma=1.0, mass=1.0)
-            a = coeff_a(f, PowerLaw(gamma))
+            a = radial_convolve(f.grid, f.values, 2.0 + gamma)
             w = (1.0 + GRID.centers**2) ** (0.5 * (2.0 + gamma))
-            ratio = a.values / w
+            ratio = a / w
             assert ratio.min() > 0.5
             assert ratio.max() < 2.0
 
@@ -423,7 +417,7 @@ class TestHSupBound:
     def test_property_max_h_is_below_the_bathtub_bound(self, data, shape, gamma):
         grid = RadialGrid(*shape)
         values = data.draw(cell_profiles(grid.n_cells))
-        top = _h_values(grid, values, gamma).max()
+        top = h_values(grid, values, gamma).max()
         bound = _h_sup_bound(float(np.dot(grid.cell_volumes, values)),
                              float(values.max()), gamma)
         assert top <= bound * (1.0 + 1e-9)
@@ -436,7 +430,7 @@ class TestHSupBound:
         # offset of the first cell centre from the origin
         grid = RadialGrid(n_cells, r_max)
         values = np.ones(n_cells)
-        ratio = (_h_values(grid, values, -2.5).max()
+        ratio = (h_values(grid, values, -2.5).max()
                  / _h_sup_bound(float(np.dot(grid.cell_volumes, values)), 1.0, -2.5))
         assert 1.0 - 2e-5 < ratio <= 1.0
 
@@ -444,11 +438,11 @@ class TestHSupBound:
         # at gamma = -2 h[f] is the eps = 1e-3 symmetric limit of the closed
         # form, not the exact kernel: on a full ball it overshoots the bound
         # by its own error, up to 8.5e-6 relative at r_max = 160, so the
-        # property test stops short of -2, where the solver reads no h[f]
+        # property test stops short of -2, where the guard's rate is 0
         for n_cells, r_max in SUP_BOUND_GRIDS:
             grid = RadialGrid(n_cells, r_max)
             values = np.ones(n_cells)
-            ratio = (_h_values(grid, values, -2.0).max()
+            ratio = (h_values(grid, values, -2.0).max()
                      / _h_sup_bound(float(np.dot(grid.cell_volumes, values)), 1.0, -2.0))
             assert ratio <= 1.0 + 1e-5
 

@@ -77,9 +77,9 @@ class TestSides:
                                  (PROBE_LEMMAS, {-1.0: calls, -2.0: members})):
             mus = []
 
-            def counting(grid, values, mu, signed=False):
+            def counting(grid, values, mu):
                 mus.append(mu)
-                return radial_convolve(grid, values, mu, signed)
+                return radial_convolve(grid, values, mu)
 
             monkeypatch.setattr(probes, "radial_convolve", counting)
             probe_inequality(lemmas, None, family_seed=2, n_members=3,

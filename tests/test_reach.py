@@ -27,9 +27,7 @@ from pathlib import Path
 
 import pytest
 
-KEEP = {
-    "lifted.frames.vf_divergence": "timed by perfbench's lifted.frames_s metric",
-}
+KEEP = {}
 
 # the [initial] section of one simulate config per kind of initial field
 CONFIGS = (

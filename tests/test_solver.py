@@ -14,9 +14,9 @@ from ksflow.kernels import (
     PowerLaw,
     SoftenedPowerLaw,
     _h_sup_bound,
-    coeff_a,
-    coeff_h,
+    h_values,
     nondivergence_rhs,
+    radial_convolve,
 )
 from ksflow.solver import (
     SolverConfig,
@@ -30,12 +30,15 @@ from ksflow.solver import (
 
 import test_step_oracle as step_oracle
 from checkpoint_reader import read_checkpoint
-from test_step_oracle import NAN_STEP, _flux_form_rhs, nan_at_call, oracle_run
+from test_step_oracle import NAN_STEP, _flux_form_rhs, a_field, nan_at_call, oracle_run
 
 
-def coefficients(f, cfg):
-    """a[f] and h[f] values, frozen over one step."""
-    return coeff_a(f, cfg.potential).values, coeff_h(f, cfg.potential).values
+def step_once(f, cfg):
+    """One step of f under its own a[f] and max h[f], frozen over the step."""
+    a = radial_convolve(f.grid, f.values, 2.0 + cfg.gamma)
+    h_max = h_values(f.grid, f.values, cfg.gamma).max()
+    return step(Stencil(f.grid), f.values, a, h_max, cfg,
+                float(np.dot(f.grid.cell_volumes, f.values)))
 
 
 def heat_kernel(grid, t, sigma0=1.0, mass=1.0):
@@ -63,7 +66,7 @@ class TestFluxFormRHS:
 
         grid = RadialGrid(1024, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(-2.0))).values
+        rhs = _flux_form_rhs(f, a_field(f, -2.0)).values
         lap = radial_laplacian(f)
         interior = slice(1, -2)
         err = np.max(np.abs(rhs[interior] - lap.values[interior]))
@@ -72,12 +75,12 @@ class TestFluxFormRHS:
     def test_zero_field(self):
         grid = RadialGrid(64, 6.0)
         f = RadialField(grid, np.zeros(64))
-        assert np.all(_flux_form_rhs(f, coeff_a(f, PowerLaw(-2.5))).values == 0.0)
+        assert np.all(_flux_form_rhs(f, a_field(f, -2.5)).values == 0.0)
 
     def test_discrete_integral_telescopes(self):
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(-3.0))).values
+        rhs = _flux_form_rhs(f, a_field(f, -3.0)).values
         total = float(np.dot(grid.cell_volumes, rhs))
         scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 1e-12 * scale
@@ -95,19 +98,19 @@ class TestFluxFormRHS:
         grid = RadialGrid(n_cells, r_max)
         values = data.draw(hnp.arrays(np.float64, n_cells, elements=st.floats(0.0, 1.0)))
         f = RadialField(grid, values)
-        rhs = _flux_form_rhs(f, coeff_a(f, PowerLaw(gamma))).values
+        rhs = _flux_form_rhs(f, a_field(f, gamma)).values
         total = float(np.dot(grid.cell_volumes, rhs))
         scale = float(np.dot(grid.cell_volumes, np.abs(rhs)))
         assert abs(total) <= 4 * n_cells * np.finfo(float).eps * scale
         cfg = SolverConfig(gamma=gamma, n_cells=n_cells, r_max=r_max, dt=1e-4,
                            t_end=1e-4)
-        _, rep = step(Stencil(grid), values, *coefficients(f, cfg), cfg)
+        _, rep = step_once(f, cfg)
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_boundary_flux_negligible_for_compact_data(self):
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        a = coeff_a(f, PowerLaw(-3.0))
+        a = a_field(f, -3.0)
         assert boundary_flux_estimate(grid, f.values, a.values) <= 1e-20
 
 
@@ -118,7 +121,7 @@ class TestNondivergenceRHS:
             grid = RadialGrid(n, 12.0)
             f = gaussian_field(grid, sigma=1.0, mass=1.0)
             pot = PowerLaw(-2.5)
-            fd = _flux_form_rhs(f, coeff_a(f, pot)).values
+            fd = _flux_form_rhs(f, a_field(f, pot.gamma)).values
             nd = nondivergence_rhs(f, pot).values
             w = grid.cell_volumes
             rel.append(np.dot(w, np.abs(nd - fd)) / np.dot(w, np.abs(fd)))
@@ -129,7 +132,7 @@ class TestNondivergenceRHS:
         # gamma = -3: the reaction part -(2+gamma) h f = 4 pi f^2 >= 0
         grid = RadialGrid(512, 12.0)
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
-        a = coeff_a(f, PowerLaw(-3.0))
+        a = a_field(f, -3.0)
         from ksflow.grids import radial_laplacian
 
         reaction = nondivergence_rhs(f, PowerLaw(-3.0)).values - a.values * radial_laplacian(f).values
@@ -142,7 +145,7 @@ class TestNondivergenceRHS:
         assert np.all(nondivergence_rhs(f, PowerLaw(-3.0)).values == 0.0)
 
     def test_softened_potential_rejected(self):
-        # like coeff_a, the power law only
+        # the power law only
         f = RadialField(RadialGrid(64, 6.0), np.zeros(64))
         with pytest.raises(KernelError, match="power-law"):
             nondivergence_rhs(f, SoftenedPowerLaw(-3.0, 0.1))
@@ -162,18 +165,18 @@ class TestStep:
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=1e-4, t_end=0.01,
                            output_stride=10)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
-        _, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
+        _, rep = step_once(f0, cfg)
         assert abs(rep.mass_drift) <= 1e-13
 
     def test_dt_to_zero_recovers_rhs(self):
         # (f' - f)/dt -> the flux-form divergence of f at first order in dt
         grid = RadialGrid(256, 12.0)
         f0 = gaussian_field(grid, sigma=1.0, mass=1.0)
-        rhs = _flux_form_rhs(f0, coeff_a(f0, PowerLaw(-3.0))).values
+        rhs = _flux_form_rhs(f0, a_field(f0, -3.0)).values
         errs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=dt, t_end=1.0)
-            f1, _ = step(Stencil(grid), f0.values, *coefficients(f0, cfg), cfg)
+            f1, _ = step_once(f0, cfg)
             quotient = (f1 - f0.values) / dt
             errs.append(np.max(np.abs(quotient - rhs)))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
@@ -182,7 +185,7 @@ class TestStep:
     def test_reaction_guard_halves_dt(self):
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=5e-3, t_end=1.0)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=60.0)
-        _, rep = step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
+        _, rep = step_once(f0, cfg)
         # dt * 4 pi * 60 = 3.8 > 0.5 requires at least 3 halvings
         assert rep.halvings >= 3
         assert rep.dt_used * 4 * np.pi * 60.0 <= 0.5 * 1.05
@@ -208,7 +211,7 @@ class TestStep:
         cfg = SolverConfig(gamma=-3.0, n_cells=64, dt=1e-4, t_end=1.0)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=1e20)
         with pytest.raises(SolverError, match="halvings"):
-            step(Stencil(f0.grid), f0.values, *coefficients(f0, cfg), cfg)
+            step_once(f0, cfg)
 
 
 class TestRun:
@@ -392,7 +395,7 @@ class TestReactionBound:
                            output_stride=10)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=4e4)
         reports, h_steps = [], []
-        step_fn, h_values = solver.step, solver._h_values
+        step_fn, h_exact = solver.step, solver.h_values
 
         def recording(*args, **kwargs):
             values, report = step_fn(*args, **kwargs)
@@ -401,10 +404,10 @@ class TestReactionBound:
 
         def h_recording(*args, **kwargs):
             h_steps.append(len(reports))
-            return h_values(*args, **kwargs)
+            return h_exact(*args, **kwargs)
 
         monkeypatch.setattr(solver, "step", recording)
-        monkeypatch.setattr(solver, "_h_values", h_recording)
+        monkeypatch.setattr(solver, "h_values", h_recording)
         got = run(cfg, f0)
         uncleared = [k for k, rep in enumerate(reports, 1)
                      if not cfg.dt * self.guard_bound(cfg, rep) <= 0.25]
@@ -425,9 +428,9 @@ class TestReactionBound:
                            output_stride=7)
         f0 = gaussian_field(cfg.grid(), sigma=0.5, amplitude=3e3)
         calls = []
-        h_values = solver._h_values
-        monkeypatch.setattr(solver, "_h_values",
-                            lambda *args: calls.append(1) or h_values(*args))
+        h_exact = solver.h_values
+        monkeypatch.setattr(solver, "h_values",
+                            lambda *args: calls.append(1) or h_exact(*args))
         got = run(cfg, f0)
         assert len(calls) == len(got.rows) == 6
         want = oracle_run(cfg, f0)
@@ -440,7 +443,7 @@ class TestReactionBound:
         f = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
         report = solver.StepReport(dt_used=cfg.dt, mass_drift=0.0,
                                    sup=float(f.values.max()), mass=mass)
-        exact = coeff_h(f, cfg.potential).values.max()
+        exact = h_values(f.grid, f.values, cfg.gamma).max()
         assert solver._guard_h(f.grid, f.values, cfg, report) == exact
 
     def test_nan_state_aborts_with_the_oracle_message_and_checkpoint(

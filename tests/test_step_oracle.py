@@ -27,7 +27,7 @@ from ksflow.grids import (
     gaussian_field,
     write_checkpoint,
 )
-from ksflow.kernels import coeff_a, coeff_h
+from ksflow.kernels import h_values, radial_convolve
 from ksflow.solver import (
     SolverConfig,
     SolverError,
@@ -37,6 +37,16 @@ from ksflow.solver import (
 )
 
 from checkpoint_reader import read_checkpoint
+
+
+def a_field(f, gamma):
+    """a[f] = f * |.|^{2+gamma} as a field."""
+    return RadialField(f.grid, radial_convolve(f.grid, f.values, 2.0 + gamma))
+
+
+def h_field(f, gamma):
+    """h[f] as a field."""
+    return RadialField(f.grid, h_values(f.grid, f.values, gamma))
 
 
 def _drift_flux(f, a, dr):
@@ -85,7 +95,7 @@ def _implicit_diffusion_solve(f_star, a_vals, grid, dt):
 
 
 def _step(f, a, h, config, mass0):
-    rate = 0.0 if h is None else float(-(2.0 + config.gamma) * h.values.max())
+    rate = float(-(2.0 + config.gamma) * h.values.max())
     halvings = _reaction_substeps(config.dt, rate)
     sub_dt = config.dt / (1 << halvings)
     grid = f.grid
@@ -103,10 +113,10 @@ def _step(f, a, h, config, mass0):
 
 
 def oracle_run(config, f_in, checkpoint_path=None):
-    pot = config.potential
+    gamma = config.gamma
 
     def coefficients(f):
-        return coeff_a(f, pot), None if 2.0 + config.gamma == 0.0 else coeff_h(f, pot)
+        return a_field(f, gamma), h_field(f, gamma)
 
     n_steps = int(round(config.t_end / config.dt))
     mass0 = float(np.dot(f_in.grid.cell_volumes, f_in.values))
@@ -115,7 +125,7 @@ def oracle_run(config, f_in, checkpoint_path=None):
     budget = 0.0
     halvings = 0
     a, h = coefficients(f)
-    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, pot, a=a, h=h))
+    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, gamma, a.values, h.values))
     for k in range(1, n_steps + 1):
         if mass0 != 0.0:
             budget += _boundary_flux_estimate(f, a) * config.dt
@@ -131,8 +141,8 @@ def oracle_run(config, f_in, checkpoint_path=None):
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
             traj.append(t, f, diagnostics.snapshot_row(
-                t, f, pot, a=a, h=h, mass_drift=drift, boundary_budget=budget,
-                halvings=halvings))
+                t, f, gamma, a.values, h.values, mass_drift=drift,
+                boundary_budget=budget, halvings=halvings))
             halvings = 0
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
@@ -148,6 +158,11 @@ CASES = {
     "halvings": (
         SolverConfig(gamma=-2.5, n_cells=512, dt=1e-4, t_end=0.02, output_stride=50),
         lambda g: gaussian_field(g, sigma=1.0, amplitude=3e4), True),
+    # the bound on max h[f] after step 1 would halve dt where the exact h[f]
+    # does not, so the guard must convolve h[f] there
+    "guard-after-step-1": (
+        SolverConfig(gamma=-2.5, n_cells=128, dt=1e-4, t_end=0.002, output_stride=10),
+        lambda g: gaussian_field(g, sigma=1.0, amplitude=4e4), True),
 }
 
 
