@@ -19,6 +19,12 @@ estimated quantity.  Whatever several of them share (z = v - w and r = |z|
 through one `frames.Points`, frame values, Jacobians, operator values) is
 computed once per block as a plain local.  The pointwise helpers here
 (`_fisher_values`, `_pairings`) build those arrays.
+
+A chunk is never held as one array of samples: each block is drawn just
+before it is evaluated, into buffers that the next block reuses, and its
+values are copied into a chunk-length array per quantity.  So an integrand
+may return views of x, and the rows are bit for bit those of one draw of
+the whole chunk.
 """
 
 from __future__ import annotations
@@ -62,10 +68,12 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
     """Estimate mass * E[g] for every quantity g of one stream's integrand.
 
     integrand(x, F_val, grad, hess) returns name -> per-sample values on a
-    block of samples, the same names on every block; hess is a
-    `MixtureHessian`, or None when order=1 (gradient-only integrands).  Row i
-    of each value may depend on x[i] alone: a chunk is evaluated in blocks of
-    EVAL_BLOCK rows and the values are joined before any reduction.  Returns
+    block of at most EVAL_BLOCK samples, the same names on every block; hess
+    is a `MixtureHessian`, or None when order=1 (gradient-only integrands).
+    Row i of each value may depend on x[i] alone.  Each block of a chunk is
+    drawn just before it is evaluated, into buffers the next block reuses,
+    and its values are copied into one array per quantity of chunk length, so
+    a value may be a view of x or of the Hessian's arrays.  Returns
     name -> McEstimate.
 
     The value is the plain sum of g over all samples divided by n.  The
@@ -78,24 +86,39 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
         raise ValueError(f"n_samples must be in [1, {MAX_SAMPLES}], got {n_samples}")
     mass = F.mass
     n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
+    block_rows = min(EVAL_BLOCK, n_samples)
+    # the drawn rows, their standard normals and the Hessian's arrays of one
+    # block; every eval of this estimate writes its Hessian into hess_out
+    x_out = np.empty((block_rows, 6))
+    normals = np.empty((block_rows, 6))
+    hess_out = np.empty(7 * len(F.components) * block_rows) if order >= 2 else None
+    values: dict = {}    # name -> per-sample values of the current chunk
     sums: dict = {}
     moments: dict = {}   # name -> (count, mean, M2) of the chunks so far
     drawn = 0
     for c in range(n_chunks):
         m = min(CHUNK_SIZE, n_samples - drawn)
         rng = _chunk_rng(seed, stream, c)
-        x = F.sample(m, rng)
-        blocks: dict = {}
+        # component k draws rows ends[k] .. ends[k + 1] - 1 of the chunk
+        ends = np.concatenate(([0], np.cumsum(F.component_counts(m, rng))))
         for start in range(0, m, EVAL_BLOCK):
-            xb = x[start:start + EVAL_BLOCK]
-            for name, vals in integrand(xb, *F.eval(xb, order=order)).items():
-                blocks.setdefault(name, []).append(vals)
-        for name, parts in blocks.items():
-            vals = np.concatenate(parts)
+            stop = min(start + EVAL_BLOCK, m)
+            rows = stop - start
+            x = F.sample(np.diff(np.clip(ends, start, stop)), rng,
+                         out=x_out[:rows], normals=normals[:rows])
+            derivs = F.eval(x, order=order, hess_out=hess_out)
+            for name, vals in integrand(x, *derivs).items():
+                if name not in values:
+                    values[name] = np.empty(min(CHUNK_SIZE, n_samples))
+                values[name][start:stop] = vals
+        for name, chunk_vals in values.items():
+            vals = chunk_vals[:m]
             total = float(np.sum(vals))
             sums[name] = sums.get(name, 0.0) + total
             mean_c = total / m
-            m2_c = float(np.sum((vals - mean_c) ** 2))
+            vals -= mean_c
+            np.square(vals, out=vals)
+            m2_c = float(np.sum(vals))
             moments[name] = _combine(moments.get(name), m, mean_c, m2_c)
         drawn += m
     out = {}

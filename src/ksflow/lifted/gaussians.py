@@ -144,11 +144,14 @@ class Mixture6:
     def mass(self) -> float:
         return float(self._weights.sum())
 
-    def eval(self, x: np.ndarray, order: int = 2):
+    def eval(self, x: np.ndarray, order: int = 2, hess_out: np.ndarray | None = None):
         """F, grad F and Hess F at points x of shape (n, 6); all closed-form.
 
         The Hessian is a `MixtureHessian`, never a dense (n, 6, 6) array.
         order=1 skips it (returned as None) for gradient-only functionals.
+        Its arrays are fresh unless hess_out, a float array of at least 7 K n
+        entries owned by the caller, is given: they are then views of it, and
+        the next eval into the same hess_out overwrites them.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
@@ -157,8 +160,10 @@ class Mixture6:
         grad = np.zeros((n, 6))
         hess = None
         if order >= 2:
-            hess = MixtureHessian(np.empty((n_comp, n)), np.empty((n_comp, n, 6)),
-                                  self._precisions)
+            size = n_comp * n
+            store = np.empty(7 * size) if hess_out is None else hess_out[:7 * size]
+            hess = MixtureHessian(store[6 * size:].reshape(n_comp, n),
+                                  store[:6 * size].reshape(n_comp, n, 6), self._precisions)
         for k in range(n_comp):
             d = x - self._means[k]            # (n, 6)
             # A symmetric; with a Hessian, A_k d_k is written into its block
@@ -181,17 +186,30 @@ class Mixture6:
             F += np.exp(self._lognorms[k] - 0.5 * q)
         return F
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact sampling of n points from F / mass."""
-        probs = self._weights / self._weights.sum()
-        counts = rng.multinomial(n, probs)
-        out = np.empty((n, 6))
+    def component_counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """How many of n draws from F / mass each component makes: one multinomial."""
+        return rng.multinomial(n, self._weights / self._weights.sum())
+
+    def sample(self, counts, rng: np.random.Generator, out: np.ndarray | None = None,
+               normals: np.ndarray | None = None) -> np.ndarray:
+        """Exact draws from F / mass: counts[k] rows from component k, in
+        component order, n = sum(counts) rows in all; returns out.
+
+        The rows are rng's next n standard normal 6-vectors, each mapped by
+        its component's covariance factor and mean.  So drawing a run of rows
+        in consecutive pieces, each with its own slice of the counts, gives
+        the bytes of one draw of the whole run.  out and normals, both (n, 6)
+        and C-contiguous, receive the rows and the normal draws; they are
+        allocated when not given.
+        """
+        n = int(np.sum(counts))
+        out = np.empty((n, 6)) if out is None else out
+        z = rng.standard_normal(out=np.empty((n, 6)) if normals is None else normals)
         pos = 0
         for k, c in enumerate(counts):
             if c == 0:
                 continue
-            z = rng.standard_normal((c, 6))
-            block = np.matmul(z, self._chol_cov[k].T, out=out[pos:pos + c])
+            block = np.matmul(z[pos:pos + c], self._chol_cov[k].T, out=out[pos:pos + c])
             block += self._means[k]
             pos += c
         return out

@@ -110,8 +110,8 @@ class TestMixtureEval:
         F = random_symmetric_mixture(3, 7)
         rng1 = np.random.default_rng(42)
         rng2 = np.random.default_rng(42)
-        s1 = F.sample(1000, rng1)
-        s2 = F.sample(1000, rng2)
+        s1 = F.sample(F.component_counts(1000, rng1), rng1)
+        s2 = F.sample(F.component_counts(1000, rng2), rng2)
         assert np.array_equal(s1, s2)
 
     def test_swap_symmetry_by_construction(self):

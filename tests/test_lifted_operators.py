@@ -132,7 +132,7 @@ class TestFirstVariationDensity:
         rng = np.random.default_rng(23)
         # quadrature on a coarse MC cloud: compare analytic pairing integrand
         # against a finite difference of I along F + eps G at fixed samples
-        x = Fm.sample(200_000, rng)
+        x = Fm.sample(Fm.component_counts(200_000, rng), rng)
         Fv, Fg, Fh = Fm.eval(x)
         Gv, Gg, _ = G.eval(x)
         psi = ops.first_variation_density(Fv, Fg, Fh)

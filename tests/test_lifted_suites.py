@@ -103,7 +103,8 @@ class TestDissipationPairing:
     def test_matches_the_frame_route(self, name, gamma):
         F = PAIRING_DENSITIES[name]
         pot = PowerLaw(gamma)
-        x = F.sample(4096, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        x = F.sample(F.component_counts(4096, rng), rng)
         F_val, grad, hess = F.eval(x)
         got = _dissipation_pairings(pot, x, F_val, grad, hess)
         p = Points(x)
@@ -130,7 +131,8 @@ class TestDissipationPairing:
         dissipation_rows(F, PowerLaw(-2.5), 4096, 0)
         assert calls == []
         # the counter sees the frame route's matvecs
-        x = F.sample(64, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        x = F.sample(F.component_counts(64, rng), rng)
         _, grad, hess = F.eval(x)
         ops.apply_QL(PowerLaw(-2.5), x, grad, hess, form="frames")
         assert len(calls) == 3
