@@ -19,7 +19,6 @@ from .kernels import (
     PowerLaw,
     RatioWindow,
     SoftenedPowerLaw,
-    gamma_ratio,
     h_values,
     nondivergence_rhs,
     radial_convolve,

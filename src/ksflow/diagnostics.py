@@ -58,11 +58,10 @@ ENERGY_RATE_FACTOR = 2.0  # dE_2/dt = ENERGY_RATE_FACTOR * (5+gamma) * int a[f] 
 def entropy(f: RadialField) -> float:
     """H(f) = int f log f, with x log x -> 0 on vacuum cells."""
     vals = f.values
-    r = f.grid.centers
     live = vals > VACUUM_THRESHOLD
     contrib = np.zeros_like(vals)
     contrib[live] = vals[live] * np.log(vals[live])
-    return float(4.0 * np.pi * f.grid.dr * np.sum(r**2 * contrib))
+    return float(np.sum(f.grid.weights * contrib))
 
 
 def _sqrt_gradient_radial(f: RadialField) -> np.ndarray:
@@ -83,8 +82,7 @@ def fisher_information(f: RadialField) -> float:
     """
     dg = _sqrt_gradient_radial(f)
     dg[f.values <= VACUUM_THRESHOLD] = 0.0
-    r = f.grid.centers
-    return float(16.0 * np.pi * f.grid.dr * np.sum(r**2 * dg**2))
+    return float(4.0 * np.sum(f.grid.weights * dg**2))
 
 
 def ellipticity_check(f: RadialField, gamma: float, a: np.ndarray) -> tuple[float, float]:
@@ -142,10 +140,7 @@ def snapshot_row(t, f: RadialField, gamma: float, a: np.ndarray, h: np.ndarray,
         "fisher_increment": 0.0,
         "linf_envelope": float(f.values.max()) * min(float(t), 1.0) ** 0.75,
         # private bookkeeping, not emitted to CSV
-        "_aff": float(
-            4.0 * np.pi * f.grid.dr
-            * np.sum(f.grid.centers**2 * a * f.values)
-        ),
+        "_aff": float(np.sum(f.grid.weights * a * f.values)),
         "_mass_drift": float(mass_drift),
         "_boundary_budget": float(boundary_budget),
         "_halvings": int(halvings),
@@ -315,13 +310,18 @@ def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
 
 
 def linf_envelope(traj: Trajectory) -> dict:
-    """Record sup f(t) * min(t,1)^{3/4} (the row column) and its boundedness."""
+    """Record sup f(t) * min(t,1)^{3/4} (the row column) over the run.
+
+    Report-only: no stated constant bounds the envelope, so a finite one is
+    labelled "skip", not a "pass" that nothing checked.  A non-finite one
+    fails."""
     env = traj.column("linf_envelope")
     bound = float(env.max()) if len(env) else 0.0
     return {
         "monitor": "linf_envelope",
         "envelope_bound": bound,
-        "passed": bool(np.isfinite(bound)),
+        "passed": False,
+        "skipped": bool(np.isfinite(bound)),
     }
 
 

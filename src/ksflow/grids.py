@@ -36,7 +36,10 @@ class RadialGrid:
     largest weight of the moments the diagnostics record (r^(2+s), s <= 6),
     must be finite.
 
-    Its geometry arrays are computed once, on first use, and are read-only."""
+    Its geometry arrays are computed once, on first use, and are read-only;
+    the quadrature weights are computed on each access.  `weights` and
+    `cell_volumes` are the only radial quadrature: every integral over R^3
+    of a radial profile is a sum against one of them."""
 
     n_cells: int
     r_max: float
@@ -75,9 +78,19 @@ class RadialGrid:
 
     @cached_property
     def cell_volumes(self) -> np.ndarray:
-        """Exact shell volumes (4*pi/3) (r_{i+1/2}^3 - r_{i-1/2}^3)."""
-        f = self.faces
-        return _read_only((4.0 * np.pi / 3.0) * (f[1:] ** 3 - f[:-1] ** 3))
+        """Exact shell volumes (4*pi/3) (r_{i+1/2}^3 - r_{i-1/2}^3).
+
+        Factored through the face spacing, which is exact, as
+        (hi - lo)(hi^2 + hi lo + lo^2): good to a few ulps, where
+        hi^3 - lo^3 as written loses ~i ulps in cell i."""
+        lo, hi = self.faces[:-1], self.faces[1:]
+        return _read_only((4.0 * np.pi / 3.0) * (hi - lo) * (hi * hi + hi * lo + lo * lo))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Midpoint-rule weights 4*pi*r_i^2*dr: sum(weights * g) is the
+        integral over R^3 of the radial g sampled at the centers."""
+        return (4.0 * np.pi * self.dr) * self.centers**2
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -142,32 +155,26 @@ def integrate_radial(f: RadialField, s: float = 0.0) -> float:
 
     Composite midpoint rule on the cell centers; s = 0 is the mass.
     """
-    return _radial_moment(f.grid, f.values, s)
-
-
-def _radial_moment(grid: RadialGrid, values: np.ndarray, s: float) -> float:
-    """integrate_radial on bare values."""
-    return 4.0 * np.pi * grid.dr * float(np.sum(grid.centers ** (2.0 + s) * values))
+    grid = f.grid
+    return float(np.sum(grid.weights * grid.centers**s * f.values))
 
 
 def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0,
                      scale: float = 1.0) -> float:
     """Weighted Lebesgue norm || <v/scale>^m f ||_{L^p} with <v> = sqrt(1 + |v|^2).
 
-    p = inf returns the grid supremum of <r/scale>^m |f|.  Radial reduction:
-    ||g||_p = (4 pi int r^2 |g(r)|^p dr)^{1/p}.  A scale other than 1 gives
-    the reweighted norms of the dilation laws in `probes`.
+    p = inf returns the grid supremum of <r/scale>^m |f|; finite p sums
+    |g|^p against the grid's weights.  A scale other than 1 gives the
+    reweighted norms of the dilation laws in `probes`.
     """
     if p != np.inf and p < 1:
         raise FieldError(f"p must be >= 1 or inf, got {p}")
-    r = f.grid.centers
-    w = (1.0 + (r / scale) ** 2) ** (0.5 * m)
+    grid = f.grid
+    w = (1.0 + (grid.centers / scale) ** 2) ** (0.5 * m)
     g = w * np.abs(f.values)
     if p == np.inf:
         return float(g.max())
-    return float(
-        (4.0 * np.pi * f.grid.dr * np.sum(r**2 * g**p)) ** (1.0 / p)
-    )
+    return float(np.sum(grid.weights * g**p) ** (1.0 / p))
 
 
 def radial_laplacian(f: RadialField) -> RadialField:

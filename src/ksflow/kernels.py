@@ -30,8 +30,8 @@ gamma = -3, has (r+s) - |r-s| = 2 min(r, s), so Newton's shell theorem gives
     (f * |.|^{-1})(r) = (4 pi / r) int_0^r s^2 f(s) ds + 4 pi int_r^inf s f(s) ds,
 
 and the same closed-form cell-pair integrals become one forward and one
-reversed prefix sum with three cached weight vectors: O(n), no FFT, and
-rounding relative to the terms each output sums.
+reversed prefix sum over the grid's cell volumes and two cached weight
+vectors: O(n), no FFT, and rounding relative to the terms each output sums.
 
 For every other exponent the FFT rounding is relative to the largest kernel
 entries, those at 2 r_max, not to the entries that build a given output, and
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadialField, RadialGrid, _radial_moment, radial_laplacian
+from .grids import RadialField, RadialGrid, radial_laplacian
 
 
 class KernelError(ValueError):
@@ -129,20 +129,6 @@ class RatioWindow:
 RATIO_WINDOW = RatioWindow()
 
 
-def gamma_ratio(pot, r):
-    """Log-derivative Gamma(r) = r alpha'(r) / alpha(r); constant gamma for power laws."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise KernelError("gamma_ratio requires r > 0")
-    if isinstance(pot, PowerLaw):
-        return np.full_like(r, pot.gamma) if r.ndim else pot.gamma
-    a = pot.alpha(r)
-    if np.any(a <= 0):
-        raise KernelError("alpha must be positive for the ratio Gamma")
-    out = r * pot.alpha_prime(r) / a
-    return out if r.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Radial convolution with |.|^mu
 # ---------------------------------------------------------------------------
@@ -221,26 +207,26 @@ def _kernel_spectrum(grid: RadialGrid, mu: float) -> np.ndarray:
 
 
 def _shell_weights(grid: RadialGrid) -> np.ndarray:
-    """Shell-theorem weights of the Coulomb kernel mu = -1, shape (3, n).
+    """Shell-theorem weights of the Coulomb kernel mu = -1, shape (2, n).
 
     For cell-constant f with faces F_j, cell volumes V_j and centres r_i,
 
         (f * |.|^{-1})_i = (1/r_i) sum_{j<i} V_j x_j + sum_{j>i} w_j x_j + d_i x_i,
 
-    w_j = 2 pi (F_{j+1}^2 - F_j^2) and the split diagonal cell's
-    d_i = 4 pi [(r_i^3 - F_i^3) / (3 r_i) + (F_{i+1}^2 - r_i^2) / 2]: the
-    closed-form cell-pair integrals of the Hankel/Toeplitz form at nu = 1.
-    Differences of powers are factored through the differences of radii,
-    which are exact, so every weight is good to a few ulps (F_{j+1}^3 - F_j^3
-    as written loses ~j ulps in cell j).  Returns the rows (V, w, d).
+    V_j the grid's `cell_volumes`, w_j = 2 pi (F_{j+1}^2 - F_j^2) and the
+    split diagonal cell's d_i = 4 pi [(r_i^3 - F_i^3) / (3 r_i) +
+    (F_{i+1}^2 - r_i^2) / 2]: the closed-form cell-pair integrals of the
+    Hankel/Toeplitz form at nu = 1.  Differences of powers are factored
+    through the differences of radii, which are exact, so every weight is
+    good to a few ulps.  Returns the rows (w, d); V stays with the grid, so
+    the cache holds no second copy of it.
     """
     faces, r = grid.faces, grid.centers
     lo, hi = faces[:-1], faces[1:]
-    volumes = (4.0 * np.pi / 3.0) * (hi - lo) * (hi * hi + hi * lo + lo * lo)
     shells = 2.0 * np.pi * (hi - lo) * (hi + lo)
     diag = 4.0 * np.pi * ((r - lo) * (r * r + r * lo + lo * lo) / (3.0 * r)
                           + 0.5 * (hi - r) * (hi + r))
-    return np.stack([volumes, shells, diag])
+    return np.stack([shells, diag])
 
 
 def kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
@@ -275,12 +261,12 @@ def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarr
     if mu > 2.0:
         raise KernelError(f"kernel exponent mu = {mu} outside supported range (-3, 2]")
     if mu == 0.0:
-        return np.full(grid.n_cells, _radial_moment(grid, values, 0.0))
+        return np.full(grid.n_cells, float(np.sum(grid.weights * values)))
     if mu == -1.0:
-        volumes, shells, diag = kernel_matrix(grid, mu)
+        shells, diag = kernel_matrix(grid, mu)
         out = np.zeros(grid.n_cells)
         # np.add.accumulate, not np.cumsum: the wrapper costs as much as the sum
-        np.add.accumulate((volumes * values)[:-1], out=out[1:])
+        np.add.accumulate((grid.cell_volumes * values)[:-1], out=out[1:])
         out /= grid.centers
         out[:-1] += np.add.accumulate((shells * values)[:0:-1])[::-1]
         out += diag * values

@@ -23,7 +23,6 @@ from ..kernels import (
     RATIO_WINDOW,
     PowerLaw,
     SoftenedPowerLaw,
-    gamma_ratio,
     nondivergence_rhs,
 )
 from . import operators as ops
@@ -441,7 +440,11 @@ def _dissipation_pairings(pot, x, F_val, grad, hess):
             "rest": psi * (qks - ql) / F_val}
 
 
-def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = ""):
+def dissipation_rows(F: Mixture6, pot: PowerLaw, n_samples: int, seed: int,
+                     label: str = ""):
+    """The dissipation bounds for a power law, whose log-derivative
+    Gamma = r alpha'/alpha is the constant gamma."""
+    G = pot.gamma
     rows = []
     ests = estimate_many(F, functools.partial(_dissipation_pairings, pot),
                          n_samples, seed, stream=20)
@@ -449,27 +452,23 @@ def dissipation_rows(F: Mixture6, pot, n_samples: int, seed: int, label: str = "
     def right_sides(x, F_val, grad, hess):
         p = Points(x)
         r = p.r
-        G = gamma_ratio(pot, r)
         a = pot.alpha(r)
         delta = _difference_log_gradient(grad, F_val)
         tan = _tangent_quadratic(p, delta)
         nn = _normal_quadratic(p, delta)
         return {
-            "ql": (G**2 - 19.0) * a / r**2 * tan,
-            "rest": -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G**2 + 8.0 * G - 8.0) * a * nn,
-            "final": (G**2 - 4.0 * G - 23.0) * a / r**2 * tan,
+            "ql": (G * G - 19.0) * a / r**2 * tan,
+            "rest": -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G * G + 8.0 * G - 8.0) * a * nn,
+            "final": (G * G - 4.0 * G - 23.0) * a / r**2 * tan,
         }
 
     bounds = estimate_many(F, right_sides, n_samples, seed, stream=21, order=1)
 
     # window membership decides whether sign assertions apply; the two
-    # coefficient polynomials are reported with their worst (largest) values
-    # over the realized Gamma range
-    probe_r = np.geomspace(1e-3, 1e3, 241)
-    G_all = np.atleast_1d(gamma_ratio(pot, probe_r))
-    in_window = RATIO_WINDOW.contains(G_all)
-    poly_normal = float(np.max(2.0 * G_all**2 + 8.0 * G_all - 8.0))
-    poly_combined = float(np.max(G_all**2 - 4.0 * G_all - 23.0))
+    # coefficient polynomials are reported at Gamma = gamma
+    in_window = RATIO_WINDOW.contains(G)
+    poly_normal = 2.0 * G * G + 8.0 * G - 8.0
+    poly_combined = G * G - 4.0 * G - 23.0
     for name, value in (("coeff_poly_2G2+8G-8", poly_normal),
                         ("coeff_poly_G2-4G-23", poly_combined)):
         if in_window:

@@ -161,9 +161,8 @@ class Term:
         if self.kind in ("f", "conv"):
             return weighted_lp_norm(value, self.p, self.m, scale)
         grid = value.grid
-        r = grid.centers
-        w2 = (1.0 + (r / scale) ** 2) ** self.m
-        return float(np.sqrt(4.0 * np.pi * grid.dr * np.sum(r**2 * w2 * value.values)))
+        w2 = (1.0 + (grid.centers / scale) ** 2) ** self.m
+        return float(np.sqrt(np.sum(grid.weights * w2 * value.values)))
 
 
 def _optimal_split(terms) -> float:

@@ -126,7 +126,6 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
-    dt_used: float
     mass_drift: float
     clips: int = 0  # always 0: a negative deeper than roundoff aborts the step
     halvings: int = 0
@@ -310,7 +309,6 @@ def step(stencil: Stencil, values: np.ndarray, a: np.ndarray, h_max: float,
         vals = _apply_positivity(vals, top)
     mass = float(np.dot(vols, vals))
     report = StepReport(
-        dt_used=sub_dt,
         mass_drift=(mass - mass0) / mass0 if mass0 else 0.0,
         halvings=halvings,
         sup=max(float(top), 0.0),  # the max after flooring negatives at 0

@@ -14,6 +14,9 @@ from ksflow.grids import (
     weighted_lp_norm,
     write_checkpoint,
 )
+from ksflow import diagnostics as dg
+from ksflow.kernels import h_values, radial_convolve
+from ksflow.probes import Term
 
 from checkpoint_reader import read_checkpoint
 
@@ -341,3 +344,61 @@ class TestGridGeometry:
         a.faces  # a cached array must not enter equality or hashing
         assert a == b and hash(a) == hash(b)
         assert a != RadialGrid(32, 4.5) and a != RadialGrid(33, 4.0)
+
+
+class TestOneQuadrature:
+    """`RadialGrid.weights` and `cell_volumes` are the only radial quadrature."""
+
+    @staticmethod
+    def integrals():
+        grid = RadialGrid(256, 8.0)
+        f = gaussian_field(grid, sigma=1.0, mass=1.0)
+        a = radial_convolve(grid, f.values, -0.5)
+        row = dg.snapshot_row(0.5, f, -2.5, a, h_values(grid, f.values, -2.5))
+        hess = RadialField(grid, f.values**2 * grid.centers**2)
+        return {
+            "E_0": integrate_radial(f, 0.0),
+            "E_2": integrate_radial(f, 2.0),
+            "l3_cubed": weighted_lp_norm(f, 3.0) ** 3,
+            "entropy": dg.entropy(f),
+            "fisher": dg.fisher_information(f),
+            "mu0": radial_convolve(grid, f.values, 0.0),
+            **{f"row_{k}": row[k] for k in ("energy", "entropy", "fisher", "e4", "e6",
+                                             "_aff", "l3_norm", "mass")},
+            "hess": Term("hess", 2.0, 1.0).norm(hess, 2.0),
+        }
+
+    def test_every_integral_reads_the_weights(self, monkeypatch):
+        # with the weights doubled, each integral scales by exactly 2 and a
+        # p-th root of one by 2^(1/p)
+        plain = self.integrals()
+        midpoint = RadialGrid.weights.fget
+        monkeypatch.setattr(RadialGrid, "weights", property(lambda g: 2.0 * midpoint(g)))
+        doubled = self.integrals()
+        for key in ("E_0", "E_2", "entropy", "fisher", "row_energy", "row_entropy",
+                    "row_fisher", "row_e4", "row_e6", "row__aff"):
+            assert doubled[key] == 2.0 * plain[key], key
+        assert np.array_equal(doubled["mu0"], 2.0 * plain["mu0"])
+        assert doubled["l3_cubed"] == pytest.approx(2.0 * plain["l3_cubed"], rel=1e-14)
+        assert doubled["row_l3_norm"] == pytest.approx(2.0 ** (1 / 3) * plain["row_l3_norm"],
+                                                       rel=1e-15)
+        assert doubled["hess"] == pytest.approx(np.sqrt(2.0) * plain["hess"], rel=1e-15)
+        # the finite-volume mass sums against the cell volumes instead
+        assert doubled["row_mass"] == plain["row_mass"]
+
+    def test_cell_volumes_one_formula_good_to_a_few_ulps(self):
+        grid = RadialGrid(2048, 0.7)
+        volumes = grid.cell_volumes
+        # the shell theorem reads them: outside a unit spike in cell k the
+        # Coulomb convolution is V_k / r, bit for bit
+        for k in (0, 1000, 2046):
+            spike = np.zeros(grid.n_cells)
+            spike[k] = 1.0
+            assert np.array_equal(radial_convolve(grid, spike, -1.0)[k + 1:],
+                                  volumes[k] / grid.centers[k + 1:])
+        ld = np.longdouble
+        faces = grid.faces.astype(ld)
+        exact = 4 * (4 * np.arctan(ld(1))) / 3 * (faces[1:] ** 3 - faces[:-1] ** 3)
+        ulps = np.abs(volumes.astype(ld) - exact) / np.spacing(volumes).astype(ld)
+        # hi^3 - lo^3 in double precision is off by ~960 ulps here
+        assert ulps.max() <= 4.0

@@ -13,11 +13,9 @@ from ksflow.grids import (
 from ksflow.kernels import (
     RATIO_WINDOW,
     KernelError,
-    PowerLaw,
     SoftenedPowerLaw,
     _h_sup_bound,
     _h_sup_constant,
-    gamma_ratio,
     h_values,
     kernel_matrix,
     radial_convolve,
@@ -104,20 +102,11 @@ def conv_oracle_1d(f_profile, mu, r_targets, s_max=14.0, n=40_000):
 
 
 class TestGammaRatio:
-    def test_power_law_constant(self):
-        pot = PowerLaw(-3.0)
-        r = np.array([0.1, 1.0, 7.3])
-        assert np.allclose(gamma_ratio(pot, r), -3.0)
-
     def test_window_membership(self):
         assert RATIO_WINDOW.contains(-3.0)
         assert not RATIO_WINDOW.contains(1.0)
         assert abs(RATIO_WINDOW.lo - (2 - 3 * np.sqrt(3))) < 1e-15
         assert abs(RATIO_WINDOW.hi - (-2 + 2 * np.sqrt(2))) < 1e-15
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(KernelError):
-            gamma_ratio(PowerLaw(-2.0), 0.0)
 
 
 class TestRadialConvolve:
@@ -457,7 +446,7 @@ class TestSoftenedPowerLaw:
     def test_ratio_sweeps_gamma_to_zero(self):
         pot = SoftenedPowerLaw(-3.0, eps=0.1)
         r = np.array([1e-3, 0.1, 10.0])
-        g = gamma_ratio(pot, r)
+        g = r * pot.alpha_prime(r) / pot.alpha(r)  # Gamma = r alpha'/alpha
         assert g[0] > -0.01
         assert abs(g[1] - (-1.5)) < 1e-12
         assert g[2] < -2.99
