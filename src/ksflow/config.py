@@ -116,7 +116,7 @@ def gaussian_vanishes(grid: RadialGrid, sigma: float, mass: float | None = None,
     """
     peak = amplitude if amplitude is not None else mass * (2.0 * np.pi * sigma**2) ** -1.5
     with np.errstate(over="ignore"):  # (r/sigma)^2 = inf: exp gives the 0 it means
-        first = peak * np.exp(-0.5 * (np.array([0.5 * grid.dr]) / sigma) ** 2)
+        first = peak * np.exp(-0.5 * (grid.centers[:1] / sigma) ** 2)
     return peak > 0.0 and first[0] == 0.0
 
 

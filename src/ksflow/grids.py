@@ -205,29 +205,23 @@ def radial_laplacian(f: RadialField) -> RadialField:
 
 @dataclass
 class Trajectory:
-    """Time-stamped snapshots plus one diagnostics row per output time."""
+    """The diagnostics rows of a run, one per output time, in time order.
 
-    times: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
+    A run keeps its rows, not its states: every monitor reads the rows, and
+    the only state a run writes out is its checkpoint."""
+
     rows: list = field(default_factory=list)
 
-    def append(self, t: float, f, row: dict | None = None):
-        if self.times and t <= self.times[-1]:
-            raise FieldError(
-                f"output times must be strictly increasing ({t} after {self.times[-1]})"
-            )
-        self.times.append(t)
-        self.fields.append(f)
-        if row is not None:
-            self.rows.append(row)
+    def append(self, row: dict):
+        if self.rows and row["t"] <= self.rows[-1]["t"]:
+            raise FieldError(f"output times must be strictly increasing "
+                             f"({row['t']} after {self.rows[-1]['t']})")
+        self.rows.append(row)
 
     def column(self, name: str) -> np.ndarray:
         if self.rows and name not in self.rows[0]:
             raise KeyError(f"no diagnostics column named {name!r}")
         return np.array([row[name] for row in self.rows])
-
-    def __len__(self):
-        return len(self.times)
 
 
 # ---------------------------------------------------------------------------

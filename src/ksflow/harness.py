@@ -96,7 +96,7 @@ def compare_blowup(amplitude: float, sigma: float = 1.0, horizon: float = 0.1,
         heat_curves.append([(row["t"], row["max"]) for row in traj.rows])
 
     ks_traj = run(configs[0], u0)
-    ks_max = float(ks_traj.column("linf_norm").max()) if len(ks_traj.rows) else 0.0
+    ks_max = float(ks_traj.column("linf_norm").max())
     ks_initial = float(u0.values.max())
     ks_mass_drift = max((abs(r["_mass_drift"]) for r in ks_traj.rows), default=0.0)
 

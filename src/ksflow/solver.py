@@ -26,10 +26,12 @@ h_max.  `run` forms h[f] (`kernels.h_values`) at every output row, for every
 gamma, and hands a[f] and h[f] to `diagnostics.snapshot_row`; between rows,
 where the bound `kernels._h_sup_bound` on max h[f] (exact at gamma = -3)
 clears the guard with a 2x margin, h_max is that bound and h[f] is not
-convolved.  `RadialField`s are built only for the state at the rows, the
-trajectory and the checkpoints.  Every step checks its new state for finite
-values (FieldError) and calls `solve_banded`, as bound here, for each
-diffusion solve; every convolution goes through `kernels.radial_convolve`.
+convolved.  `RadialField`s are built only for the state at the rows, for
+`diagnostics.snapshot_row` and the checkpoints, and none is kept: the
+`Trajectory` holds the rows only, so a run's memory is O(n_cells + rows).
+Every step checks its new state for finite values (FieldError) and calls
+`solve_banded`, as bound here, for each diffusion solve; every convolution
+goes through `kernels.radial_convolve`.
 The benchmark tracer's per-layer timings rely on these names.
 
 `solve_banded` is one direct call of LAPACK `dgtsv` (`ksflow._lapack`).  It
@@ -194,8 +196,7 @@ def boundary_flux_estimate(grid: RadialGrid, values: np.ndarray, a: np.ndarray) 
     dr = grid.dr
     diff = a[-1] * (0.0 - values[-1]) / dr
     drift = -0.5 * values[-1] * (a[-1] - a[-2]) / dr
-    area = 4.0 * np.pi * grid.r_max**2
-    return abs(area * (diff + drift))
+    return abs(grid.face_areas[-1] * (diff + drift))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,8 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     The state and its coefficients are bare arrays throughout; a[f] is
     evaluated once per step, h[f] at output times and otherwise only as the
     guard needs it (_guard_h).  Each row's `_halvings` counts the halvings
-    since the previous row.
+    since the previous row.  The trajectory holds the rows only; the state
+    at t_end goes to the checkpoint.
     On non-finite values the run aborts with the last good state checkpointed
     (when a checkpoint path is given).
     """
@@ -344,7 +346,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
 
     a = radial_convolve(grid, vals, 2.0 + gamma)
     h = h_values(grid, vals, gamma)
-    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, gamma, a, h))
+    traj.append(diagnostics.snapshot_row(0.0, f, gamma, a, h))
     h_max = h.max()
     for k in range(1, n_steps + 1):
         if not zero_field:
@@ -366,7 +368,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
             h = h_values(grid, vals, gamma)
             t = k * config.dt
             f = RadialField(grid, vals)
-            traj.append(t, f, diagnostics.snapshot_row(
+            traj.append(diagnostics.snapshot_row(
                 t, f, gamma, a, h, mass_drift=rep.mass_drift,
                 boundary_budget=boundary_budget, halvings=halvings))
             halvings = 0
@@ -398,7 +400,7 @@ def run_semilinear(config: SolverConfig,
     bands = {}  # substep size -> unit-coefficient system
     n_steps = config.n_steps
     traj = Trajectory()
-    traj.append(0.0, u_in, {"t": 0.0, "max": float(u_in.values.max())})
+    traj.append({"t": 0.0, "max": float(u_in.values.max())})
     vals = u_in.values.copy()
     detector = None
     for k in range(1, n_steps + 1):
@@ -420,8 +422,7 @@ def run_semilinear(config: SolverConfig,
                 break
         t = k * config.dt
         if k % config.output_stride == 0 or k == n_steps or detector is not None:
-            traj.append(t, RadialField(grid, np.minimum(vals, 1e300)),
-                        {"t": t, "max": float(vals.max())})
+            traj.append({"t": t, "max": float(vals.max())})
         if detector is not None:
             break
     return traj, detector

@@ -25,6 +25,7 @@ from ksflow.lifted.suites import (
 )
 from ksflow.probes import PROBE_LEMMAS, probe_inequality
 from ksflow.solver import SolverConfig, run
+from recorded_run import run_with_states
 from test_diagnostics import j2_sign_sample
 
 MC_SAMPLES = 1_000_000
@@ -81,10 +82,10 @@ class TestCriterion2:
             cfg = SolverConfig(gamma=-2.0, n_cells=n, r_max=12.0, dt=dt,
                                t_end=0.5, output_stride=int(round(0.5 / dt)))
             grid = cfg.grid()
-            traj = run(cfg, gaussian_field(grid, sigma=1.0, mass=1.0))
+            _, states = run_with_states(cfg, gaussian_field(grid, sigma=1.0, mass=1.0))
             s2 = 1.0 + 2.0 * 0.5
             exact = (2 * np.pi * s2) ** -1.5 * np.exp(-0.5 * grid.centers**2 / s2)
-            errs[n] = float(np.max(np.abs(traj.fields[-1].values - exact)))
+            errs[n] = float(np.max(np.abs(states[-1].values - exact)))
         ratio = errs[1024] / errs[2048]
         ok = errs[1024] <= 1e-3 and 2.5 <= ratio <= 5.5
         report(2, ok,

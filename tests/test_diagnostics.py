@@ -12,6 +12,7 @@ from ksflow.kernels import _h_sup_constant, h_values, radial_convolve
 from ksflow.report import all_passed
 from ksflow.solver import SolverConfig, run
 from ksflow import diagnostics as dg
+from recorded_run import run_with_states
 
 GRID = RadialGrid(2048, 12.0)
 
@@ -251,14 +252,13 @@ class TestTrajectoryMonitors:
 
         cfg = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=0.01,
                            output_stride=20)
-        traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
-        for f, row in zip(traj.fields, traj.rows):
+        traj, states = run_with_states(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        for f, row in zip(states, traj.rows, strict=True):
             idx = int(np.argmax(f.values))
             assert not row["_argmax_boundary"]
             assert row["_sup_a"] == radial_convolve(f.grid, f.values, -0.5).max()
             assert row["_h_at_argmax"] == h_values(f.grid, f.values, -2.5)[idx]
             assert row["_lap_at_argmax"] == radial_laplacian(f).values[idx]
-        traj.fields.clear()  # the monitors read the rows only
         assert dg.maxpoint_growth_check(traj, -2.5)["passed"]
         assert dg.moment_growth_check(traj, -2.5, k=6)["monitor"] == "moment_growth_k6"
         with pytest.raises(ValueError, match="k = 4 or 6"):
@@ -413,11 +413,14 @@ def test_moments_check_the_heat_identity_on_both_sides():
     cfg = load_config(Path(__file__).parents[1] / "configs/reference.cfg")
     clean = run(replace(cfg.solver, gamma=-2.0, t_end=0.1), initial_field(cfg))
     check = _MONITOR_DISPATCH["moments"]
-    assert check(clean, -2.0)["passed"]
+    verdict = check(clean, -2.0)
+    # the margin is two-sided too: 1e-2 bound - |rate - bound| at its least
+    assert verdict["passed"] and verdict["worst_margin"] >= 0.0
     for offset in (2e-2, -2e-2):
         traj = copy.deepcopy(clean)
         _plant_e4_off_heat_identity(traj.rows, offset)
-        assert not check(traj, -2.0)["passed"], offset
+        verdict = check(traj, -2.0)
+        assert not verdict["passed"] and verdict["worst_margin"] < 0.0, offset
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 import ksflow._lapack as lapack
 import ksflow.solver as solver
+from ksflow.config import gaussian_vanishes
 from ksflow.grids import RadialField, RadialGrid, gaussian_field
 from ksflow.kernels import (
     KernelError,
@@ -30,6 +32,7 @@ from ksflow.solver import (
 
 import test_step_oracle as step_oracle
 from checkpoint_reader import read_checkpoint
+from recorded_run import run_with_states
 from test_step_oracle import NAN_STEP, _flux_form_rhs, a_field, nan_at_call, oracle_run
 
 
@@ -113,6 +116,23 @@ class TestFluxFormRHS:
         a = a_field(f, -3.0)
         assert boundary_flux_estimate(grid, f.values, a.values) <= 1e-20
 
+    def test_geometry_from_the_grid_where_n_dr_is_not_r_max(self):
+        # n * (r_max / n) != r_max here, so the outer face sits at n * dr
+        # and the boundary flux crosses the grid's last face area
+        grid = RadialGrid(1691, 27.55531694416758)
+        assert grid.faces[-1] != grid.r_max
+        f = gaussian_field(grid, sigma=3.0, mass=1.0)
+        a = radial_convolve(grid, f.values, -0.5)
+        v, dr = f.values, grid.dr
+        per_area = a[-1] * (0.0 - v[-1]) / dr - 0.5 * v[-1] * (a[-1] - a[-2]) / dr
+        assert boundary_flux_estimate(grid, v, a) == abs(grid.face_areas[-1] * per_area)
+        # the vanishing rule evaluates the first center, as gaussian_field does
+        for size in ({"mass": 1.0}, {"amplitude": 1.0}):
+            for sigma in np.linspace(1.9e-4, 2.3e-4, 41):
+                field = gaussian_field(grid, sigma=float(sigma), **size)
+                assert gaussian_vanishes(grid, float(sigma), **size) == (
+                    field.values.max() == 0.0)
+
 
 class TestNondivergenceRHS:
     def test_agreement_with_flux_form_under_refinement(self):
@@ -156,9 +176,9 @@ class TestStep:
         cfg = SolverConfig(gamma=-2.0, n_cells=1024, dt=1e-4, t_end=0.5,
                            output_stride=1000)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
-        traj = run(cfg, f0)
+        _, states = run_with_states(cfg, f0)
         exact = heat_kernel(cfg.grid(), 0.5)
-        err = np.max(np.abs(traj.fields[-1].values - exact))
+        err = np.max(np.abs(states[-1].values - exact))
         assert err <= 1e-3
 
     def test_mass_conserved_per_step(self):
@@ -229,8 +249,9 @@ class TestRun:
         cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.01,
                            output_stride=5)
         f0 = RadialField(cfg.grid(), np.zeros(128))
-        traj = run(cfg, f0)
-        for f in traj.fields:
+        traj, states = run_with_states(cfg, f0)
+        assert len(states) == len(traj.rows) == 3
+        for f in states:
             assert np.all(f.values == 0.0)
 
     def test_restart_reproduces_bit_for_bit(self, tmp_path):
@@ -243,9 +264,28 @@ class TestRun:
         run(half, f0, checkpoint_path=ckpt)
         f_mid, gamma, t_mid = read_checkpoint(ckpt)
         assert gamma == -2.5 and t_mid == 0.01
-        resumed = run(half, f_mid)
-        full = run(cfg, f0)
-        assert np.array_equal(resumed.fields[-1].values, full.fields[-1].values)
+        _, resumed = run_with_states(half, f_mid)
+        _, full = run_with_states(cfg, f0)
+        assert np.array_equal(resumed[-1].values, full[-1].values)
+
+    def test_memory_grows_by_the_rows_not_the_states(self):
+        # each output row may add its diagnostics, never its 32 KiB state
+        cfg = SolverConfig(gamma=-3.0, n_cells=4096, dt=1e-4, t_end=5e-3,
+                           output_stride=1)
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
+        run(cfg, f0)  # warm-up: the grid's cached arrays and first-call costs
+
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                traj = run(replace(cfg, t_end=n_steps * cfg.dt), f0)
+                assert len(traj.rows) == n_steps + 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_row = (peak(200) - peak(50)) / 150
+        assert per_row < f0.values.nbytes / 4
 
     def test_grid_mismatch_rejected(self):
         cfg = SolverConfig(gamma=-3.0, n_cells=256, dt=1e-4, t_end=0.01)
@@ -263,7 +303,8 @@ class TestRun:
         cfg = SolverConfig(gamma=-2.0, n_cells=512, dt=0.05, t_end=5.0,
                            output_stride=1)
         f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
-        last_good = run(replace(cfg, t_end=(NAN_STEP - 1) * cfg.dt), f0).fields[-1]
+        _, states = run_with_states(replace(cfg, t_end=(NAN_STEP - 1) * cfg.dt), f0)
+        last_good = states[-1]
         monkeypatch.setattr(solver, "solve_banded",
                             nan_at_call(solver.solve_banded, NAN_STEP))
         ckpt = tmp_path / "last_good.ckpt"
@@ -408,7 +449,7 @@ class TestReactionBound:
 
         monkeypatch.setattr(solver, "step", recording)
         monkeypatch.setattr(solver, "h_values", h_recording)
-        got = run(cfg, f0)
+        got, got_states = run_with_states(cfg, f0)
         uncleared = [k for k, rep in enumerate(reports, 1)
                      if not cfg.dt * self.guard_bound(cfg, rep) <= 0.25]
         assert uncleared == [1, 2]
@@ -416,9 +457,9 @@ class TestReactionBound:
         assert h_steps == [0, 1, 2, 10, 20]
         assert reports[0].halvings > 0 and reports[1].halvings == 0
         assert solver._reaction_substeps(cfg.dt, self.guard_bound(cfg, reports[0])) == 1
-        want = oracle_run(cfg, f0)
+        want, want_states = oracle_run(cfg, f0)
         assert got.rows == want.rows
-        for g, w in zip(got.fields, want.fields, strict=True):
+        for g, w in zip(got_states, want_states, strict=True):
             assert np.array_equal(g.values, w.values)
 
     def test_coulomb_guard_is_exact_without_h(self, monkeypatch):
@@ -433,7 +474,7 @@ class TestReactionBound:
                             lambda *args: calls.append(1) or h_exact(*args))
         got = run(cfg, f0)
         assert len(calls) == len(got.rows) == 6
-        want = oracle_run(cfg, f0)
+        want, _ = oracle_run(cfg, f0)
         assert got.rows == want.rows
         assert sum(row["_halvings"] for row in got.rows) > 0
 
@@ -554,17 +595,27 @@ class TestDiffusionSolve:
 
 
 class TestSemilinearHeat:
-    def test_small_data_reaction_negligible(self):
+    def test_small_data_reaction_negligible(self, monkeypatch):
         # small data follow the unit heat flow, and u^2 is second order in
         # the data: doubling the data doubles the solution up to the reaction
         grid = RadialGrid(512, 12.0)
         cfg = SolverConfig(gamma=-3.0, n_cells=512, dt=1e-4, t_end=0.05,
                            output_stride=100)
+        # the state after each substep, as the positivity check returns it
+        states = []
+        positivity = solver._apply_positivity
+
+        def recording(*args):
+            states.append(positivity(*args))
+            return states[-1]
+
+        monkeypatch.setattr(solver, "_apply_positivity", recording)
         finals = []
         for mass in (1e-6, 2e-6):
             traj, t_det = run_semilinear(cfg, gaussian_field(grid, sigma=1.0, mass=mass))
             assert t_det is None
-            finals.append(traj.fields[-1].values)
+            assert traj.rows[-1]["max"] == states[-1].max()
+            finals.append(states[-1])
         exact = 1e-6 * heat_kernel(grid, 0.05)
         assert np.max(np.abs(finals[0] - exact)) <= 1e-3 * np.max(exact)
         assert np.max(np.abs(finals[1] - 2.0 * finals[0])) <= 1e-6 * np.max(finals[1])

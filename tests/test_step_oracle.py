@@ -6,8 +6,9 @@ arithmetic it replaced, kept verbatim: fresh arrays every step, a validated
 `RadialField` for each state and coefficient, a freshly built band matrix and
 a checked `solve_banded` per solve.  Only the positivity floor and the
 reaction guard, which neither path changed, are the solver's own.  Both must
-store the same fields and rows bit for bit, and an aborted run must leave the
-same checkpoint.
+give the same state at every output row (recorded from the solver by
+`recorded_run.run_with_states`) and the same rows bit for bit, and an aborted
+run must leave the same checkpoint.
 
 `_flux_form_rhs` is the explicit finite-volume divergence of the scheme's
 fluxes, the one test-side copy that `test_solver.py` checks the
@@ -37,6 +38,7 @@ from ksflow.solver import (
 )
 
 from checkpoint_reader import read_checkpoint
+from recorded_run import run_with_states
 
 
 def a_field(f, gamma):
@@ -74,7 +76,7 @@ def _boundary_flux_estimate(f, a):
     fa, aa = f.values, a.values
     diff = aa[-1] * (0.0 - fa[-1]) / dr
     drift = -0.5 * fa[-1] * (aa[-1] - aa[-2]) / dr
-    return abs(4.0 * np.pi * grid.r_max**2 * (diff + drift))
+    return abs(grid.face_areas[-1] * (diff + drift))
 
 
 def _implicit_diffusion_solve(f_star, a_vals, grid, dt):
@@ -113,6 +115,7 @@ def _step(f, a, h, config, mass0):
 
 
 def oracle_run(config, f_in, checkpoint_path=None):
+    """(trajectory, [the field of each row]), as `run_with_states` returns."""
     gamma = config.gamma
 
     def coefficients(f):
@@ -121,11 +124,12 @@ def oracle_run(config, f_in, checkpoint_path=None):
     n_steps = int(round(config.t_end / config.dt))
     mass0 = float(np.dot(f_in.grid.cell_volumes, f_in.values))
     traj = Trajectory()
+    states = [f_in]
     f = f_in
     budget = 0.0
     halvings = 0
     a, h = coefficients(f)
-    traj.append(0.0, f, diagnostics.snapshot_row(0.0, f, gamma, a.values, h.values))
+    traj.append(diagnostics.snapshot_row(0.0, f, gamma, a.values, h.values))
     for k in range(1, n_steps + 1):
         if mass0 != 0.0:
             budget += _boundary_flux_estimate(f, a) * config.dt
@@ -140,14 +144,15 @@ def oracle_run(config, f_in, checkpoint_path=None):
         a, h = coefficients(f)
         if k % config.output_stride == 0 or k == n_steps:
             t = k * config.dt
-            traj.append(t, f, diagnostics.snapshot_row(
+            traj.append(diagnostics.snapshot_row(
                 t, f, gamma, a.values, h.values, mass_drift=drift,
                 boundary_budget=budget, halvings=halvings))
+            states.append(f)
             halvings = 0
     diagnostics.finalize_rows(traj, config.gamma)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, f, gamma=config.gamma, time=config.t_end)
-    return traj
+    return traj, states
 
 
 # (config, initial data, total halvings > 0)
@@ -170,11 +175,11 @@ CASES = {
 def test_stored_fields_rows_and_checkpoint_are_bit_identical(case, tmp_path):
     cfg, initial, halvings = CASES[case]
     f0 = initial(cfg.grid())
-    got = run(cfg, f0, checkpoint_path=tmp_path / "got.ckpt")
-    want = oracle_run(cfg, f0, checkpoint_path=tmp_path / "want.ckpt")
-    assert got.times == want.times
-    assert len(got.fields) == len(want.fields)
-    for g, w in zip(got.fields, want.fields):
+    got, got_states = run_with_states(cfg, f0, checkpoint_path=tmp_path / "got.ckpt")
+    want, want_states = oracle_run(cfg, f0, checkpoint_path=tmp_path / "want.ckpt")
+    assert got.column("t").tolist() == want.column("t").tolist()
+    assert len(got_states) == len(want_states) == len(got.rows)
+    for g, w in zip(got_states, want_states):
         assert np.array_equal(g.values, w.values)
     assert got.rows == want.rows
     assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
