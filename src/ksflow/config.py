@@ -16,20 +16,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .grids import FieldError, RadialGrid
+from .diagnostics import MONITORS
 from .solver import SolverConfig, SolverError
 
-DEFAULT_MONITORS = (
-    "mass",
-    "fisher",
-    "entropy",
-    "energy",
-    "ellipticity",
-    "hbound",
-    "maxpoint",
-    "moments",
-    "l3bound",
-    "envelope",
-)
+DEFAULT_MONITORS = tuple(MONITORS)
 
 
 def _names(text: str) -> tuple:

@@ -8,7 +8,9 @@ the Fisher step increment and the smoothing-envelope value
 sup f * min(t,1)^{3/4}.
 
 Monitors never abort a run: each check returns a verdict dict; a failed bound
-is itself the experimental result of interest.
+is itself the experimental result of interest.  Every monitor takes
+(trajectory, gamma), whether or not its check depends on gamma, so that one
+table, MONITORS, names them all and the harness calls them alike.
 
 The energy identity used here is dE_2/dt = 2 (5+gamma) int a[f] f dv.  The
 constant was pinned against the exact heat-flow oracle (gamma = -2, unit mass:
@@ -49,6 +51,16 @@ ROW_COLUMNS = (
 )
 
 ENERGY_RATE_FACTOR = 2.0  # dE_2/dt = ENERGY_RATE_FACTOR * (5+gamma) * int a[f] f
+
+#: the monitors' tolerances: the Fisher and entropy increments relative to
+#: the value, the max-point Laplacian and growth relative to max f over the
+#: run, the moment rate relative to its bound, the mass drift, and the floor
+#: of the ellipticity ratio
+MONOTONE_TOL_REL = 1e-8
+MAXPOINT_TOL = 1e-8
+MOMENT_TOL_REL = 1e-6
+MASS_TOL = 1e-10
+ELLIPTICITY_FLOOR = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +194,28 @@ def finalize_rows(traj: Trajectory, gamma: float):
 # trajectory monitors
 # ---------------------------------------------------------------------------
 
-def _monotonicity_report(name, values, tol_rel):
+def _monotonicity_report(name, values):
     increments = np.diff(values)
     scale = np.maximum(np.abs(values[:-1]), 1e-300)
     excess = increments / scale
-    worst = float(excess.max()) if len(excess) else 0.0
-    violations = int(np.sum(excess > tol_rel))
+    violations = int(np.sum(excess > MONOTONE_TOL_REL))
     return {
         "monitor": name,
-        "worst_relative_increment": worst,
+        "worst_relative_increment": float(excess.max()),
         "violations": violations,
-        "tol": tol_rel,
+        "tol": MONOTONE_TOL_REL,
         "passed": violations == 0,
     }
 
 
-def fisher_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
-    """Flags any per-step Fisher increment above tol_rel * i(t_k)."""
-    return _monotonicity_report("fisher_monotone", traj.column("fisher"), tol_rel)
+def fisher_monotonicity_check(traj: Trajectory, gamma: float) -> dict:
+    """Flags any per-step Fisher increment above MONOTONE_TOL_REL * i(t_k)."""
+    return _monotonicity_report("fisher_monotone", traj.column("fisher"))
 
 
-def entropy_monotonicity_check(traj: Trajectory, tol_rel: float = 1e-8) -> dict:
-    """Flags any per-step entropy increment above tol_rel * |H(t_k)|."""
-    return _monotonicity_report("entropy_monotone", traj.column("entropy"), tol_rel)
+def entropy_monotonicity_check(traj: Trajectory, gamma: float) -> dict:
+    """Flags any per-step entropy increment above MONOTONE_TOL_REL * |H(t_k)|."""
+    return _monotonicity_report("entropy_monotone", traj.column("entropy"))
 
 
 def energy_identity_residual(traj: Trajectory, gamma: float) -> dict:
@@ -225,9 +236,10 @@ def energy_identity_residual(traj: Trajectory, gamma: float) -> dict:
     }
 
 
-def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> dict:
-    """At each output time: the discrete Laplacian at the argmax is <= tol and
-    the observed growth of max f is <= the reaction term there, up to tol.
+def maxpoint_growth_check(traj: Trajectory, gamma: float) -> dict:
+    """At each output time: the discrete Laplacian at the argmax is <= 0 and
+    the observed growth of max f is <= the reaction term there, both up to
+    MAXPOINT_TOL times the run's max f.
 
     Boundary argmax locations are flagged and skipped.  Reads the snapshot rows.
     """
@@ -236,14 +248,12 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> 
     growth_ok = True
     skipped = 0
     maxima = traj.column("linf_norm")
-    scale = max(maxima.max(), 1e-300)
+    tol = MAXPOINT_TOL * max(maxima.max(), 1e-300)
     for k, row in enumerate(traj.rows):
-        if maxima[k] <= 0.0:
-            continue
         if row["_argmax_boundary"]:
             skipped += 1
             continue
-        if row["_lap_at_argmax"] > tol * scale:
+        if row["_lap_at_argmax"] > tol:
             lap_ok = False
         if 0 < k:
             rate = (maxima[k] - maxima[k - 1]) / (t[k] - t[k - 1])
@@ -251,7 +261,7 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> 
                 reaction = 0.0
             else:
                 reaction = -(2.0 + gamma) * row["_h_at_argmax"] * maxima[k]
-            if rate > reaction + tol * scale + 1e-12:
+            if rate > reaction + tol + 1e-12:
                 growth_ok = False
     return {
         "monitor": "maxpoint_growth",
@@ -262,47 +272,39 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float, tol: float = 1e-8) -> 
     }
 
 
-#: k -> the row columns holding E_k and E_{k-2}
-_MOMENT_COLUMNS = {4: ("e4", "energy"), 6: ("e6", "e4")}
-
-
-def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
-                        tol_rel: float = 1e-6) -> dict:
-    """dE_k/dt <= k(k+1) sup a[f] E_{k-2} + tol along the run, plus the
-    envelope-shape fit E_k(t) <= C (E_k(0) t^{(k-2)/2} + t^{k/2}) over t > 0.
+def moment_growth_check(traj: Trajectory, gamma: float) -> dict:
+    """dE_4/dt <= 20 sup a[f] E_2 (1 + MOMENT_TOL_REL) along the run, plus
+    the envelope-shape fit E_4(t) <= C (E_4(0) t + t^2) over t > 0.
 
     At gamma = -2, a[f] is the constant mass M and the bound is the identity
-    dE_k/dt = k(k+1) M E_{k-2} of the heat flow; the discrete rate sits above
-    it by O(dt, dr^2), so it is checked to 1e-2 relative, the criterion of
-    the energy identity, on both sides, and `worst_margin` is the least
-    1e-2 bound - |rate - bound| (elsewhere the least bound - rate).  k is 4
-    or 6, the moments the snapshot rows record.
+    dE_4/dt = 20 M E_2 of the heat flow; the discrete rate sits above it by
+    O(dt, dr^2), so it is checked to 1e-2 relative, the criterion of the
+    energy identity, on both sides, and `worst_margin` is the least
+    1e-2 bound - |rate - bound| (elsewhere the least bound - rate).
     """
-    if k not in _MOMENT_COLUMNS:
-        raise ValueError(f"moment growth check expects k = 4 or 6, got {k}")
     t = np.array(traj.column("t"))
-    ek = traj.column(_MOMENT_COLUMNS[k][0])
-    ekm2 = traj.column(_MOMENT_COLUMNS[k][1])
+    e4 = traj.column("e4")
+    e2 = traj.column("energy")
     sup_a = traj.column("_sup_a")
     ok = True
     margin = np.inf
     for j in range(1, len(t) - 1):
-        rate = (ek[j + 1] - ek[j - 1]) / (t[j + 1] - t[j - 1])
-        bound = k * (k + 1) * sup_a[j] * ekm2[j]
+        rate = (e4[j + 1] - e4[j - 1]) / (t[j + 1] - t[j - 1])
+        bound = 20 * sup_a[j] * e2[j]
         if gamma == -2.0:
             margin = min(margin, 1e-2 * bound - abs(rate - bound))
             if abs(rate - bound) > 1e-2 * bound:
                 ok = False
         else:
             margin = min(margin, bound - rate)
-            if rate > bound * (1.0 + tol_rel) + 1e-12:
+            if rate > bound * (1.0 + MOMENT_TOL_REL) + 1e-12:
                 ok = False
     # fitted envelope constant over positive times
     mask = t > 0
-    denom = ek[0] * t[mask] ** ((k - 2) / 2.0) + t[mask] ** (k / 2.0)
-    fitted_c = float(np.max(ek[mask] / denom)) if mask.any() else 0.0
+    denom = e4[0] * t[mask] + t[mask] ** 2
+    fitted_c = float(np.max(e4[mask] / denom))
     return {
-        "monitor": f"moment_growth_k{k}",
+        "monitor": "moment_growth_k4",
         "differential_bound_holds": ok,
         "worst_margin": float(margin),
         "fitted_envelope_constant": fitted_c,
@@ -310,14 +312,13 @@ def moment_growth_check(traj: Trajectory, gamma: float, k: int = 4,
     }
 
 
-def linf_envelope(traj: Trajectory) -> dict:
+def linf_envelope(traj: Trajectory, gamma: float) -> dict:
     """Record sup f(t) * min(t,1)^{3/4} (the row column) over the run.
 
     Report-only: no stated constant bounds the envelope, so a finite one is
     labelled "skip", not a "pass" that nothing checked.  A non-finite one
     fails."""
-    env = traj.column("linf_envelope")
-    bound = float(env.max()) if len(env) else 0.0
+    bound = float(traj.column("linf_envelope").max())
     return {
         "monitor": "linf_envelope",
         "envelope_bound": bound,
@@ -332,7 +333,7 @@ def linf_envelope(traj: Trajectory) -> dict:
 L3_FISHER_CONSTANT = 4.0 ** (2.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0)) / 4.0
 
 
-def l3_bound_check(traj: Trajectory) -> dict:
+def l3_bound_check(traj: Trajectory, gamma: float) -> dict:
     """The paper's Sobolev route to an L^3 bound, at every output time t:
 
         ||f(t)||_{L^3} <= (K^2/4) i(f(t)) <= (K^2/4) i(f_in).
@@ -357,14 +358,15 @@ def l3_bound_check(traj: Trajectory) -> dict:
     }
 
 
-def ellipticity_monitor(traj: Trajectory, gamma: float, floor: float = 0.1) -> dict:
-    """min over the run of min_r a[f]/<r>^{2+gamma}, bounded away from zero."""
+def ellipticity_monitor(traj: Trajectory, gamma: float) -> dict:
+    """min over the run of min_r a[f]/<r>^{2+gamma}, at least ELLIPTICITY_FLOOR."""
     vals = traj.column("ellipticity_ratio")
     live = vals[vals > 0.0]
     if len(live) == 0:
         return {"monitor": "ellipticity", "passed": True, "skipped": True}
     worst = float(live.min())
-    return {"monitor": "ellipticity", "run_min_ratio": worst, "passed": worst >= floor}
+    return {"monitor": "ellipticity", "run_min_ratio": worst,
+            "passed": worst >= ELLIPTICITY_FLOOR}
 
 
 def h_bound_monitor(traj: Trajectory, gamma: float) -> dict:
@@ -381,12 +383,13 @@ def h_bound_monitor(traj: Trajectory, gamma: float) -> dict:
     return {"monitor": "h_bound", "run_max_ratio": worst, "passed": ok}
 
 
-def mass_conservation_check(traj: Trajectory, tol: float = 1e-10) -> dict:
-    drifts = np.array([abs(row["_mass_drift"]) for row in traj.rows])
+def mass_conservation_check(traj: Trajectory, gamma: float) -> dict:
+    """The worst relative mass drift of the run, at most MASS_TOL plus the
+    boundary-flux budget relative to the initial mass."""
     budget = traj.rows[-1]["_boundary_budget"]
     mass0 = traj.rows[0]["mass"]
-    allowed = tol + (budget / mass0 if mass0 else 0.0)
-    worst = float(drifts.max()) if len(drifts) else 0.0
+    allowed = MASS_TOL + (budget / mass0 if mass0 else 0.0)
+    worst = max(abs(row["_mass_drift"]) for row in traj.rows)
     verdict = {
         "monitor": "mass_conservation",
         "worst_relative_drift": worst,
@@ -400,3 +403,18 @@ def mass_conservation_check(traj: Trajectory, tol: float = 1e-10) -> dict:
         verdict["halvings"] = halvings
     return verdict
 
+
+#: `[monitors]` name -> monitor, each called as monitor(trajectory, gamma);
+#: config.DEFAULT_MONITORS is its keys, in this order
+MONITORS = {
+    "mass": mass_conservation_check,
+    "fisher": fisher_monotonicity_check,
+    "entropy": entropy_monotonicity_check,
+    "energy": energy_identity_residual,
+    "ellipticity": ellipticity_monitor,
+    "hbound": h_bound_monitor,
+    "maxpoint": maxpoint_growth_check,
+    "moments": moment_growth_check,
+    "l3bound": l3_bound_check,
+    "envelope": linf_envelope,
+}

@@ -121,11 +121,10 @@ class MixtureHessian:
 class Mixture6:
     """Finite Gaussian mixture F(x) = sum_k w_k N(x; m_k, A_k^-1) on R^6."""
 
-    def __init__(self, components, symmetric: bool = False):
+    def __init__(self, components):
         if not components:
             raise MixtureError("mixture needs at least one component")
         self.components = tuple(components)
-        self.symmetric = symmetric
         self._means = np.stack([c.mean for c in self.components])
         self._precisions = np.stack([c.precision for c in self.components])
         # log of weight * (2 pi)^-3 det(A)^(1/2)
@@ -207,8 +206,6 @@ class Mixture6:
         z = rng.standard_normal(out=np.empty((n, 6)) if normals is None else normals)
         pos = 0
         for k, c in enumerate(counts):
-            if c == 0:
-                continue
             block = np.matmul(z[pos:pos + c], self._chol_cov[k].T, out=out[pos:pos + c])
             block += self._means[k]
             pos += c
@@ -221,14 +218,12 @@ def symmetrize(components) -> Mixture6:
     for c in components:
         out.append(Gaussian6(0.5 * c.weight, c.mean, c.precision))
         out.append(Gaussian6(0.5 * c.weight, SWAP @ c.mean, SWAP @ c.precision @ SWAP))
-    return Mixture6(out, symmetric=True)
+    return Mixture6(out)
 
 
 def isotropic_gaussian(scale: float = 1.0, weight: float = 1.0) -> Mixture6:
     """Unit-mean-zero Gaussian with precision scale * Id_6; swap-symmetric."""
-    return Mixture6(
-        [Gaussian6(weight, np.zeros(6), scale * np.eye(6))], symmetric=True
-    )
+    return Mixture6([Gaussian6(weight, np.zeros(6), scale * np.eye(6))])
 
 
 def tensor_product(weights3, means3, precisions3) -> Mixture6:
@@ -246,7 +241,7 @@ def tensor_product(weights3, means3, precisions3) -> Mixture6:
             prec[:3, :3] = precisions3[i]
             prec[3:, 3:] = precisions3[j]
             comps.append(Gaussian6(wi * wj, mean, prec))
-    return Mixture6(comps, symmetric=True)
+    return Mixture6(comps)
 
 
 def random_spd(rng: np.random.Generator, dim: int = 6,

@@ -310,8 +310,6 @@ def probe_inequality(lemmas=PROBE_LEMMAS, params: dict | None = None, family_see
         for i, mix in enumerate(family):
             direct = _sides(described, mix.dilated(lam), grid, (1.0,))
             for s, [(lhs, rhs)], pred in zip(stats, direct, predicted[i]):
-                if rhs == 0.0:
-                    continue  # zero member: both sides vanish, ratio skipped
                 ratio = lhs / rhs
                 s.max_ratio = max(s.max_ratio, ratio)
                 p_lhs, p_rhs = pred[j].tolist()

@@ -40,12 +40,12 @@ def verdict_block(verdicts) -> list:
     """key = value lines summarizing monitor verdicts.
 
     Each verdict is a dict with at least `monitor` and `passed` (and
-    `skipped` where it may skip); remaining numeric entries are echoed after
-    the flag.
+    `skipped` where it may skip); its flag is `skip` when it skipped, else
+    `pass` or `fail`.  Remaining numeric entries are echoed after the flag.
     """
     lines = []
     for v in verdicts:
-        flag = "pass" if v.get("passed") else ("skip" if v.get("skipped") else "fail")
+        flag = "skip" if v.get("skipped") else ("pass" if v.get("passed") else "fail")
         detail = " ".join(
             f"{k}={fmt(val)}" for k, val in sorted(v.items())
             if k not in ("monitor", "passed", "skipped")

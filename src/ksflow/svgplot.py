@@ -20,11 +20,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _widen(lo: float, hi: float) -> tuple:
+    """The axis range of values from lo to hi, never empty: (lo, lo + 1) for
+    a single value, or that value and 0 where adding 1 does not change it."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    return min(lo, 0.0), max(lo, 0.0)
+
+
 def _ticks(lo: float, hi: float, n: int = 6):
-    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
-        return [lo]
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    # a non-finite span, or one of a few subnormals, has no power-of-ten step
+    step = 10.0 ** math.floor(math.log10(span / n)) if 0.0 < span / n < math.inf else 0.0
+    if not step:
+        return [lo]
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= n:
             step *= mult
@@ -66,14 +77,9 @@ def render_lines(series, title: str = "", log_y: bool = False) -> str:
     )
     body.append(axis)
     if pts:
-        x_lo = min(p[0] for p in pts)
-        x_hi = max(p[0] for p in pts)
+        x_lo, x_hi = _widen(min(p[0] for p in pts), max(p[0] for p in pts))
         ys = [math.log10(p[1]) if log_y else p[1] for p in pts]
-        y_lo, y_hi = min(ys), max(ys)
-        if x_hi == x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
+        y_lo, y_hi = _widen(min(ys), max(ys))
 
         def sx(x):
             return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w

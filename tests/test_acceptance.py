@@ -67,7 +67,7 @@ def gamma_runs():
 class TestCriterion1:
     def test_mass_conservation(self, reference_run):
         traj, elapsed = reference_run
-        rep = dg.mass_conservation_check(traj, tol=1e-10)
+        rep = dg.mass_conservation_check(traj, -3.0)
         ok = rep["passed"] and elapsed <= 60.0
         report(1, ok,
                f"mass drift {rep['worst_relative_drift']:.3e} "
@@ -127,8 +127,8 @@ class TestCriterion4:
         ok = True
         for gamma, (traj, fine) in gamma_runs.items():
             for check in (dg.fisher_monotonicity_check, dg.entropy_monotonicity_check):
-                rep = check(traj, tol_rel=1e-8)
-                rep_fine = check(fine, tol_rel=1e-8)
+                rep = check(traj, gamma)
+                rep_fine = check(fine, gamma)
                 viol = max(rep["worst_relative_increment"], 0.0)
                 viol_fine = max(rep_fine["worst_relative_increment"], 0.0)
                 ok &= rep["passed"] and rep_fine["passed"]
@@ -143,7 +143,7 @@ class TestCriterion5:
         ok = True
         details = []
         for gamma, (traj, _) in gamma_runs.items():
-            rep = dg.l3_bound_check(traj)
+            rep = dg.l3_bound_check(traj, gamma)
             ok &= rep["passed"]
             details.append(f"gamma {gamma:g}: worst L3 {rep['worst_l3']:.4f} "
                            f"<= {rep['bound']:.4f}, gap {rep['gap_ratio']:.4f}")
@@ -225,7 +225,7 @@ class TestCriterion12:
     def test_moment_machinery(self, reference_run):
         traj, _ = reference_run
         worst_j2 = j2_sign_sample(n=1_000_000, seed=0)
-        rep = dg.moment_growth_check(traj, -3.0, k=4)
+        rep = dg.moment_growth_check(traj, -3.0)
         ok = (worst_j2 >= -1e-12 and rep["differential_bound_holds"]
               and np.isfinite(rep["fitted_envelope_constant"]))
         report(12, ok,

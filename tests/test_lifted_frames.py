@@ -123,7 +123,6 @@ class TestMixtureEval:
     def test_tensor_product_mass(self):
         F = tensor_product([2.0], [np.zeros(3)], [np.eye(3)])
         assert F.mass == pytest.approx(4.0)
-        assert F.symmetric
 
     def test_bad_precision_rejected(self):
         with pytest.raises(MixtureError):

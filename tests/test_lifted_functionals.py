@@ -32,7 +32,7 @@ def convex_combination(F, G, theta):
     comps = [Gaussian6(theta * c.weight, c.mean, c.precision) for c in F.components]
     comps += [Gaussian6((1.0 - theta) * c.weight, c.mean, c.precision)
               for c in G.components]
-    return Mixture6(comps, symmetric=F.symmetric and G.symmetric)
+    return Mixture6(comps)
 
 
 class TestFisherFunctional:

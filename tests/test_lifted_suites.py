@@ -53,16 +53,6 @@ class TestMcSuites:
         names = {r["identity"] for r in rows}
         assert any("second_order_sign" in n for n in names)
 
-    def test_maxwell_rejects_asymmetric_for_conclusion(self):
-        lopsided = Mixture6(
-            [Gaussian6(1.0, np.array([1.0, 0, 0, 0, 0, 0]), np.eye(6))],
-            symmetric=False,
-        )
-        rows = run_maxwell_suite(seed=2, n_samples=N_SMALL,
-                                 mixtures=[("lopsided", lopsided)])
-        sign_rows = [r for r in rows if "second_order_sign" in r["identity"]]
-        assert sign_rows and sign_rows[0]["verdict"] == "skip"
-
     def test_dissipation_inside_window(self):
         rows = run_dissipation_suite(seed=2, gammas=(-2.5,), n_samples=N_SMALL)
         assert_all_pass(rows)

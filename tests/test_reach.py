@@ -1,22 +1,34 @@
-"""Every function defined in ksflow is reached by a command, or kept for a
-stated reason.
+"""Every function and every line defined in ksflow is reached by a command,
+or kept for a stated reason.
 
-The five commands run in-process at tiny sizes under `sys.settrace`:
-`simulate` on one config per kind of initial data, `verify-lifted`
-over all suites, `probe`, a short `compare-blowup` and `plot`.  A function
-(dunder methods aside) that none of them calls must be in KEEP, which maps
-its name to the reason it stays; a KEEP entry that a command does reach, or
-that names no function, is stale.
+The commands run in-process at tiny sizes under `sys.settrace`: `simulate`
+on one config per kind of initial data, `verify-lifted` over all suites,
+`probe`, short `compare-blowup` runs and `plot`, plus bad-input argvs that
+exit 2.  A function (dunder methods aside) that none of them calls must be
+in KEEP, which maps its name to the reason it stays; a KEEP entry that a
+command does reach, or that names no function, is stale.
+
+The same trace records line events in ksflow frames.  An executable
+statement outside a `raise` statement (docstrings, `def`, `class` and
+`import` statements and the bodies of dunder methods aside) that no command
+runs must be in KEEP_LINES, keyed by its enclosing 'module.qualname' and the
+stripped text of its first line, with the reason it stays; an entry that
+names no unreached statement is stale.
 
 The commands run in a child process (this file run as a script) whose trace
-starts before `import ksflow`, so helpers that only run while a module is
-imported count as reached whatever the tests imported before.
+starts before `import ksflow`, so helpers and module-level statements that
+only run while a module is imported count as reached whatever the tests
+imported before.  Run by hand, `python tests/test_reach.py DIR` prints each
+unreached statement as `path:line: source  # qualname` before the JSON.
 """
 
+import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -29,11 +41,88 @@ import pytest
 
 KEEP = {}
 
-# the [initial] section of one simulate config per kind of initial field
+#: ('module.qualname', first line of the statement) -> why no command runs it
+KEEP_LINES = {
+    ("__init__.__getattr__",
+     'return getattr(importlib.import_module(f"{__name__}.{module}"), name)'):
+        "the lazy public names (ksflow.run, ksflow.simulate, ...) for library "
+        "use; the commands import the submodules themselves",
+    ("__init__.__dir__", "return sorted({*globals(), *_LAZY})"):
+        "dir(ksflow) lists the lazy names; no command lists the package",
+    ("_lapack._resolve", "return None, None, f\"cannot open numpy's LAPACK ({exc})\""):
+        "a numpy whose linalg extension ctypes cannot open",
+    ("_lapack._resolve", "continue"):
+        "a numpy build that does not export the first dgtsv symbol tried",
+    ("_lapack._resolve", "return None, None, (f\"numpy's LAPACK exports none of \""):
+        "a numpy build that exports no dgtsv symbol; Stencil then raises",
+    ("cli", "sys.exit(main())"):
+        "`python -m ksflow.cli`; the commands call main in-process",
+    ("diagnostics.maxpoint_growth_check", "skipped += 1"):
+        "an argmax in the last two cells, where the Laplacian reads the "
+        "zero-flux boundary: no [initial] kind puts the maximum there",
+    ("diagnostics.maxpoint_growth_check", "continue"):
+        "an argmax in the last two cells, as above",
+    **dict.fromkeys([
+        ("diagnostics.maxpoint_growth_check", "lap_ok = False"),
+        ("diagnostics.maxpoint_growth_check", "growth_ok = False"),
+        ("diagnostics.moment_growth_check", "ok = False"),
+    ], "a fail flag that a clean run never sets; tests/test_diagnostics.py's "
+       "mutation table plants the defect that sets it"),
+    **dict.fromkeys([
+        ("lifted.frames.vf_divergence", "return np.zeros(n)"),
+        ("lifted.frames.vf_divergence", 'if name == "N":'),
+        ("lifted.frames.vf_divergence", "return 2.0 * np.sqrt(2.0) / p.r"),
+    ], "the divergence of every field vf_eval defines, public beside vf_eval "
+       "and vf_jacobian; the frames suite reads only div B0"),
+    **dict.fromkeys([
+        ("solver._apply_positivity",
+         "if lowest < -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300):"),
+        ("solver._apply_positivity", "return np.maximum(values, 0.0)"),
+    ], "a solve that leaves a negative value: floored at roundoff depth, "
+       "an abort below; no reach run makes one"),
+}
+
+#: the [solver] section of every simulate config, before its overrides
+SOLVER = {"gamma": -2.5, "n_cells": 32, "r_max": 8.0, "dt": 1e-4, "t_end": 0.003,
+          "output_stride": 10, "scheme": "semi-implicit-fv", "positivity": "assert"}
+
+#: (scenario, [solver] overrides, [initial] section, exit codes) of each
+#: simulate config: one per kind of initial field, then the regimes whose
+#: branches only they reach, then data that exit 2
 CONFIGS = (
-    "kind = gaussian\nsigma = 1.0\nmass = 1.0",
-    "kind = gaussian\nsigma = 1.0\namplitude = 2.0",
-    "kind = zero",
+    ("mass", {}, "kind = gaussian\nsigma = 1.0\nmass = 1.0", (0, 1)),
+    ("amplitude", {}, "kind = gaussian\nsigma = 1.0\namplitude = 2.0", (0, 1)),
+    ("zero", {}, "kind = zero", (0, 1)),
+    # the heat flow, where a[f] is the mass, and the Coulomb case, h[f] = 4 pi f
+    ("heat", {"gamma": -2.0}, "kind = gaussian\nsigma = 1.0\nmass = 1.0", (0, 1)),
+    ("coulomb", {"gamma": -3.0}, "kind = gaussian\nsigma = 1.0\nmass = 1.0", (0, 1)),
+    # the bound on max h[f] fails the guard between rows, and the guard halves dt
+    ("tall", {"n_cells": 128}, "kind = gaussian\nsigma = 1.0\namplitude = 4e4", (0, 1)),
+    # f = 1 on every cell: Fisher information 0
+    ("flat", {}, "kind = gaussian\nsigma = 1e100\namplitude = 1.0", (0, 1)),
+    # the reaction guard needs more than 16 halvings at the first step
+    ("abort", {"gamma": -3.0}, "kind = gaussian\nsigma = 1.0\namplitude = 1e8", (2,)),
+    ("negative", {}, "kind = gaussian\nsigma = -1.0\nmass = 1.0", (2,)),
+    ("vanishing", {}, "kind = gaussian\nsigma = 0.001\nmass = 1.0", (2,)),
+)
+
+#: (name, text, exit code, exit code with --log-y) of each CSV the plot
+#: commands read besides a simulate output
+PLOT_CSVS = (
+    ("empty", "", 0, 0),
+    ("ascii", "t,y\n0,\xe9\n", 2, 2),
+    ("quote", 't,y\n0,"1"2\n', 2, 2),
+    ("width", "t,y\n0,1,2\n", 2, 2),
+    ("word", "t,y\n0,abc\n", 2, 2),
+    ("inf", "t,y\n0,inf\n", 2, 2),
+    ("span", "t,y\n0,-1e308\n1,1e308\n", 2, 0),
+    # one row: each axis is one value (1e308 + 1 is 1e308), and log y ticks
+    # pass 10^308
+    ("point", "t,y\n0,1e308\n", 0, 0),
+    # two adjacent floats: the tick step is below their spacing; no y > 0
+    ("ulp", "t,y\n100000000000000000000,0\n100000000000000016384,-1\n", 0, 0),
+    # a span of one subnormal: no tick step
+    ("subnormal", "t,y\n0,0\n1,5e-324\n", 0, 0),
 )
 
 
@@ -64,46 +153,176 @@ def defined_functions() -> dict:
 
 
 def run_commands(tmp: Path) -> None:
+    """Run every reach command with its output captured; each must exit with
+    one of its codes."""
     from ksflow.cli import main
     from ksflow.config import DEFAULT_MONITORS
 
-    argvs = []
-    for i, initial in enumerate(CONFIGS):
-        cfg = tmp / f"c{i}.cfg"
+    ok, bad = (0, 1), (2,)
+    sim, csvs = tmp / "sim", tmp / "csv"
+    csvs.mkdir()
+    commands = [(["simulate", "--config", str(tmp / "missing.cfg")], bad)]
+    for scenario, overrides, initial, codes in CONFIGS:
+        cfg = tmp / f"{scenario}.cfg"
+        solver = "\n".join(f"{k} = {v}" for k, v in {**SOLVER, **overrides}.items())
         cfg.write_text(
-            f"[run]\nscenario = c{i}\n"
-            f"[solver]\ngamma = -2.5\nn_cells = 32\nr_max = 8.0\ndt = 1e-4\n"
-            "t_end = 0.003\noutput_stride = 10\nscheme = semi-implicit-fv\n"
-            "positivity = assert\n"
-            f"[initial]\n{initial}\n"
+            f"# the reach config {scenario}\n\n[run]\nscenario = {scenario}\n"
+            f"[solver]\n{solver}\n[initial]\n{initial}\n"
             f"[monitors]\nenabled = {', '.join(DEFAULT_MONITORS)}\n")
-        argvs.append(["simulate", "--config", str(cfg), "--out", str(tmp / "sim"),
-                      "--quiet"])
-    argvs += [
-        ["verify-lifted", "--samples", "4096", "--out", str(tmp / "lifted"), "--quiet"],
-        ["probe", "--members", "4", "--out", str(tmp / "probe"), "--quiet"],
-        ["compare-blowup", "--horizon", "0.002", "--dt", "1e-3", "--dt", "5e-4",
-         "--out", str(tmp / "blowup"), "--quiet"],
-        ["plot", "--csv", str(tmp / "sim" / "c0-diagnostics.csv"),
-         "--columns", "fisher,entropy", "--out-file", str(tmp / "plot.svg")],
+        commands.append((["simulate", "--config", str(cfg), "--out", str(sim), "--quiet"],
+                         codes))
+    commands += [
+        (["verify-lifted", "--samples", "4096", "--out", str(tmp / "lifted"), "--quiet"], ok),
+        # above the dissipation window: the sign and bound rows are skipped
+        (["verify-lifted", "--suite", "dissipation", "--gamma", "0.9", "--samples", "4096",
+          "--quiet"], ok),
+        # two chunks, merged
+        (["verify-lifted", "--suite", "maxwell", "--samples", "131073", "--quiet"], ok),
+        (["verify-lifted", "--suite", "marginal", "--gamma", "0", "--quiet"], bad),
+        (["verify-lifted", "--suite", "nope", "--quiet"], bad),
+        (["verify-lifted", "--samples", "0", "--quiet"], bad),
+        (["probe", "--members", "4", "--out", str(tmp / "probe")], ok),
+        (["probe", "--lemma", "A9", "--quiet"], bad),
+        (["probe", "--members", "0", "--quiet"], bad),
+        (["compare-blowup", "--horizon", "0.002", "--dt", "1e-3", "--dt", "5e-4",
+          "--out", str(tmp / "blowup"), "--quiet"], ok),
+        # the default dt pair; the twin blows up at both
+        (["compare-blowup", "--amplitude", "1000", "--horizon", "0.002", "--quiet"], ok),
+        (["compare-blowup", "--sigma", "1e300", "--quiet"], bad),
+        (["compare-blowup", "--horizon", "0.0015", "--dt", "1e-3", "--quiet"], bad),
+        (["plot", "--csv", str(sim / "mass-diagnostics.csv"), "--columns", "fisher,entropy",
+          "--out-file", str(tmp / "plot.svg")], ok),
+        (["plot", "--csv", str(sim / "mass-diagnostics.csv"), "--columns", "nope",
+          "--out-file", str(tmp / "plot.svg")], bad),
+        (["plot", "--csv", str(sim / "mass-diagnostics.csv"), "--columns", "fisher",
+          "--x", "nope", "--out-file", str(tmp / "plot.svg")], bad),
+        (["plot", "--csv", str(sim / "zero-diagnostics.csv"), "--columns", "mass",
+          "--log-y", "--out-file", str(tmp / "plot.svg")], ok),
     ]
-    for argv in argvs:
-        assert main(argv) in (0, 1), argv
+    for name, text, code, log_code in PLOT_CSVS:
+        path = csvs / f"{name}.csv"
+        path.write_bytes(text.encode("latin-1"))
+        argv = ["plot", "--csv", str(path), "--columns", "y", "--out-file",
+                str(csvs / f"{name}.svg")]
+        commands += [(argv, (code,)), ([*argv, "--log-y"], (log_code,))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv, codes in commands:
+            assert main(argv) in codes, argv
+
+
+def traced(run, root: Path) -> tuple:
+    """Run `run()` under a trace; return the code objects it called and
+    {file: line numbers} of the line events in files under root."""
+    called = set()
+    lines = {}
+    prefix = os.path.join(root, "")
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        called.add(code)
+        if code.co_filename.startswith(prefix):
+            hits = lines.setdefault(code.co_filename, set())
+
+            def local(frame, event, arg):
+                if event == "line":
+                    hits.add(frame.f_lineno)
+                return local
+            return local
+        return None
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return called, lines
+
+
+def _code_lines(code) -> set:
+    """Line numbers that hold bytecode, in code and the code nested in it."""
+    out = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            out |= _code_lines(const)
+    return out
+
+
+def _child_statements(node) -> list:
+    """The statements directly nested in node (through handlers and cases)."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        out += [child] if isinstance(child, ast.stmt) else _child_statements(child)
+    return out
+
+
+def statements(path: Path, module: str) -> list:
+    """(qualname, first line, own lines, first-line text) of every executable
+    statement of the file: its own lines are its span less its nested
+    statements.  Left out: `raise`, docstrings, `def`, `class`, `import` and
+    the bodies of dunder methods."""
+    source = path.read_text()
+    text = source.splitlines()
+    executable = _code_lines(compile(source, str(path), "exec"))
+    out = []
+
+    def visit(body, qualname, in_class):
+        for i, node in enumerate(body):
+            nested = _child_statements(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (in_class and node.name.startswith("__") and node.name.endswith("__")):
+                    visit(node.body, f"{qualname}.{node.name}", isinstance(node, ast.ClassDef))
+                continue
+            docstring = (i == 0 and isinstance(node, ast.Expr)
+                         and isinstance(node.value, ast.Constant)
+                         and isinstance(node.value.value, str))
+            if not (docstring or isinstance(node, (ast.Raise, ast.Import, ast.ImportFrom))):
+                own = set(range(node.lineno, node.end_lineno + 1))
+                for child in nested:
+                    own -= set(range(child.lineno, child.end_lineno + 1))
+                if own & executable:
+                    out.append((qualname, node.lineno, own, text[node.lineno - 1].strip()))
+            visit(nested, qualname, False)
+
+    visit(ast.parse(source).body, module, False)
+    return out
+
+
+def line_report(files: dict, hits: dict, keep_lines: dict) -> dict:
+    """files: {module: path}.  The statements no line event reached and
+    keep_lines does not name ('path:line: source  # qualname'), and the
+    keep_lines keys that name no unreached statement."""
+    unreached = []
+    kept = set()
+    for module, path in sorted(files.items()):
+        ran = hits.get(str(path), set())
+        for qualname, line, own, text in statements(path, module):
+            if own & ran:
+                continue
+            if (qualname, text) in keep_lines:
+                kept.add((qualname, text))
+            else:
+                unreached.append(f"{os.path.relpath(path)}:{line}: {text}  # {qualname}")
+    return {"unreached_lines": unreached,
+            "stale_lines": [f"{q}: {t}" for q, t in sorted(set(keep_lines) - kept)]}
+
+
+def source_files() -> dict:
+    """{module: path} of every ksflow source file, modules named as in
+    defined_functions ('lifted' for lifted/__init__.py) and the package's own
+    __init__.py as '__init__'."""
+    root = Path(importlib.util.find_spec("ksflow").origin).parent
+    out = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        out[".".join(parts[:-1] if parts[1:] and parts[-1] == "__init__" else parts)] = path
+    return out
 
 
 def trace_commands(tmp: Path) -> dict:
     """Run the commands under a trace that also sees the ksflow imports."""
-    called = set()
-
-    def trace(frame, event, arg):
-        called.add(frame.f_code)  # "call" events only: no local tracing
-
+    files = source_files()
     start = time.monotonic()
-    sys.settrace(trace)
-    try:
-        run_commands(tmp)
-    finally:
-        sys.settrace(None)
+    called, hits = traced(lambda: run_commands(tmp), files["__init__"].parent)
     seconds = time.monotonic() - start
     functions = defined_functions()
     return {
@@ -113,6 +332,7 @@ def trace_commands(tmp: Path) -> dict:
         "kept_but_reached": sorted(n for n in KEEP
                                    if n in functions and functions[n] in called),
         "kept_but_missing": sorted(set(KEEP) - set(functions)),
+        **line_report(files, hits, KEEP_LINES),
     }
 
 
@@ -137,8 +357,49 @@ def test_keep_list_is_exact(reach):
     assert not reach["kept_but_missing"], reach["kept_but_missing"]
 
 
+def test_every_line_is_reached_or_kept(reach):
+    assert not reach["unreached_lines"], "\n".join(reach["unreached_lines"])
+
+
+def test_keep_lines_is_exact(reach):
+    assert not reach["stale_lines"], reach["stale_lines"]
+
+
 def test_commands_run_quickly(reach):
     assert reach["seconds"] <= 10.0
+
+
+PLANT = '''\
+def f(x):
+    """A docstring is no statement to reach."""
+    if x is None:
+        raise ValueError("x")
+    if x:
+        return {
+            "x": x,
+        }
+    return 0
+'''
+
+
+def test_line_report_fails_on_a_planted_line_and_a_stale_entry(tmp_path):
+    path = tmp_path / "plant.py"
+    path.write_text(PLANT)
+    namespace = {}
+    exec(compile(PLANT, str(path), "exec"), namespace)
+    _, hits = traced(lambda: namespace["f"](1), tmp_path)
+    files = {"plant": path}
+    # the raise is never a finding; `return 0` is the one unreached line
+    assert line_report(files, hits, {}) == {
+        "unreached_lines": [f"{os.path.relpath(path)}:9: return 0  # plant.f"],
+        "stale_lines": []}
+    assert line_report(files, hits, {("plant.f", "return 0"): "planted"}) == {
+        "unreached_lines": [], "stale_lines": []}
+    # an entry naming a line that runs, or no line at all, is stale
+    stale = {("plant.f", "return 0"): "planted", ("plant.f", "return {"): "runs",
+             ("plant.g", "return 0"): "no such function"}
+    assert line_report(files, hits, stale)["stale_lines"] == [
+        "plant.f: return {", "plant.g: return 0"]
 
 
 def benchmark_tracer(monkeypatch):
@@ -192,4 +453,7 @@ def test_every_name_the_benchmark_times_exists(monkeypatch):
 
 
 if __name__ == "__main__":
-    print(json.dumps(trace_commands(Path(sys.argv[1]))))
+    result = trace_commands(Path(sys.argv[1]))
+    for entry in result["unreached_lines"]:
+        print(entry)
+    print(json.dumps(result))

@@ -340,7 +340,7 @@ class TestRunBookkeeping:
         monkeypatch.setattr(solver, "step", recording)
         traj = run(cfg, initial(cfg.grid()))
         stride = cfg.output_stride
-        verdict = mass_conservation_check(traj)
+        verdict = mass_conservation_check(traj, cfg.gamma)
         per_step = [getattr(r, busy) for r in reports]
         per_row = [row[f"_{busy}"] for row in traj.rows]
         assert per_row[0] == 0
@@ -353,7 +353,8 @@ class TestRunBookkeeping:
 
         cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-4, t_end=0.002,
                            output_stride=10)
-        verdict = mass_conservation_check(run(cfg, gaussian_field(cfg.grid(), 1.0)))
+        traj = run(cfg, gaussian_field(cfg.grid(), 1.0))
+        verdict = mass_conservation_check(traj, cfg.gamma)
         assert set(verdict) == {"monitor", "worst_relative_drift", "boundary_budget",
                                 "passed"}
 
