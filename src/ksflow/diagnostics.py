@@ -196,8 +196,9 @@ def finalize_rows(traj: Trajectory, gamma: float):
 
 def _monotonicity_report(name, values):
     increments = np.diff(values)
-    scale = np.maximum(np.abs(values[:-1]), 1e-300)
-    excess = increments / scale
+    # relative to the previous value; from a value of 0, the increment itself
+    previous = np.abs(values[:-1])
+    excess = increments / np.where(previous > 0.0, previous, 1.0)
     violations = int(np.sum(excess > MONOTONE_TOL_REL))
     return {
         "monitor": name,

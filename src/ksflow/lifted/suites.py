@@ -9,7 +9,10 @@ checked with analytic derivatives at random points (tolerances in relative
 terms, no finite-difference error anywhere); integral identities are checked
 as agreement of two independently sampled Monte-Carlo estimators within three
 combined standard errors; inequalities as one-sided bounds with the same
-noise allowance.
+noise allowance.  Each side of a Monte-Carlo row is one quantity that
+`estimate_many` returns for one sample stream, so its stderr is that
+stream's own.  The bounds' coefficients, polynomials in Gamma, live in
+`bound_coefficients`, which every dissipation and root row reads.
 """
 
 from __future__ import annotations
@@ -103,10 +106,9 @@ def run_frames_suite(seed: int = 0):
     return rows
 
 
-def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
-                          n_points: int = 100):
+def run_commutators_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0)):
     F = random_symmetric_mixture(2, seed + 1)
-    x = Points(sample_points(n_points, seed))
+    x = Points(sample_points(100, seed))
     _, grad, hess = F.eval(x.x)
     # the largest Hessian entry, read off the columns (Hess F) e_j
     hess_max = max(float(np.max(np.abs(hess.matvec(np.broadcast_to(e, grad.shape)))))
@@ -175,12 +177,11 @@ def run_flows_suite(seed: int = 0):
     return rows
 
 
-def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0),
-                            n_points: int = 100):
+def run_qks_pointwise_suite(seed: int = 0, gammas=(-3.0, -2.5, -1.0, 0.0)):
     """Direct vs decomposed operator, the a_ij route, and the D(sqrt(a) bt0)
     matrix decomposition, all at random points."""
     F = random_symmetric_mixture(2, seed + 1)
-    x = Points(sample_points(n_points, seed))
+    x = Points(sample_points(100, seed))
     _, grad, hess = F.eval(x.x)
     rows = []
     for gamma in gammas:
@@ -243,10 +244,10 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES):
         return _pairings(vf_eval("B0", p), vf_jacobian("B0", p), F_val, grad, hess, terms)
 
     def right_sides(x, F_val, grad, hess):
-        u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
+        u2 = _fisher_values(None, F_val, grad)
         nu2 = _nu_quadratic(grad, F_val)
         out = {"prop": -2.0 * u2 - 2.0 * nu2, "conclusion": -8.0 * u2 + 4.0 * nu2}
-        out.update({f"nu{i}": _fisher_values(vf_eval(f"NU{i}", x), F_val, grad)
+        out.update({f"nu{i}": -6.0 * _fisher_values(vf_eval(f"NU{i}", x), F_val, grad)
                     for i in (1, 2, 3)})
         return out
 
@@ -258,9 +259,8 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES):
         rows.append(_equality_row("maxwell", f"{label}:first_order_pairing",
                                   lhs["prop"], rhs["prop"]))
         for i in (1, 2, 3):
-            scaled = McEstimate(-6.0 * rhs[f"nu{i}"].value, 6.0 * rhs[f"nu{i}"].stderr)
             rows.append(_equality_row("maxwell", f"{label}:nu{i}_pairing",
-                                      lhs[f"nu{i}"], scaled))
+                                      lhs[f"nu{i}"], rhs[f"nu{i}"]))
         rows.append(_sign_row("maxwell", f"{label}:second_order_sign",
                               rhs["conclusion"]))
 
@@ -313,14 +313,13 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
         }
         w43a = np.sqrt(a) / r**2
         terms.update({f"l43a_k{k}": (vf_eval(f"B{k}", p), w43a) for k in (1, 2, 3)})
-        return _pairings(ops.sqrt_alpha_b0(pot, p), ops.sqrt_alpha_b0_jacobian(pot, p),
-                         F_val, grad, hess, terms)
+        out = _pairings(ops.sqrt_alpha_b0(pot, p), ops.sqrt_alpha_b0_jacobian(pot, p),
+                        F_val, grad, hess, terms)
+        # the three B_k terms share each sample, so their sum is one quantity
+        out["l43a"] = sum(out.pop(f"l43a_k{k}") for k in (1, 2, 3))
+        return out
 
     lhs = estimate_many(F, pairings, n_samples, seed, stream=10)
-    lhs43a = McEstimate(
-        sum(lhs[f"l43a_k{k}"].value for k in (1, 2, 3)),
-        float(np.sqrt(sum(lhs[f"l43a_k{k}"].stderr ** 2 for k in (1, 2, 3)))),
-    )
 
     def right_sides(x, F_val, grad, hess):
         p = Points(x)
@@ -329,7 +328,7 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
         delta = _difference_log_gradient(grad, F_val)
         tan = _tangent_quadratic(p, delta)
         nn = _normal_quadratic(p, delta)
-        u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
+        u2 = _fisher_values(None, F_val, grad)
         u = grad / F_val[:, None]
         quad = np.einsum("ni,ni->n", u, ops.sqrt_alpha_b0_jacobian(pot, p).matvec(u))
         return {
@@ -345,7 +344,7 @@ def derivative_identity_rows(F: Mixture6, pot, n_samples: int, seed: int,
         _equality_row("derivatives", f"{label}L0_pairing_decomposition",
                       lhs["l42"], rhs["l42"]),
         _equality_row("derivatives", f"{label}tangent_weight_derivative",
-                      lhs43a, rhs["l43a"]),
+                      lhs["l43a"], rhs["l43a"]),
         _equality_row("derivatives", f"{label}normal_weight_derivative",
                       lhs["l43b"], rhs["l43b"]),
         _equality_row("derivatives", f"{label}full_weight_derivative",
@@ -381,24 +380,24 @@ def run_derivatives_suite(seed: int = 0, gammas=(-2.9, -2.5, -1.0, 0.0, 0.8),
         delta = _difference_log_gradient(grad, F_val)
         tan = _tangent_quadratic(p, delta)
         nn = _normal_quadratic(p, delta)
-        u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
+        u2 = _fisher_values(None, F_val, grad)
         return {"g": 2.0 / p.r**2 * tan + 4.0 * nn - 6.0 * u2}
 
     def rhs_maxwell(x, F_val, grad, hess):
-        u2 = np.einsum("ni,ni->n", grad, grad) / F_val**2
+        u2 = _fisher_values(None, F_val, grad)
         return {"g": -2.0 * u2 - 2.0 * _nu_quadratic(grad, F_val)}
 
     a = estimate_many(F, rhs42_alpha1, n_samples, seed, stream=18, order=1)["g"]
     b = estimate_many(F, rhs_maxwell, n_samples, seed, stream=19, order=1)["g"]
     rows.append(_equality_row("derivatives", "alpha1_degeneration_cross_check", a, b))
 
-    # window-edge algebra of the two coefficient polynomials
-    hi = RATIO_WINDOW.hi
-    lo = RATIO_WINDOW.lo
+    # the window's ends, in kernels.RatioWindow's closed forms, are the roots
+    # of the remainder's normal and the combined bound coefficients
     rows.append(_point_row("derivatives", "root_2G2+8G-8_at_hi",
-                           abs(2.0 * hi**2 + 8.0 * hi - 8.0), tol=1e-12))
+                           abs(bound_coefficients(RATIO_WINDOW.hi)["rest_normal"]),
+                           tol=1e-12))
     rows.append(_point_row("derivatives", "root_G2-4G-23_at_lo",
-                           abs(lo**2 - 4.0 * lo - 23.0), tol=1e-12))
+                           abs(bound_coefficients(RATIO_WINDOW.lo)["combined"]), tol=1e-12))
 
     # borderline gamma = -3 via the softened kernel and eps -> 0 budget
     values = []
@@ -435,12 +434,22 @@ def _dissipation_pairings(pot, x, F_val, grad, hess):
             "rest": psi * (qks - ql) / F_val}
 
 
+def bound_coefficients(G) -> dict:
+    """The dissipation bounds' coefficients at Gamma = r alpha'/alpha: Q_L's
+    tangential one, the remainder's tangential and normal ones, and the
+    combined one for Q_KS, derived as the sum of the two tangential ones."""
+    tangential = G * G - 19.0
+    rest_tangential = -4.0 * (1.0 + G)
+    return {"tangential": tangential, "rest_tangential": rest_tangential,
+            "rest_normal": 2.0 * G * G + 8.0 * G - 8.0,
+            "combined": tangential + rest_tangential}
+
+
 def dissipation_rows(F: Mixture6, pot: PowerLaw, n_samples: int, seed: int,
                      label: str = ""):
     """The dissipation bounds for a power law, whose log-derivative
     Gamma = r alpha'/alpha is the constant gamma."""
-    G = pot.gamma
-    rows = []
+    coef = bound_coefficients(pot.gamma)
     ests = estimate_many(F, functools.partial(_dissipation_pairings, pot),
                          n_samples, seed, stream=20)
 
@@ -452,42 +461,27 @@ def dissipation_rows(F: Mixture6, pot: PowerLaw, n_samples: int, seed: int,
         tan = _tangent_quadratic(p, delta)
         nn = _normal_quadratic(p, delta)
         return {
-            "ql": (G * G - 19.0) * a / r**2 * tan,
-            "rest": -4.0 * a * (1.0 + G) / r**2 * tan + (2.0 * G * G + 8.0 * G - 8.0) * a * nn,
-            "final": (G * G - 4.0 * G - 23.0) * a / r**2 * tan,
+            "ql": coef["tangential"] * a / r**2 * tan,
+            "rest": coef["rest_tangential"] * a / r**2 * tan + coef["rest_normal"] * a * nn,
+            "final": coef["combined"] * a / r**2 * tan,
         }
 
     bounds = estimate_many(F, right_sides, n_samples, seed, stream=21, order=1)
-
-    # window membership decides whether sign assertions apply; the two
-    # coefficient polynomials are reported at Gamma = gamma
-    in_window = RATIO_WINDOW.contains(G)
-    poly_normal = 2.0 * G * G + 8.0 * G - 8.0
-    poly_combined = G * G - 4.0 * G - 23.0
-    for name, value in (("coeff_poly_2G2+8G-8", poly_normal),
-                        ("coeff_poly_G2-4G-23", poly_combined)):
-        if in_window:
-            verdict = "pass" if value <= 1e-12 else "fail"
-        else:
-            verdict = "skip"
-        rows.append(_row("dissipation", f"{label}{name}", value, 0.0, 0.0, verdict))
-
-    rows.append(_bound_row("dissipation", f"{label}tangential_bound",
-                           ests["ql"], bounds["ql"]))
-    rows.append(_bound_row("dissipation", f"{label}remainder_bound",
-                           ests["rest"], bounds["rest"]))
-    if in_window:
-        rows.append(_sign_row("dissipation", f"{label}qks_pairing_nonpositive",
-                              ests["qks"]))
-        rows.append(_bound_row("dissipation", f"{label}combined_bound",
-                               ests["qks"], bounds["final"]))
-    else:
-        rows.append(_row("dissipation", f"{label}qks_pairing_nonpositive",
-                         ests["qks"].value, 0.0, ests["qks"].stderr, "skip"))
-        rows.append(_row("dissipation", f"{label}combined_bound",
-                         ests["qks"].value, bounds["final"].value,
-                         ests["qks"].combined_stderr(bounds["final"]), "skip"))
-    return rows
+    # the coefficient polynomials at Gamma = gamma and the sign assertions
+    # apply inside the window only; outside it they are reported as "skip"
+    polys = [_row("dissipation", f"{label}{name}", coef[key], 0.0, 0.0,
+                  "pass" if coef[key] <= 1e-12 else "fail")
+             for name, key in (("coeff_poly_2G2+8G-8", "rest_normal"),
+                               ("coeff_poly_G2-4G-23", "combined"))]
+    signs = [_sign_row("dissipation", f"{label}qks_pairing_nonpositive", ests["qks"]),
+             _bound_row("dissipation", f"{label}combined_bound", ests["qks"], bounds["final"])]
+    if not RATIO_WINDOW.contains(pot.gamma):
+        for row in polys + signs:
+            row["verdict"] = "skip"
+    return [*polys,
+            _bound_row("dissipation", f"{label}tangential_bound", ests["ql"], bounds["ql"]),
+            _bound_row("dissipation", f"{label}remainder_bound", ests["rest"], bounds["rest"]),
+            *signs]
 
 
 def run_dissipation_suite(seed: int = 0,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ksflow.config import DEFAULT_MONITORS, load_config
-from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
+from ksflow.grids import RadialField, RadialGrid, Trajectory, gaussian_field, weighted_lp_norm
 from ksflow.harness import initial_field
 from ksflow.kernels import _h_sup_constant, h_values, radial_convolve
 from ksflow.report import all_passed
@@ -246,6 +246,15 @@ class TestTrajectoryMonitors:
         assert dg.fisher_monotonicity_check(traj, -3.0)["worst_relative_increment"] == 0.0
         assert dg.energy_identity_residual(traj, -3.0)["skipped"]
         assert dg.l3_bound_check(traj, -3.0)["skipped"]
+
+    def test_increment_from_zero_is_absolute(self):
+        # no value to be relative to: the report carries the increment itself
+        traj = Trajectory()
+        traj.append({"t": 0.0, "fisher": 0.0})
+        traj.append({"t": 0.1, "fisher": 0.5})
+        rep = dg.fisher_monotonicity_check(traj, -3.0)
+        assert rep["worst_relative_increment"] == 0.5
+        assert rep["violations"] == 1 and not rep["passed"]
 
     def test_rows_carry_the_maxpoint_and_moment_inputs(self):
         from ksflow.grids import radial_laplacian

@@ -70,10 +70,9 @@ KEEP_LINES = {
        "mutation table plants the defect that sets it"),
     **dict.fromkeys([
         ("lifted.frames.vf_divergence", "return np.zeros(n)"),
-        ("lifted.frames.vf_divergence", 'if name == "N":'),
-        ("lifted.frames.vf_divergence", "return 2.0 * np.sqrt(2.0) / p.r"),
+        ("lifted.frames.vf_divergence", "return np.full(n, 6.0)"),
     ], "the divergence of every field vf_eval defines, public beside vf_eval "
-       "and vf_jacobian; the frames suite reads only div B0"),
+       "and vf_jacobian; the frames suite reads only div n"),
     **dict.fromkeys([
         ("solver._apply_positivity",
          "if lowest < -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300):"),
