@@ -54,14 +54,20 @@ def _resolve():
 _DGTSV, _INT, UNRESOLVED = _resolve()
 
 
+#: NRHS: every solve has one right-hand side
+_NRHS = None if _INT is None else _INT(1)
+
+
 def _address(array: np.ndarray, name: str) -> int:
     """Address of the first element of a C-contiguous, writeable float64 array."""
     if not (isinstance(array, np.ndarray) and array.dtype == np.float64):
         raise TypeError(f"{name} must be a float64 ndarray")
-    if not (array.flags.c_contiguous and array.flags.writeable):
-        raise ValueError(f"{name} must be C-contiguous and writeable")
-    # a writeable, contiguous buffer export: cheaper than array.ctypes.data
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    try:
+        # a writeable, contiguous buffer export: cheaper than array.ctypes.data,
+        # and refused for a read-only or non-contiguous array
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except TypeError:
+        raise ValueError(f"{name} must be C-contiguous and writeable") from None
 
 
 def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -83,7 +89,7 @@ def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solution = _address(rhs, "rhs")
     size, info = _INT(n), _INT(0)
     # DL = band[2, :-1], D = band[1], DU = band[0, 1:]; LDB = N
-    _DGTSV(size, _INT(1), base + 16 * n, base + 8 * n, base + 8, solution, size, info)
+    _DGTSV(size, _NRHS, base + 16 * n, base + 8 * n, base + 8, solution, size, info)
     if info.value:
         raise np.linalg.LinAlgError(f"singular matrix (zero pivot in row {info.value})")
     return rhs

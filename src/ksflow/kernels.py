@@ -23,9 +23,10 @@ Hankel plus a Toeplitz operator built from O(n) sequences.  Their spectra are
 cached per (grid, mu) and a coefficient evaluation is one rfft of f and one
 inverse rfft of two rows: O(n log n) time and O(n) memory, no n x n matrix.
 
-Two exponents reduce further.  mu = 0 is the constant mass.  mu = -1, the
-Coulomb kernel f * |.|^{-1} = 4 pi (-Laplacian)^{-1} f that a[f] is at
-gamma = -3, has (r+s) - |r-s| = 2 min(r, s), so Newton's shell theorem gives
+Two exponents reduce further.  mu = 0 is the constant finite-volume mass
+sum_j V_j f_j, the mass the scheme conserves.  mu = -1, the Coulomb kernel
+f * |.|^{-1} = 4 pi (-Laplacian)^{-1} f that a[f] is at gamma = -3, has
+(r+s) - |r-s| = 2 min(r, s), so Newton's shell theorem gives
 
     (f * |.|^{-1})(r) = (4 pi / r) int_0^r s^2 f(s) ds + 4 pi int_r^inf s f(s) ds,
 
@@ -247,35 +248,60 @@ def kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
     return operator
 
 
-def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float) -> np.ndarray:
+def radial_convolve(grid: RadialGrid, values: np.ndarray, mu: float,
+                    out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """3D convolution (f * |.|^mu)(r) of the nonnegative radial profile
     `values` on `grid`, mu in (-3, 2], clipped at 0.
 
     Works on bare arrays, so the solver convolves its state every step without
     building fields; a[f] is radial_convolve(grid, values, 2 + gamma).  mu = 0
-    returns the constant mass; mu = -1 is two prefix sums by the shell
-    theorem; mu = -2 is the numerical mu -> -2 limit of the closed form.
+    returns the constant finite-volume mass sum_j V_j x_j, the mass the scheme
+    conserves; mu = -1 is two prefix sums by the shell theorem; mu = -2 is the
+    numerical mu -> -2 limit of the closed form.
+
+    The result is written into `out` (length n, not `values`) and returned; a
+    new array when out is None.  The mu = -1 sums take `work` (length n,
+    neither `values` nor `out`) as scratch, a new array when None, so with
+    both given they allocate nothing.  The FFT path allocates its transforms
+    either way.
     """
     if mu <= -3.0:
         raise KernelError(f"kernel exponent mu = {mu} is not integrable (need mu > -3)")
     if mu > 2.0:
         raise KernelError(f"kernel exponent mu = {mu} outside supported range (-3, 2]")
+    if out is None:
+        out = np.empty(grid.n_cells)
     if mu == 0.0:
-        return np.full(grid.n_cells, float(np.sum(grid.weights * values)))
-    if mu == -1.0:
-        shells, diag = kernel_matrix(grid, mu)
-        out = np.zeros(grid.n_cells)
-        # np.add.accumulate, not np.cumsum: the wrapper costs as much as the sum
-        np.add.accumulate((grid.cell_volumes * values)[:-1], out=out[1:])
-        out /= grid.centers
-        out[:-1] += np.add.accumulate((shells * values)[:0:-1])[::-1]
-        out += diag * values
+        out.fill(float(np.dot(grid.cell_volumes, values)))
+    elif mu == -1.0:
+        # indexed, not unpacked: unpacking iterates the array, at 4x the cost
+        operator = kernel_matrix(grid, mu)
+        shells, diag = operator[0], operator[1]
+        if work is None:
+            work = np.empty(grid.n_cells)
+        # (1/r_i) sum_{j<i} V_j x_j.  np.add.accumulate, not np.cumsum: the
+        # wrapper costs as much as the sum.  out[0], the empty sum, is set on
+        # every call: a reused buffer holds the previous call's value there.
+        np.multiply(grid.cell_volumes, values, out=work)
+        np.add.accumulate(work[:-1], out=out[1:])
+        out[0] = 0.0
+        np.divide(out, grid.centers, out=out)
+        # + sum_{j>i} w_j x_j: work[j] = sum_{i>=j} w_i x_i, summed from the
+        # outside in through a reversed view
+        np.multiply(shells, values, out=work)
+        outside_in = work[::-1]
+        np.add.accumulate(outside_in, out=outside_in)
+        inner = out[:-1]
+        np.add(inner, work[1:], out=inner)
+        np.add(out, np.multiply(diag, values, out=work), out=out)
     else:
         hankel, toeplitz = kernel_matrix(grid, mu)
         x = np.fft.rfft(values, 2 * (hankel.shape[-1] - 1))
         a, b = np.fft.irfft(hankel * x.conj() + toeplitz * x)[:, : grid.n_cells]
-        out = a / grid.centers + b
-    return np.maximum(out, 0.0)
+        np.divide(a, grid.centers, out=out)
+        out += b
+    return np.maximum(out, 0.0, out=out)
 
 
 def h_values(grid: RadialGrid, values: np.ndarray, gamma: float) -> np.ndarray:

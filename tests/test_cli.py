@@ -203,6 +203,31 @@ class TestSimulate:
             outs.append((out / "smoke-diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    # recorded before the radial step moved into its stencil's buffers; the
+    # report names its output paths, so only its verdict block is pinned
+    @pytest.mark.parametrize("config, csv_sha, ckpt_sha, verdicts_sha", [
+        ("configs/reference.cfg",
+         "05166ae80d1c05cd841a3d84f2b32053b49a1cb7ffbb3db51294bae1d641369c",
+         "e79ec81b96bd0190bc30cca6145b8d5543044e05fbfea52bd88fb684018de7df",
+         "3d24483fae0d0f53e3b8dbb75a52a6d900d9195ecbbd950ce1dc5c24698ab3fa"),
+        ("perfbench/flow-wide.cfg",
+         "34bedffd95f29e90d91bd6474f6725370da5c417f4cc091742b50748728705d9",
+         "b6f5ddf5775742121dc1775e7bdf5aff5b30a19e31f9819210c34c62bb8bbc8e",
+         "d0bc82be0d4ca8766f64b19297f69497e9da048e682ba262193f9d8f8cd395fa"),
+    ], ids=["reference", "flow-wide"])
+    def test_flow_outputs_bytes_as_recorded(self, tmp_path, config, csv_sha, ckpt_sha,
+                                            verdicts_sha):
+        path = Path(__file__).parents[1] / config
+        scenario = load_config(path).scenario
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        report = (tmp_path / f"{scenario}-report.txt").read_bytes()
+        verdicts = report[report.index(b"## verdicts\n"):report.index(b"## files\n")]
+        got = [hashlib.sha256(data).hexdigest() for data in (
+            (tmp_path / f"{scenario}-diagnostics.csv").read_bytes(),
+            (tmp_path / f"{scenario}.ckpt").read_bytes(), verdicts)]
+        assert got == [csv_sha, ckpt_sha, verdicts_sha]
+
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 2

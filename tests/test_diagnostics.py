@@ -155,10 +155,14 @@ class TestRatios:
         assert np.isfinite(rmax)
 
     def test_ellipticity_heat_case_identity(self):
+        # a[f] is the finite-volume mass M at gamma = -2, so the ratio is M
+        # everywhere; the unit-mass Gaussian's M is 1 up to O(dr^2)
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
         rmin, rmax = ellipticity(f, -2.0)
-        assert rmin == pytest.approx(1.0, abs=1e-6)
-        assert rmax == pytest.approx(1.0, abs=1e-6)
+        mass = float(np.dot(GRID.cell_volumes, f.values))
+        assert rmin == pytest.approx(mass, rel=1e-15)
+        assert rmax == pytest.approx(mass, rel=1e-15)
+        assert mass == pytest.approx(1.0, abs=GRID.dr**2)
 
     def test_ellipticity_linearity_in_mass(self):
         f1 = gaussian_field(GRID, sigma=1.0, mass=1.0)

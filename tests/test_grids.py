@@ -378,13 +378,14 @@ class TestOneQuadrature:
         for key in ("E_0", "E_2", "entropy", "fisher", "row_energy", "row_entropy",
                     "row_fisher", "row_e4", "row_e6", "row__aff"):
             assert doubled[key] == 2.0 * plain[key], key
-        assert np.array_equal(doubled["mu0"], 2.0 * plain["mu0"])
         assert doubled["l3_cubed"] == pytest.approx(2.0 * plain["l3_cubed"], rel=1e-14)
         assert doubled["row_l3_norm"] == pytest.approx(2.0 ** (1 / 3) * plain["row_l3_norm"],
                                                        rel=1e-15)
         assert doubled["hess"] == pytest.approx(np.sqrt(2.0) * plain["hess"], rel=1e-15)
-        # the finite-volume mass sums against the cell volumes instead
+        # the finite-volume mass, of the rows and of a[f] at gamma = -2, sums
+        # against the cell volumes instead
         assert doubled["row_mass"] == plain["row_mass"]
+        assert np.array_equal(doubled["mu0"], plain["mu0"])
 
     def test_cell_volumes_one_formula_good_to_a_few_ulps(self):
         grid = RadialGrid(2048, 0.7)

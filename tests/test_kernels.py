@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,9 +113,12 @@ class TestGammaRatio:
 
 class TestRadialConvolve:
     def test_mu_zero_returns_mass(self):
+        # the finite-volume mass sum_j V_j f_j, the mass the scheme conserves;
+        # the midpoint-rule mass differs from it at O(dr^2)
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
         conv = radial_convolve(GRID, f.values, 0.0)
-        assert np.allclose(conv, integrate_radial(f, 0.0), atol=1e-12)
+        assert np.all(conv == np.dot(GRID.cell_volumes, f.values))
+        assert np.allclose(conv, integrate_radial(f, 0.0), rtol=GRID.dr**2, atol=0.0)
 
     def test_coulomb_kernel_at_origin(self):
         # int f(w)/|w| dw = 4 pi int r f dr = sqrt(2/pi) for the unit Gaussian
@@ -184,6 +189,33 @@ class TestRadialConvolve:
                + 0.5 * radial_convolve(GRID, b.values, -1.0))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(rhs)
         assert np.all(lhs >= 0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, -0.5, -2.5])
+    def test_out_buffer_takes_the_same_bytes(self, mu):
+        # buffers holding garbage, out[0] included, as a solver's do between
+        # steps; NaN in either would show in the result
+        f = gaussian_field(GRID, sigma=1.0, mass=1.0)
+        want = radial_convolve(GRID, f.values, mu)
+        out, work = np.full(GRID.n_cells, np.nan), np.full(GRID.n_cells, np.nan)
+        for _ in range(2):
+            got = radial_convolve(GRID, f.values, mu, out=out, work=work)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+            out[:] = -1.0
+
+    def test_shell_sums_into_buffers_allocate_nothing(self):
+        grid = RadialGrid(4096, 12.0)
+        values = gaussian_field(grid, sigma=1.0, mass=1.0).values
+        out, work = np.empty(grid.n_cells), np.empty(grid.n_cells)
+        radial_convolve(grid, values, -1.0, out=out, work=work)  # builds the weights
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                radial_convolve(grid, values, -1.0, out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
 
 
 class TestSpectralOperator:
@@ -320,7 +352,7 @@ class TestCoefficients:
     def test_gamma_minus_two_gives_constant_mass(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)
         a = radial_convolve(f.grid, f.values, 0.0)
-        assert np.allclose(a, 1.0, atol=1e-6)
+        assert np.allclose(a, np.dot(GRID.cell_volumes, f.values), rtol=1e-15, atol=0.0)
 
     def test_coulomb_a_at_origin(self):
         f = gaussian_field(GRID, sigma=1.0, mass=1.0)

@@ -76,7 +76,7 @@ KEEP_LINES = {
     **dict.fromkeys([
         ("solver._apply_positivity",
          "if lowest < -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300):"),
-        ("solver._apply_positivity", "return np.maximum(values, 0.0)"),
+        ("solver._apply_positivity", "return np.maximum(values, 0.0, out=values)"),
     ], "a solve that leaves a negative value: floored at roundoff depth, "
        "an abort below; no reach run makes one"),
 }

@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 
 import ksflow._lapack as lapack
 import ksflow.solver as solver
+from ksflow import diagnostics
 from ksflow.config import gaussian_vanishes
 from ksflow.grids import RadialField, RadialGrid, gaussian_field
 from ksflow.kernels import (
@@ -315,6 +316,116 @@ class TestRun:
         saved, gamma, t_saved = read_checkpoint(ckpt)
         assert np.array_equal(saved.values, last_good.values)
         assert gamma == -2.0 and t_saved == (NAN_STEP - 1) * cfg.dt
+
+
+class TestWorkspace:
+    """The Stencil is the per-run workspace: a step allocates no array, never
+    writes its input state, and the fields a run hands out keep their values."""
+
+    def test_steps_allocate_no_array(self):
+        cfg = SolverConfig(gamma=-3.0, n_cells=4096, dt=1e-4, t_end=1.0)
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1.0)
+        stencil = Stencil(f0.grid)
+        a = radial_convolve(f0.grid, f0.values, 2.0 + cfg.gamma)
+        h_max = h_values(f0.grid, f0.values, cfg.gamma).max()
+        mass0 = float(np.dot(f0.grid.cell_volumes, f0.values))
+        vals, _ = step(stencil, f0.values, a, h_max, cfg, mass0)  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(200):
+                vals, rep = step(stencil, vals, a, h_max, cfg, mass0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.halvings == 0
+        assert peak < f0.values.nbytes
+
+    def test_semilinear_steps_allocate_no_array(self, monkeypatch):
+        # the peak is taken from the first diffusion solve on, when the
+        # stencil and the unit-coefficient system exist
+        cfg = SolverConfig(gamma=-3.0, n_cells=4096, dt=1e-4, t_end=0.02,
+                           output_stride=50)
+        u0 = gaussian_field(cfg.grid(), sigma=1.0, mass=1e-3)
+        solve = solver.solve_banded
+        base = []
+
+        def first_solve_resets_the_peak(*args):
+            if not base:
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "solve_banded", first_solve_resets_the_peak)
+        tracemalloc.start()
+        try:
+            traj, t_det = run_semilinear(cfg, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t_det is None and len(traj.rows) == 5
+        assert peak - base[0] < u0.values.nbytes
+
+    # tall data: step 1 takes 9 halvings, step 2 three and step 3 two
+    TALL = SolverConfig(gamma=-2.5, n_cells=256, dt=1e-4, t_end=3e-4, output_stride=1)
+
+    def tall_run(self):
+        """(halvings of each step, the field of each row) of TALL."""
+        reports = []
+        step_fn = solver.step
+
+        def recording(*args, **kwargs):
+            values, report = step_fn(*args, **kwargs)
+            reports.append(report)
+            return values, report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "step", recording)
+            _, states = run_with_states(
+                self.TALL, gaussian_field(self.TALL.grid(), sigma=1.0, amplitude=3e5))
+        return [r.halvings for r in reports], states
+
+    def test_halving_path_keeps_every_state_it_hands_out(self, tmp_path, monkeypatch):
+        # each row's field holds its own copy of the state, which later steps
+        # overwrite in the stencil
+        halvings, states = self.tall_run()
+        assert halvings == [9, 3, 2]
+        cfg = self.TALL
+        f0 = gaussian_field(cfg.grid(), sigma=1.0, amplitude=3e5)
+        _, want = oracle_run(cfg, f0)
+        assert len(states) == len(want) == 4
+        for got, expected in zip(states, want):
+            assert np.array_equal(got.values, expected.values)
+        for i, got in enumerate(states):
+            assert not any(np.shares_memory(got.values, h.values) for h in states[i + 1:])
+        # a NaN from step 3's second substep solve, after its first substep
+        # has written the other state buffer: the step-start state survives
+        monkeypatch.setattr(solver, "solve_banded", nan_at_call(
+            solver.solve_banded, (1 << halvings[0]) + (1 << halvings[1]) + 2))
+        ckpt = tmp_path / "last_good.ckpt"
+        with pytest.raises(SolverError, match="step 3 aborted "
+                                              r"\(field values must be finite\); "
+                                              "last good state retained"):
+            run(cfg, f0, checkpoint_path=ckpt)
+        saved, _, t_saved = read_checkpoint(ckpt)
+        assert np.array_equal(saved.values, states[2].values)
+        assert t_saved == 2 * cfg.dt
+
+    def test_heat_flow_coefficient_is_the_mass_column(self, monkeypatch):
+        # at gamma = -2, a[f] = f * |.|^0 is the finite-volume mass: the mass
+        # the scheme conserves and the rows record
+        cfg = SolverConfig(gamma=-2.0, n_cells=256, dt=1e-3, t_end=0.02, output_stride=5)
+        coefficients = []
+        snapshot_row = diagnostics.snapshot_row
+
+        def recording(t, f, gamma, a, h, **kwargs):
+            coefficients.append(a.copy())
+            return snapshot_row(t, f, gamma, a, h, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "snapshot_row", recording)
+        traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        assert len(coefficients) == len(traj.rows) == 5
+        for a, row in zip(coefficients, traj.rows):
+            assert np.allclose(a, row["mass"], rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 class TestRunBookkeeping:
