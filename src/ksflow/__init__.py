@@ -29,17 +29,17 @@ from .diagnostics import (
     ellipticity_check,
     h_bound_check,
 )
-from .probes import ProbeError, RatioStats, probe_inequality
-
-# The solver, config and harness names load on first access (PEP 562): the
-# three modules add about 20 ms to an import of ksflow, which the commands
-# that never step the radial solver (verify-lifted, probe, plot) need not pay.
+# The solver, config, harness and probes names load on first access (PEP 562):
+# the first three modules add about 20 ms to an import of ksflow, which the
+# commands that never step the radial solver (verify-lifted, probe, plot) need
+# not pay, and the commands other than probe need not hold the probes module.
 _LAZY = {
     **dict.fromkeys(("SolverConfig", "SolverError", "Stencil", "StepReport", "run",
                      "run_semilinear", "step"), "solver"),
     **dict.fromkeys(("ConfigError", "RunConfig", "load_config", "parse_config_text"),
                     "config"),
     **dict.fromkeys(("compare_blowup", "simulate"), "harness"),
+    **dict.fromkeys(("ProbeError", "RatioStats", "probe_inequality"), "probes"),
 }
 
 

@@ -124,7 +124,7 @@ def cmd_verify_lifted(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from .probes import MAX_MEMBERS, PROBE_LEMMAS, ProbeError, probe_inequality
+    from .probes import MAX_MEMBERS, PROBE_LEMMAS, ROW_FIELDS, ProbeError, probe_inequality
 
     lemmas = args.lemma or PROBE_LEMMAS
     if _first_bad_number([("--members", args.members, 1 <= args.members <= MAX_MEMBERS,
@@ -150,8 +150,7 @@ def cmd_probe(args) -> int:
         verdicts.append(verdict)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_csv(os.path.join(args.out, "probes.csv"),
-                  ("lemma", "seed", "lambda", "lhs", "rhs", "ratio"), result.rows)
+        write_csv(os.path.join(args.out, "probes.csv"), ROW_FIELDS, result.rows)
     for line in verdict_block(verdicts):
         _print(args.quiet, line)
     return 0 if all_passed(verdicts) else 1

@@ -36,10 +36,10 @@ class RadialGrid:
     largest weight of the moments the diagnostics record (r^(2+s), s <= 6),
     must be finite.
 
-    Its geometry arrays are computed once, on first use, and are read-only;
-    the quadrature weights are computed on each access.  `weights` and
-    `cell_volumes` are the only radial quadrature: every integral over R^3
-    of a radial profile is a sum against one of them."""
+    Its geometry arrays and quadrature weights are computed once, on first
+    use, and are read-only.  `weights` and `cell_volumes` are the only radial
+    quadrature: every integral over R^3 of a radial profile is a sum against
+    one of them."""
 
     n_cells: int
     r_max: float
@@ -86,11 +86,11 @@ class RadialGrid:
         lo, hi = self.faces[:-1], self.faces[1:]
         return _read_only((4.0 * np.pi / 3.0) * (hi - lo) * (hi * hi + hi * lo + lo * lo))
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Midpoint-rule weights 4*pi*r_i^2*dr: sum(weights * g) is the
         integral over R^3 of the radial g sampled at the centers."""
-        return (4.0 * np.pi * self.dr) * self.centers**2
+        return _read_only((4.0 * np.pi * self.dr) * self.centers**2)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -159,18 +159,16 @@ def integrate_radial(f: RadialField, s: float = 0.0) -> float:
     return float(np.sum(grid.weights * grid.centers**s * f.values))
 
 
-def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0,
-                     scale: float = 1.0) -> float:
-    """Weighted Lebesgue norm || <v/scale>^m f ||_{L^p} with <v> = sqrt(1 + |v|^2).
+def weighted_lp_norm(f: RadialField, p: float, m: float = 0.0) -> float:
+    """Weighted Lebesgue norm || <v>^m f ||_{L^p} with <v> = sqrt(1 + |v|^2).
 
-    p = inf returns the grid supremum of <r/scale>^m |f|; finite p sums
-    |g|^p against the grid's weights.  A scale other than 1 gives the
-    reweighted norms of the dilation laws in `probes`.
+    p = inf returns the grid supremum of <r>^m |f|; finite p sums |g|^p
+    against the grid's weights.
     """
     if p != np.inf and p < 1:
         raise FieldError(f"p must be >= 1 or inf, got {p}")
     grid = f.grid
-    w = (1.0 + (grid.centers / scale) ** 2) ** (0.5 * m)
+    w = (1.0 + grid.centers**2) ** (0.5 * m)
     g = w * np.abs(f.values)
     if p == np.inf:
         return float(g.max())

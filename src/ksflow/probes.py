@@ -25,12 +25,16 @@ grad f_lam = lam (grad f)(lam .), D^2 f_lam = lam^2 (D^2 f)(lam .),
 (f_lam * |.|^mu)(v) = lam^(-3-mu) (f * |.|^mu)(lam v), and the measure
 contributes lam^(-3/p).  The <.> weights are not dilation-homogeneous, so the
 law carries the reweighting <./lam> rather than a bare power of lam.
-All requested lemmas share one seeded family and so one set of grids.  For
-each member and grid, `_sides` evaluates the profile and its derivatives from
-one exponential per mixture component, every distinct D f and every distinct
-term of the requested lemmas once, and returns every lemma's sides at every
+All requested lemmas share one seeded family and so one set of grids.  Each
+grid is evaluated once, for the whole family, by `_sides`: on entry it builds
+the grid's weight tables, one (S, n) block per distinct weight over the S
+scales of that grid, and drops them on return.  For each member it evaluates
+the profile and its derivatives from one exponential per mixture component,
+every distinct D f and every distinct term of the requested lemmas once, each
+term at all S scales in one pass, and returns every lemma's sides at every
 requested lam: the direct side is lam = 1 on the dilated grid, the predicted
-side every lam of the sweep on the base grid.
+side every lam of the sweep on the base grid.  A lemma's rows are held as
+columns (`RatioStats`) and become dicts only as they are iterated.
 
 The probed statements (hypotheses validated and echoed):
 
@@ -48,11 +52,11 @@ far field (f * |.|^mu ~ M |v|^mu) saturates, so no stronger weight can hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadialField, RadialGrid, weighted_lp_norm
+from .grids import RadialField, RadialGrid
 from .kernels import radial_convolve
 
 PROBE_LEMMAS = ("A1", "A3", "A4", "A5", "A7")
@@ -84,23 +88,27 @@ class RadialMixture:
         return RadialMixture(self.amplitudes, self.widths / lam)
 
     def derivatives(self, r: np.ndarray, order: int = 2) -> tuple:
-        """(p, p', p'') at r, up to the given order; one exponential per
-        component serves all of them."""
-        r = np.asarray(r, dtype=float)[..., None]
-        e = np.exp(-0.5 * (r / self.widths) ** 2)
-        out = [np.sum(self.amplitudes * e, axis=-1)]
+        """(p, p', p'') at the 1-D points r, up to the given order; one
+        exponential per component serves all of them.
+
+        The components lie along axis 0, (k, n), so each sum over them adds
+        whole rows left to right, (c_0 + c_1) + c_2: the order, and so the
+        bits, of a sum over a short last axis, in one reduction call."""
+        r = np.asarray(r, dtype=float)
+        a = self.amplitudes[:, None]
+        s = self.widths[:, None]
+        e = np.exp(-0.5 * (r / s) ** 2)
+        out = [np.sum(a * e, axis=0)]
         if order >= 1:
-            out.append(np.sum(-self.amplitudes * r / self.widths**2 * e, axis=-1))
+            out.append(np.sum(-a * r / s**2 * e, axis=0))
         if order >= 2:
-            out.append(np.sum(
-                self.amplitudes * (r**2 / self.widths**4 - 1.0 / self.widths**2) * e,
-                axis=-1))
+            out.append(np.sum(a * (r**2 / s**4 - 1.0 / s**2) * e, axis=0))
         return tuple(out)
 
 
 #: members one probe may use: `random_family` builds them all before the
-#: first is evaluated, and 64 members take about 0.5 s over all lemmas
-#: (2-core x86_64 VM)
+#: first is evaluated, and 64 members take about 0.2 s over all lemmas
+#: (2-core x86_64 VM, numpy 2.4)
 MAX_MEMBERS = 4096
 
 
@@ -116,13 +124,42 @@ def random_family(n_members: int, seed: int) -> list:
     return out
 
 
-@dataclass
+#: the fields of a probe row, in CSV column order
+ROW_FIELDS = ("lemma", "seed", "lambda", "lhs", "rhs", "ratio")
+
+
+@dataclass(eq=False)
 class RatioStats:
+    """One lemma's probe: its validated params, its rows as array columns, one
+    entry per (lam, member) in that order, and the largest scaling deviation.
+
+    A non-finite ratio or deviation fails the lemma: the maxima propagate nan,
+    and a zero rhs gives an inf or nan ratio, never an error."""
+
     lemma: str
     params: dict
-    max_ratio: float
+    seed: np.ndarray
+    lam: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     scaling_deviation: float
-    rows: list = field(default_factory=list)
+
+    def __eq__(self, other):
+        # the columns compare by value, as rows would
+        return (isinstance(other, RatioStats)
+                and (self.lemma, self.params, self.scaling_deviation)
+                == (other.lemma, other.params, other.scaling_deviation)
+                and all(np.array_equal(getattr(self, column), getattr(other, column))
+                        for column in ("seed", "lam", "lhs", "rhs")))
+
+    @property
+    def ratios(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(self.lhs, self.rhs)
+
+    @property
+    def max_ratio(self) -> float:
+        return float(np.max(self.ratios, initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -156,13 +193,26 @@ class Term:
         k = _DERIVATIVE_ORDER.get(self.kind, -3.0 - self.mu)
         return k - 3.0 / self.p
 
-    def norm(self, value: RadialField, scale: float) -> float:
-        """|| <./scale>^m D f ||_{L^p} from the pointwise value."""
-        if self.kind in ("f", "conv"):
-            return weighted_lp_norm(value, self.p, self.m, scale)
-        grid = value.grid
-        w2 = (1.0 + (grid.centers / scale) ** 2) ** self.m
-        return float(np.sqrt(np.sum(grid.weights * w2 * value.values)))
+    @property
+    def squared(self) -> bool:
+        """Whether the pointwise value is |D f|^2 (the derivative kinds)."""
+        return self.kind in ("grad", "hess")
+
+    def norms(self, value: RadialField, table: np.ndarray, scales) -> np.ndarray:
+        """lam^exponent || <./lam>^m D f ||_{L^p} at each lam of scales, from
+        the pointwise value and this term's (S, n) table of `_weight_tables`."""
+        if self.squared:
+            norms = np.sqrt(np.sum(table * value.values, axis=1))
+        else:
+            g = table * np.abs(value.values)
+            if self.p == np.inf:
+                norms = g.max(axis=1)
+            else:
+                sums = np.sum(value.grid.weights * g**self.p, axis=1)
+                # one scalar power per sum: the array power (a square root at
+                # p = 2) differs from it in the last bit on ~0.1 % of inputs
+                norms = np.array([total ** (1.0 / self.p) for total in sums])
+        return np.array([lam**self.exponent for lam in scales]) * norms
 
 
 def _optimal_split(terms) -> float:
@@ -245,25 +295,63 @@ def _pointwise(mix: RadialMixture, grid: RadialGrid, keys):
             yield (kind, mu), RadialField(grid, radial_convolve(grid, f.values, mu))
 
 
-def _sides(lemmas, mix: RadialMixture, grid: RadialGrid, scales) -> list:
-    """For each (lhs, rhs, combine) description in lemmas, [(lhs, rhs)] for
-    mix on grid, one pair per scale lam: each term weighted by <./lam> and
-    multiplied by lam^(k - 3/p).
+def _weight_tables(terms, grid: RadialGrid, scales) -> list:
+    """Each term's (S, n) weight on grid at the S scales lam: <r/lam>^m for the
+    f and conv terms, weights * <r/lam>^(2m) for the squared ones.  Terms with
+    the same weight share one table."""
+    bracket = 1.0 + (grid.centers / np.asarray(scales, dtype=float)[:, None]) ** 2
+    shared = {}
+    for t in terms:
+        if (t.squared, t.m) not in shared:
+            shared[t.squared, t.m] = (grid.weights * bracket**t.m if t.squared
+                                      else bracket ** (0.5 * t.m))
+    return [shared[t.squared, t.m] for t in terms]
 
-    scales = (1,) gives the sides themselves.  Each distinct D f is evaluated
-    once, and each distinct term once per scale, for all lemmas together;
-    one D f is held at a time.
+
+def _sides(lemmas, family, grid: RadialGrid, scales) -> np.ndarray:
+    """For each (lhs, rhs, combine) description in lemmas, the sides of every
+    member of family on grid at every scale lam, as an array (member, lemma,
+    side, scale) with side 0 the lhs and 1 the rhs: each term weighted by
+    <./lam> and multiplied by lam^(k - 3/p).
+
+    scales = (1,) gives the sides themselves.  The grid's weight tables are
+    built once, on entry, and dropped on return.  Per member, each distinct
+    D f is evaluated once and each distinct term once for all scales, for all
+    lemmas together; one D f is held at a time.
     """
     terms = list(dict.fromkeys(t for lhs, rhs, _ in lemmas for t in (lhs, *rhs)))
-    norms = {}
-    for key, value in _pointwise(mix, grid, dict.fromkeys((t.kind, t.mu) for t in terms)):
-        for t in terms:
-            if (t.kind, t.mu) == key:
-                norms[t] = [lam**t.exponent * t.norm(value, lam) for lam in scales]
-        del value  # before the next D f is computed
-    return [[(norms[lhs][j], combine([norms[t][j] for t in rhs]))
-             for j in range(len(scales))]
-            for lhs, rhs, combine in lemmas]
+    by_key = {}
+    for index, (t, table) in enumerate(zip(terms, _weight_tables(terms, grid, scales))):
+        by_key.setdefault((t.kind, t.mu), []).append((index, t, table))
+    described = [(terms.index(lhs), [terms.index(t) for t in rhs], combine)
+                 for lhs, rhs, combine in lemmas]
+    out = []
+    for mix in family:
+        norms = [None] * len(terms)
+        for key, value in _pointwise(mix, grid, by_key):
+            for index, t, table in by_key[key]:
+                norms[index] = t.norms(value, table, scales)
+            del value  # before the next D f is computed
+        out.append([(norms[lhs], combine([norms[t] for t in rhs]))
+                    for lhs, rhs, combine in described])
+    return np.array(out)
+
+
+class _Rows:
+    """The rows of some RatioStats, lemma by lemma, each a dict keyed by
+    ROW_FIELDS made as it is iterated; len() counts them without making any."""
+
+    def __init__(self, stats):
+        self.stats = stats
+
+    def __len__(self):
+        return sum(len(s.lhs) for s in self.stats)
+
+    def __iter__(self):
+        for s in self.stats:
+            columns = (s.seed, s.lam, s.lhs, s.rhs, s.ratios)
+            for row in zip(*(column.tolist() for column in columns)):
+                yield dict(zip(ROW_FIELDS, (s.lemma, *row)))
 
 
 @dataclass
@@ -274,9 +362,9 @@ class ProbeResult:
     stats: list
 
     @property
-    def rows(self) -> list:
+    def rows(self) -> _Rows:
         """Every lemma's rows, lemma by lemma."""
-        return [row for s in self.stats for row in s.rows]
+        return _Rows(self.stats)
 
 
 def probe_inequality(lemmas=PROBE_LEMMAS, params: dict | None = None, family_seed: int = 0,
@@ -288,39 +376,32 @@ def probe_inequality(lemmas=PROBE_LEMMAS, params: dict | None = None, family_see
     DEFAULT_PARAMS.  Every lemma is validated before any member is evaluated.
     """
     params = params or {}
-    stats = []
+    requested = []
     for lemma in lemmas:
         given = dict(params.get(lemma, DEFAULT_PARAMS.get(lemma, {})))
         _validate(lemma, given)
-        stats.append(RatioStats(lemma=lemma, params=given, max_ratio=0.0,
-                                scaling_deviation=0.0))
-    described = [_LEMMAS[s.lemma](s.params) for s in stats]
+        requested.append((lemma, given))
+    described = [_LEMMAS[lemma](given) for lemma, given in requested]
     family = random_family(n_members, family_seed)
     width_cap = max(float(m.widths.max()) for m in family)
     # the reference grid is deliberately incommensurate with the sweep grids,
     # so predicted and recomputed sides never share quadrature nodes and the
     # scaling check exercises independent discretizations
     base_grid = RadialGrid(int(1.37 * n_cells), 14.0 * width_cap)
-    # (member, lemma, lam, side)
-    predicted = np.empty((len(family), len(described), len(lambdas), 2))
-    for i, mix in enumerate(family):
-        predicted[i] = _sides(described, mix, base_grid, lambdas)
-    for j, lam in enumerate(lambdas):
-        grid = RadialGrid(n_cells, 13.0 * width_cap / lam)
-        for i, mix in enumerate(family):
-            direct = _sides(described, mix.dilated(lam), grid, (1.0,))
-            for s, [(lhs, rhs)], pred in zip(stats, direct, predicted[i]):
-                ratio = lhs / rhs
-                s.max_ratio = max(s.max_ratio, ratio)
-                p_lhs, p_rhs = pred[j].tolist()
-                scaled = (lhs / p_lhs) / (rhs / p_rhs)
-                s.scaling_deviation = max(s.scaling_deviation, abs(scaled - 1.0))
-                s.rows.append({
-                    "lemma": s.lemma,
-                    "seed": family_seed * n_members + i,
-                    "lambda": lam,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "ratio": ratio,
-                })
-    return ProbeResult(stats)
+    # (lam, member, lemma, side)
+    predicted = _sides(described, family, base_grid, lambdas).transpose(3, 0, 1, 2)
+    direct = np.array([
+        _sides(described, (mix.dilated(lam) for mix in family),
+               RadialGrid(n_cells, 13.0 * width_cap / lam), (1.0,))[..., 0]
+        for lam in lambdas])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each side over its value predicted from the lam = 1 member
+        scaled = direct / predicted
+        deviation = np.abs(scaled[..., 0] / scaled[..., 1] - 1.0)
+    seeds = np.tile(np.arange(n_members) + family_seed * n_members, len(lambdas))
+    lams = np.repeat(np.asarray(lambdas, dtype=float), n_members)
+    return ProbeResult([
+        RatioStats(lemma, given, seeds, lams, lhs=direct[:, :, k, 0].flatten(),
+                   rhs=direct[:, :, k, 1].flatten(),
+                   scaling_deviation=float(deviation[:, :, k].max()))
+        for k, (lemma, given) in enumerate(requested)])

@@ -28,12 +28,12 @@ def _cell(value) -> str:
 
 
 def write_csv(path, columns, rows):
-    """rows: iterable of dicts keyed (at least) by `columns`."""
-    lines = [",".join(_cell(c) for c in columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
+    """rows: iterable of dicts keyed (at least) by `columns`, written one line
+    at a time as they are iterated."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(_cell(c) for c in columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
 
 
 def verdict_block(verdicts) -> list:

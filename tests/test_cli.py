@@ -395,6 +395,13 @@ class TestProbeCommand:
                      str(tmp_path), "--quiet"]) == 0
         assert hashlib.sha256((tmp_path / "probes.csv").read_bytes()).hexdigest() == sha256
 
+    def test_64_member_probes_csv_bytes_as_recorded(self, tmp_path):
+        # the benchmark's probe-sweep family at its reference seed
+        assert main(["probe", "--members", "64", "--seed", "0", "--out",
+                     str(tmp_path), "--quiet"]) == 0
+        assert hashlib.sha256((tmp_path / "probes.csv").read_bytes()).hexdigest() == (
+            "daeefc2588ab2412b165ecb612db3807bbf66288ea22fe3016429f9489914f1e")
+
     def test_unknown_lemma_exits_two_with_one_line(self, capsys):
         assert main(["probe", "--lemma", "A2", "--quiet"]) == 2
         err = capsys.readouterr().err
@@ -663,6 +670,21 @@ def test_cli_import_does_not_load_scipy_fft(module, loads_scipy):
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == [str(loads_scipy), "False", str(loads_scipy)]
+
+
+def test_only_probe_loads_the_probes_module():
+    # the package root resolves the probes names on first access, so the
+    # other commands do not hold the module
+    src = str(Path(ksflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, ksflow, ksflow.cli, ksflow.harness\n"
+            "loaded = 'ksflow.probes' in sys.modules\n"
+            "ksflow.probe_inequality\n"
+            "print(loaded, 'ksflow.probes' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 # every name `ksflow` exports, by the module that defines it

@@ -16,7 +16,7 @@ from ksflow.grids import (
 )
 from ksflow import diagnostics as dg
 from ksflow.kernels import h_values, radial_convolve
-from ksflow.probes import Term
+from ksflow.probes import Term, _weight_tables
 
 from checkpoint_reader import read_checkpoint
 
@@ -356,6 +356,9 @@ class TestOneQuadrature:
         a = radial_convolve(grid, f.values, -0.5)
         row = dg.snapshot_row(0.5, f, -2.5, a, h_values(grid, f.values, -2.5))
         hess = RadialField(grid, f.values**2 * grid.centers**2)
+        # the probes' norms at lam = 2, through the grid's weight tables
+        terms = (Term("hess", 2.0, 1.0), Term("f", 2.0, 2.0))
+        tables = _weight_tables(terms, grid, (2.0,))
         return {
             "E_0": integrate_radial(f, 0.0),
             "E_2": integrate_radial(f, 2.0),
@@ -365,14 +368,15 @@ class TestOneQuadrature:
             "mu0": radial_convolve(grid, f.values, 0.0),
             **{f"row_{k}": row[k] for k in ("energy", "entropy", "fisher", "e4", "e6",
                                              "_aff", "l3_norm", "mass")},
-            "hess": Term("hess", 2.0, 1.0).norm(hess, 2.0),
+            "hess": terms[0].norms(hess, tables[0], (2.0,))[0],
+            "probe_f": terms[1].norms(f, tables[1], (2.0,))[0],
         }
 
     def test_every_integral_reads_the_weights(self, monkeypatch):
         # with the weights doubled, each integral scales by exactly 2 and a
         # p-th root of one by 2^(1/p)
         plain = self.integrals()
-        midpoint = RadialGrid.weights.fget
+        midpoint = RadialGrid.weights.func
         monkeypatch.setattr(RadialGrid, "weights", property(lambda g: 2.0 * midpoint(g)))
         doubled = self.integrals()
         for key in ("E_0", "E_2", "entropy", "fisher", "row_energy", "row_entropy",
@@ -382,6 +386,8 @@ class TestOneQuadrature:
         assert doubled["row_l3_norm"] == pytest.approx(2.0 ** (1 / 3) * plain["row_l3_norm"],
                                                        rel=1e-15)
         assert doubled["hess"] == pytest.approx(np.sqrt(2.0) * plain["hess"], rel=1e-15)
+        assert doubled["probe_f"] == pytest.approx(np.sqrt(2.0) * plain["probe_f"],
+                                                   rel=1e-15)
         # the finite-volume mass, of the rows and of a[f] at gamma = -2, sums
         # against the cell volumes instead
         assert doubled["row_mass"] == plain["row_mass"]

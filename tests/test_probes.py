@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ksflow.grids import RadialGrid, gaussian_field
+from ksflow.cli import main
+from ksflow.grids import RadialField, RadialGrid, gaussian_field, weighted_lp_norm
 from ksflow.kernels import radial_convolve
 from ksflow import probes
 from ksflow.probes import (
@@ -10,8 +14,10 @@ from ksflow.probes import (
     PROBE_LEMMAS,
     ProbeError,
     RadialMixture,
+    Term,
     _LEMMAS,
     _sides,
+    _weight_tables,
     probe_inequality,
     random_family,
 )
@@ -47,6 +53,7 @@ class TestRatioStats:
     def test_rows_have_csv_fields(self):
         result = probe_inequality(["A1"], None, family_seed=1, n_members=3,
                                   n_cells=512)
+        assert len(result.rows) == 3 * len(DEFAULT_LAMBDAS)
         for row in result.rows:
             assert set(row) == {"lemma", "seed", "lambda", "lhs", "rhs", "ratio"}
 
@@ -56,8 +63,47 @@ class TestRatioStats:
         # inject a zero member by hand and re-run the side computation
         zero = RadialMixture(np.array([0.0]), np.array([1.0]))
         grid = RadialGrid(512, 12.0)
-        [[(lhs, rhs)]] = _sides([describe("A1")], zero, grid, (1.0,))
+        lhs, rhs = _sides([describe("A1")], [zero], grid, (1.0,))[0, 0, :, 0]
         assert lhs == 0.0 and rhs == 0.0
+
+    def test_a_64_member_result_is_held_in_columns(self):
+        # 1600 rows held as columns: about 36 KB, where one dict per row
+        # held about 0.57 MB
+        tracemalloc.start()
+        try:
+            result = probe_inequality(n_members=64)
+            gc.collect()
+            alive = tracemalloc.get_traced_memory()[0]
+            assert len(result.rows) == len(PROBE_LEMMAS) * len(DEFAULT_LAMBDAS) * 64
+            del result
+            gc.collect()
+            retained = alive - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 128 * 1024
+
+
+@pytest.mark.parametrize("side, value", [(0, np.nan), (1, 0.0)])
+def test_a_non_finite_ratio_fails_the_lemma(monkeypatch, capsys, tmp_path, side, value):
+    # a nan lhs, or a zero rhs, on one direct side of a 4-member A1 probe
+    planted = []
+
+    def sides(lemmas, family, grid, scales):
+        out = _sides(lemmas, family, grid, scales)
+        if scales == (1.0,) and not planted:
+            out[1, 0, side, 0] = value
+            planted.append(grid)
+        return out
+
+    monkeypatch.setattr(probes, "_sides", sides)
+    [stats] = probe_inequality(["A1"], None, family_seed=0, n_members=4).stats
+    assert not np.isfinite(stats.max_ratio) and not stats.passed
+    assert not np.isfinite(stats.scaling_deviation)
+    planted.clear()
+    assert main(["probe", "--lemma", "A1", "--members", "4", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("probe_A1 = fail")
+    row = (tmp_path / "probes.csv").read_text().splitlines()[2].split(",")
+    assert row[-1] == ("nan" if side == 0 else "inf")
 
 
 def describe(lemma):
@@ -90,9 +136,9 @@ class TestSides:
     def test_predicted_at_unit_scale_is_the_direct_side(self, lemma):
         mix = random_family(1, 4)[0]
         grid = RadialGrid(384, 10.0)
-        [predicted] = _sides([describe(lemma)], mix, grid, DEFAULT_LAMBDAS)
-        [direct] = _sides([describe(lemma)], mix.dilated(1.0), grid, (1.0,))
-        assert predicted[DEFAULT_LAMBDAS.index(1.0)] == direct[0]
+        [predicted] = _sides([describe(lemma)], [mix], grid, DEFAULT_LAMBDAS)
+        [direct] = _sides([describe(lemma)], [mix.dilated(1.0)], grid, (1.0,))
+        assert np.array_equal(predicted[..., DEFAULT_LAMBDAS.index(1.0)], direct[..., 0])
 
     def test_terms_follow_the_dilation_law(self):
         # || <.>^m D f_lam ||_p = lam^(k - 3/p) || <./lam>^m D f ||_p: the
@@ -102,9 +148,9 @@ class TestSides:
         base = RadialGrid(4096, 14.0)
         dilated = RadialGrid(4096, 14.0 / lam)
         described = [describe(lemma) for lemma in PROBE_LEMMAS]
-        predicted = _sides(described, mix, base, (lam,))
-        direct = _sides(described, mix.dilated(lam), dilated, (1.0,))
-        for [(p_lhs, p_rhs)], [(lhs, rhs)] in zip(predicted, direct):
+        predicted = _sides(described, [mix], base, (lam,))[0, ..., 0]
+        direct = _sides(described, [mix.dilated(lam)], dilated, (1.0,))[0, ..., 0]
+        for (p_lhs, p_rhs), (lhs, rhs) in zip(predicted, direct):
             assert lhs == pytest.approx(p_lhs, rel=1e-4)
             assert rhs == pytest.approx(p_rhs, rel=1e-4)
 
@@ -117,6 +163,93 @@ class TestSides:
             [alone] = probe_inequality([stats.lemma], None, family_seed=7, n_members=4,
                                        n_cells=512).stats
             assert stats == alone
+
+
+def one_scale_norm(term, value, scale):
+    """|| <./scale>^m D f ||_{L^p} one scale at a time, with the weights
+    recomputed on each call: the path the weight tables replace."""
+    grid = value.grid
+    if term.kind in ("f", "conv"):
+        w = (1.0 + (grid.centers / scale) ** 2) ** (0.5 * term.m)
+        g = w * np.abs(value.values)
+        if term.p == np.inf:
+            return float(g.max())
+        return float(np.sum(grid.weights * g**term.p) ** (1.0 / term.p))
+    w2 = (1.0 + (grid.centers / scale) ** 2) ** term.m
+    return float(np.sqrt(np.sum(grid.weights * w2 * value.values)))
+
+
+def derivatives_oracle(mix, r, order):
+    """(p, p', p'') with the components along a short last axis, (n, k)."""
+    r = np.asarray(r, dtype=float)[..., None]
+    e = np.exp(-0.5 * (r / mix.widths) ** 2)
+    out = [np.sum(mix.amplitudes * e, axis=-1)]
+    if order >= 1:
+        out.append(np.sum(-mix.amplitudes * r / mix.widths**2 * e, axis=-1))
+    if order >= 2:
+        out.append(np.sum(
+            mix.amplitudes * (r**2 / mix.widths**4 - 1.0 / mix.widths**2) * e, axis=-1))
+    return tuple(out)
+
+
+class TestFastPathsKeepTheBits:
+    def test_component_major_derivatives(self, monkeypatch):
+        # every (member, grid) pair a 64-member probe evaluates: the base
+        # grid and the five direct grids, and a zero-amplitude member
+        calls = []
+        derivatives = RadialMixture.derivatives
+
+        def recording(mix, r, order=2):
+            calls.append((mix, r))
+            return derivatives(mix, r, order)
+
+        monkeypatch.setattr(RadialMixture, "derivatives", recording)
+        probe_inequality(n_members=64)
+        monkeypatch.undo()
+        assert len(calls) == 64 * (1 + len(DEFAULT_LAMBDAS))
+        assert len({id(r) for _, r in calls}) == 1 + len(DEFAULT_LAMBDAS)
+        calls.append((RadialMixture(np.array([0.0]), np.array([1.0])), calls[0][1]))
+        for mix, r in calls:
+            for order in (0, 1, 2):
+                got, want = mix.derivatives(r, order), derivatives_oracle(mix, r, order)
+                assert len(got) == len(want) == order + 1
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_weight_tables_are_the_per_call_weights(self):
+        grid = RadialGrid(2805, 25.0)
+        terms = list(dict.fromkeys(t for lemma in PROBE_LEMMAS
+                                   for lhs, rhs, _ in [describe(lemma)]
+                                   for t in (lhs, *rhs)))
+        tables = _weight_tables(terms, grid, DEFAULT_LAMBDAS)
+        for t, table in zip(terms, tables):
+            assert table.shape == (len(DEFAULT_LAMBDAS), grid.n_cells)
+            for row, lam in zip(table, DEFAULT_LAMBDAS):
+                bracket = 1.0 + (grid.centers / lam) ** 2
+                fresh = (grid.weights * bracket**t.m if t.kind in ("grad", "hess")
+                         else bracket ** (0.5 * t.m))
+                assert np.array_equal(row, fresh), t
+        # one table per distinct weight: four <.>^m, two weights * <.>^(2m)
+        assert len({id(table) for table in tables}) == 6 < len(terms)
+
+    def test_norms_at_every_scale_are_the_one_scale_norms(self):
+        grid = RadialGrid(2805, 25.0)
+        mix = random_family(1, 8)[0]
+        described = [describe(lemma) for lemma in PROBE_LEMMAS]
+        terms = list(dict.fromkeys(t for lhs, rhs, _ in described for t in (lhs, *rhs)))
+        tables = _weight_tables(terms, grid, DEFAULT_LAMBDAS)
+        checked = 0
+        for key, value in probes._pointwise(mix, grid, {(t.kind, t.mu) for t in terms}):
+            for t, table in zip(terms, tables):
+                if (t.kind, t.mu) == key:
+                    got = t.norms(value, table, DEFAULT_LAMBDAS)
+                    want = [lam**t.exponent * one_scale_norm(t, value, lam)
+                            for lam in DEFAULT_LAMBDAS]
+                    assert got.tolist() == want, t
+                    checked += 1
+        assert checked == len(terms)
+        # at scale 1 the f terms are the grids' own weighted norms
+        f = RadialField(grid, mix.derivatives(grid.centers, 0)[0])
+        assert one_scale_norm(Term("f", 3.0, 1.5), f, 1.0) == weighted_lp_norm(f, 3.0, 1.5)
 
 
 class TestDerivedScalingLaws:
