@@ -44,14 +44,16 @@ class Points:
     Every field, weight and operator takes either a plain array or a Points;
     an integrand builds one Points per block of samples and passes it
     everywhere, so z, r and the potential's alpha, alpha', alpha'' are
-    evaluated once.
+    evaluated once.  z is column-major whatever the layout of x, like the
+    mixture derivatives, so each coordinate is one contiguous run.
     """
 
     __slots__ = ("x", "z", "r", "_alphas")
 
     def __init__(self, x: np.ndarray):
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
-        self.z = self.x[:, :3] - self.x[:, 3:]
+        self.z = np.subtract(self.x[:, :3], self.x[:, 3:],
+                             out=np.empty((len(self.x), 3), order="F"))
         self.r = np.linalg.norm(self.z, axis=1)
         self._alphas = {}
 
@@ -71,8 +73,11 @@ def as_points(x) -> Points:
 
 
 def _pair(u: np.ndarray) -> np.ndarray:
-    """(u, -u): a z-space vector lifted to R^6."""
-    return np.concatenate([u, -u], axis=1)
+    """(u, -u): a z-space vector lifted to R^6, column-major."""
+    out = np.empty((len(u), 6), order="F")
+    out[:, :3] = u
+    np.negative(u, out=out[:, 3:])
+    return out
 
 
 _NU = {f"NU{i}": np.eye(6)[i - 1] + np.eye(6)[i + 2] for i in (1, 2, 3)}

@@ -55,13 +55,15 @@ class Gaussian6:
 class MixtureHessian:
     """Hess F = sum_k c_k (A_k d_k (A_k d_k)^T - A_k) at n points, never formed.
 
-    Component-major: comp (K, n) holds the component values c_k(x) and
-    Ad (K, n, 6) the products A_k d_k, d_k = x - m_k, so each component's
-    rows are one contiguous block.  For K = 6 components that is the size of
-    the one dense (n, 6, 6) Hessian it replaces.  Each contraction the lifted
-    calculus needs costs O(n 6 K); the difference-block ones (along
-    d_i = d/dv_i - d/dw_i) work in 3-D and share the per-component
-    differences, computed once per instance.
+    comp (K, n) holds the component values c_k(x) and Ad (K, n, 6) the
+    products A_k d_k, d_k = x - m_k.  Ad views (K, 6, n) memory: each
+    coordinate of each component is one contiguous run of n values, so every
+    contraction over a coordinate is a few whole-row vector operations.  For
+    K = 6 components that is the size of the one dense (n, 6, 6) Hessian it
+    replaces.  Each contraction the lifted calculus needs costs O(n 6 K); the
+    difference-block ones (along d_i = d/dv_i - d/dw_i) work in 3-D and share
+    the per-component differences, computed once per instance in the same
+    layout.  Any layout of Ad gives the same values up to rounding.
     """
 
     def __init__(self, comp: np.ndarray, Ad: np.ndarray, precisions: np.ndarray):
@@ -70,12 +72,17 @@ class MixtureHessian:
         self.precisions = precisions
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """(Hess F) v = sum_k c_k (A_k d_k (A_k d_k . v) - A_k v), shape (n, 6)."""
-        along = self.comp * np.einsum("kni,ni->kn", self.Ad, v)
-        # every A_k v from one broadcast product; A_k is symmetric
-        Av = np.matmul(v, self.precisions)
-        return (np.einsum("kn,kni->ni", along, self.Ad)
-                - np.einsum("kn,kni->ni", self.comp, Av))
+        """(Hess F) v = sum_k c_k (A_k d_k (A_k d_k . v) - A_k v), shape (n, 6).
+
+        c_k multiplies the bracket last, so entry (i, j) of the Hessian is
+        rounded as entry (j, i) is: u . (Hess F) w = w . (Hess F) u exactly
+        for unit vectors u, w.
+        """
+        along = np.einsum("kni,ni->kn", self.Ad, v)
+        # every A_k v from one broadcast product, in Ad's layout; A_k is symmetric
+        term = along[:, :, None] * self.Ad
+        term -= np.matmul(self.precisions, v.T).transpose(0, 2, 1)
+        return np.einsum("kn,kni->ni", self.comp, term)
 
     def trace(self) -> np.ndarray:
         """Laplacian of F: sum_k c_k (|A_k d_k|^2 - tr A_k)."""
@@ -85,11 +92,14 @@ class MixtureHessian:
 
     @functools.cached_property
     def _difference(self):
-        """(delta, B): delta_k = P^T A_k d_k (K, n, 3) and the difference
-        blocks B_k = P^T A_k P (K, 3, 3), P = [Id; -Id]."""
+        """(delta, B): delta_k = P^T A_k d_k (K, n, 3), a view of (K, 3, n)
+        memory like Ad, and the difference blocks B_k = P^T A_k P (K, 3, 3),
+        P = [Id; -Id]."""
         A = self.precisions
-        return (self.Ad[:, :, :3] - self.Ad[:, :, 3:],
-                A[:, :3, :3] - A[:, :3, 3:] - A[:, 3:, :3] + A[:, 3:, 3:])
+        n_comp, n = self.comp.shape
+        delta = np.empty((n_comp, 3, n)).transpose(0, 2, 1)
+        np.subtract(self.Ad[:, :, :3], self.Ad[:, :, 3:], out=delta)
+        return delta, A[:, :3, :3] - A[:, :3, 3:] - A[:, 3:, :3] + A[:, 3:, 3:]
 
     @functools.cached_property
     def _difference_trace(self) -> np.ndarray:
@@ -114,7 +124,8 @@ class MixtureHessian:
         (n, 6) vector formed."""
         delta, B = self._difference
         along = np.einsum("kni,ni->kn", delta, u)
-        curv = np.einsum("kni,ni->kn", np.matmul(u, B), u)
+        # u^T B_k u from B_k u^T, a (K, 3, n) product in u's coordinate rows
+        curv = np.einsum("kin,in->kn", np.matmul(B, u.T), u.T)
         return np.einsum("kn,kn->n", self.comp, along * along - curv)
 
 
@@ -146,64 +157,66 @@ class Mixture6:
     def eval(self, x: np.ndarray, order: int = 2, hess_out: np.ndarray | None = None):
         """F, grad F and Hess F at points x of shape (n, 6); all closed-form.
 
-        The Hessian is a `MixtureHessian`, never a dense (n, 6, 6) array.
-        order=1 skips it (returned as None) for gradient-only functionals.
-        Its arrays are fresh unless hess_out, a float array of at least 7 K n
-        entries owned by the caller, is given: they are then views of it, and
-        the next eval into the same hess_out overwrites them.
+        grad is a column-major (n, 6) array.  The Hessian is a
+        `MixtureHessian`, never a dense (n, 6, 6) array; order=1 skips it
+        (returned as None) for gradient-only functionals.  Its arrays are
+        fresh unless hess_out, a float array of at least 7 K n entries owned
+        by the caller, is given: they are then views of it, and the next eval
+        into the same hess_out overwrites them.  Every array is written in
+        the column-major layout whatever the layout of x, so the values do
+        not depend on it.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
         n_comp = len(self.components)
         F = np.zeros(n)
-        grad = np.zeros((n, 6))
+        grad = np.zeros((n, 6), order="F")
+        # per-component temporaries, reused: d = x - m_k, q = d . A_k d, and
+        # c_k A_k d
+        d = np.empty((n, 6), order="F")
+        q = np.empty(n)
+        scaled = np.empty((n, 6), order="F")
         hess = None
         if order >= 2:
             size = n_comp * n
             store = np.empty(7 * size) if hess_out is None else hess_out[:7 * size]
             hess = MixtureHessian(store[6 * size:].reshape(n_comp, n),
-                                  store[:6 * size].reshape(n_comp, n, 6), self._precisions)
+                                  store[:6 * size].reshape(n_comp, 6, n).transpose(0, 2, 1),
+                                  self._precisions)
+        else:
+            Ad, comp = np.empty((n, 6), order="F"), np.empty(n)
         for k in range(n_comp):
-            d = x - self._means[k]            # (n, 6)
-            # A symmetric; with a Hessian, A_k d_k is written into its block
-            Ad = (d @ self._precisions[k] if hess is None
-                  else np.matmul(d, self._precisions[k], out=hess.Ad[k]))
-            q = np.einsum("ni,ni->n", d, Ad)
-            comp = np.exp(self._lognorms[k] - 0.5 * q)
-            F += comp
-            grad += -comp[:, None] * Ad
+            np.subtract(x, self._means[k], out=d)
             if hess is not None:
-                hess.comp[k] = comp
+                # the component's value and A_k d_k are written into the Hessian
+                Ad, comp = hess.Ad[k], hess.comp[k]
+            np.matmul(d, self._precisions[k], out=Ad)    # A symmetric
+            np.einsum("ni,ni->n", d, Ad, out=q)
+            q *= -0.5
+            q += self._lognorms[k]
+            np.exp(q, out=comp)
+            F += comp
+            grad -= np.multiply(Ad, comp[:, None], out=scaled)
         return F, grad, hess
-
-    def eval_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        F = np.zeros(x.shape[0])
-        for k in range(len(self.components)):
-            d = x - self._means[k]
-            q = np.einsum("ni,ij,nj->n", d, self._precisions[k], d)
-            F += np.exp(self._lognorms[k] - 0.5 * q)
-        return F
 
     def component_counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """How many of n draws from F / mass each component makes: one multinomial."""
         return rng.multinomial(n, self._weights / self._weights.sum())
 
-    def sample(self, counts, rng: np.random.Generator, out: np.ndarray | None = None,
-               normals: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, counts, rng: np.random.Generator, out: np.ndarray,
+               normals: np.ndarray) -> np.ndarray:
         """Exact draws from F / mass: counts[k] rows from component k, in
         component order, n = sum(counts) rows in all; returns out.
 
         The rows are rng's next n standard normal 6-vectors, each mapped by
         its component's covariance factor and mean.  So drawing a run of rows
         in consecutive pieces, each with its own slice of the counts, gives
-        the bytes of one draw of the whole run.  out and normals, both (n, 6)
-        and C-contiguous, receive the rows and the normal draws; they are
-        allocated when not given.
+        the bytes of one draw of the whole run.  out, an (n, 6) array of any
+        layout (`estimate_many` passes a column-major one), receives the
+        rows; normals, a C-contiguous (n, 6) array, receives the normal
+        draws in rng's stream order.
         """
-        n = int(np.sum(counts))
-        out = np.empty((n, 6)) if out is None else out
-        z = rng.standard_normal(out=np.empty((n, 6)) if normals is None else normals)
+        z = rng.standard_normal(out=normals)
         pos = 0
         for k, c in enumerate(counts):
             block = np.matmul(z[pos:pos + c], self._chol_cov[k].T, out=out[pos:pos + c])

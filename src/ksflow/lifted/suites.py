@@ -275,8 +275,10 @@ def run_maxwell_suite(seed: int = 0, n_samples: int = DEFAULT_SAMPLES):
 
 
 def _difference_log_gradient(grad, F_val):
-    """delta = (grad_v - grad_w) log F, shape (n, 3)."""
-    return (grad[:, :3] - grad[:, 3:]) / F_val[:, None]
+    """delta = (grad_v - grad_w) log F, a column-major (n, 3) array."""
+    delta = np.subtract(grad[:, :3], grad[:, 3:], out=np.empty((len(grad), 3), order="F"))
+    delta /= F_val[:, None]
+    return delta
 
 
 def _tangent_quadratic(p: Points, delta):
@@ -284,8 +286,14 @@ def _tangent_quadratic(p: Points, delta):
 
     bt_k . u = (e_k x z) . delta = e_k . (z x delta); the cross product keeps
     an exact zero exact, where |z|^2 |delta|^2 - (z . delta)^2 would cancel.
+    It is written column-major, component by component, as np.cross rounds.
     """
-    zxd = np.cross(p.z, delta)
+    z = p.z
+    zxd = np.empty((len(z), 3), order="F")
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(z[:, j], delta[:, k], out=zxd[:, i])
+        zxd[:, i] -= z[:, k] * delta[:, j]
     return np.einsum("ni,ni->n", zxd, zxd)
 
 
@@ -552,7 +560,7 @@ def run_marginal_suite(seed: int = 0, gammas=(-2.5, -2.0),
     # tensor symmetry is exact by construction
     pts = sample_points(64, seed)
     swapped = np.concatenate([pts[:, 3:], pts[:, :3]], axis=1)
-    res = float(np.max(np.abs(F.eval_density(pts) - F.eval_density(swapped))))
+    res = float(np.max(np.abs(F.eval(pts, order=1)[0] - F.eval(swapped, order=1)[0])))
     rows.append(_point_row("marginal", "tensor_swap_symmetry", res, tol=1e-14))
     # i(f) = I(f (x) f) / 2: grid quadrature against the Monte-Carlo estimate
     from ..diagnostics import fisher_information

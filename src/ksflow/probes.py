@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import RadialField, RadialGrid
+from .grids import RadialGrid
 from .kernels import radial_convolve
 
 PROBE_LEMMAS = ("A1", "A3", "A4", "A5", "A7")
@@ -198,17 +198,19 @@ class Term:
         """Whether the pointwise value is |D f|^2 (the derivative kinds)."""
         return self.kind in ("grad", "hess")
 
-    def norms(self, value: RadialField, table: np.ndarray, scales) -> np.ndarray:
+    def norms(self, values: np.ndarray, grid: RadialGrid, table: np.ndarray,
+              scales) -> np.ndarray:
         """lam^exponent || <./lam>^m D f ||_{L^p} at each lam of scales, from
-        the pointwise value and this term's (S, n) table of `_weight_tables`."""
+        the pointwise values on grid and this term's (S, n) table of
+        `_weight_tables`.  A non-finite value gives a non-finite norm."""
         if self.squared:
-            norms = np.sqrt(np.sum(table * value.values, axis=1))
+            norms = np.sqrt(np.sum(table * values, axis=1))
         else:
-            g = table * np.abs(value.values)
+            g = table * np.abs(values)
             if self.p == np.inf:
                 norms = g.max(axis=1)
             else:
-                sums = np.sum(value.grid.weights * g**self.p, axis=1)
+                sums = np.sum(grid.weights * g**self.p, axis=1)
                 # one scalar power per sum: the array power (a square root at
                 # p = 2) differs from it in the last bit on ~0.1 % of inputs
                 norms = np.array([total ** (1.0 / self.p) for total in sums])
@@ -274,25 +276,24 @@ def _validate(lemma: str, params: dict):
 
 
 def _pointwise(mix: RadialMixture, grid: RadialGrid, keys):
-    """Yield (kind, mu), D f of mix on grid for each key in turn; the
-    derivative kinds hold |D f|^2.
+    """Yield (kind, mu), the values of D f of mix at grid's centers for each
+    key in turn; the derivative kinds hold |D f|^2.
 
     The convolutions come last and p', p'' are released before them, so the
     FFT temporaries, the largest arrays here, meet the fewest live ones."""
     r = grid.centers
-    p, *d = mix.derivatives(r, max(_DERIVATIVE_ORDER.get(kind, 0) for kind, _ in keys))
-    f = RadialField(grid, p)
+    f, *d = mix.derivatives(r, max(_DERIVATIVE_ORDER.get(kind, 0) for kind, _ in keys))
     for kind, mu in sorted(keys, key=lambda key: key[0] == "conv"):
         if kind == "f":
             yield (kind, mu), f
         elif kind == "grad":
-            yield (kind, mu), RadialField(grid, d[0] ** 2)
+            yield (kind, mu), d[0] ** 2
         elif kind == "hess":
             # the radial Hessian has eigenvalues f'' and f'/r (twice)
-            yield (kind, mu), RadialField(grid, d[1] ** 2 + 2.0 * (d[0] / r) ** 2)
+            yield (kind, mu), d[1] ** 2 + 2.0 * (d[0] / r) ** 2
         else:
             d = None
-            yield (kind, mu), RadialField(grid, radial_convolve(grid, f.values, mu))
+            yield (kind, mu), radial_convolve(grid, f, mu)
 
 
 def _weight_tables(terms, grid: RadialGrid, scales) -> list:
@@ -328,10 +329,10 @@ def _sides(lemmas, family, grid: RadialGrid, scales) -> np.ndarray:
     out = []
     for mix in family:
         norms = [None] * len(terms)
-        for key, value in _pointwise(mix, grid, by_key):
+        for key, values in _pointwise(mix, grid, by_key):
             for index, t, table in by_key[key]:
-                norms[index] = t.norms(value, table, scales)
-            del value  # before the next D f is computed
+                norms[index] = t.norms(values, grid, table, scales)
+            del values  # before the next D f is computed
         out.append([(norms[lhs], combine([norms[t] for t in rhs]))
                     for lhs, rhs, combine in described])
     return np.array(out)

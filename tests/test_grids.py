@@ -355,7 +355,7 @@ class TestOneQuadrature:
         f = gaussian_field(grid, sigma=1.0, mass=1.0)
         a = radial_convolve(grid, f.values, -0.5)
         row = dg.snapshot_row(0.5, f, -2.5, a, h_values(grid, f.values, -2.5))
-        hess = RadialField(grid, f.values**2 * grid.centers**2)
+        hess = f.values**2 * grid.centers**2
         # the probes' norms at lam = 2, through the grid's weight tables
         terms = (Term("hess", 2.0, 1.0), Term("f", 2.0, 2.0))
         tables = _weight_tables(terms, grid, (2.0,))
@@ -368,8 +368,8 @@ class TestOneQuadrature:
             "mu0": radial_convolve(grid, f.values, 0.0),
             **{f"row_{k}": row[k] for k in ("energy", "entropy", "fisher", "e4", "e6",
                                              "_aff", "l3_norm", "mass")},
-            "hess": terms[0].norms(hess, tables[0], (2.0,))[0],
-            "probe_f": terms[1].norms(f, tables[1], (2.0,))[0],
+            "hess": terms[0].norms(hess, grid, tables[0], (2.0,))[0],
+            "probe_f": terms[1].norms(f.values, grid, tables[1], (2.0,))[0],
         }
 
     def test_every_integral_reads_the_weights(self, monkeypatch):

@@ -79,8 +79,8 @@ class TestMixtureEval:
         for i in range(6):
             dx = np.zeros(6)
             dx[i] = h
-            fp = F.eval_density(x + dx)
-            fm = F.eval_density(x - dx)
+            fp = F.eval(x + dx, order=1)[0]
+            fm = F.eval(x - dx, order=1)[0]
             fd = (fp - fm) / (2 * h)
             assert np.max(np.abs(fd - grad[:, i])) <= 1e-6 * scale
             fd2 = (fp - 2 * val + fm) / h**2
@@ -110,15 +110,16 @@ class TestMixtureEval:
         F = random_symmetric_mixture(3, 7)
         rng1 = np.random.default_rng(42)
         rng2 = np.random.default_rng(42)
-        s1 = F.sample(F.component_counts(1000, rng1), rng1)
-        s2 = F.sample(F.component_counts(1000, rng2), rng2)
+        s1, s2, normals = np.empty((3, 1000, 6))
+        F.sample(F.component_counts(1000, rng1), rng1, out=s1, normals=normals)
+        F.sample(F.component_counts(1000, rng2), rng2, out=s2, normals=normals)
         assert np.array_equal(s1, s2)
 
     def test_swap_symmetry_by_construction(self):
         F = random_symmetric_mixture(2, 11)
         x = rand_points(50, seed=2)
         sw = np.concatenate([x[:, 3:], x[:, :3]], axis=1)
-        assert np.allclose(F.eval_density(x), F.eval_density(sw), rtol=1e-13)
+        assert np.allclose(F.eval(x, order=1)[0], F.eval(sw, order=1)[0], rtol=1e-13)
 
     def test_tensor_product_mass(self):
         F = tensor_product([2.0], [np.zeros(3)], [np.eye(3)])

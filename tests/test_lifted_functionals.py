@@ -299,6 +299,23 @@ class TestStreamedSampling:
         assert np.array_equal(h1.comp, comp1) and np.array_equal(h1.Ad, Ad1)
 
 
+class TestColumnMajorBlocks:
+    def test_the_block_an_integrand_sees_is_column_major(self):
+        # x, grad and each component's A_k d_k hold every coordinate as one
+        # contiguous run of the block's rows, the last, partial block too
+        seen = []
+
+        def record(x, F_val, grad, hess):
+            seen.append((len(x), x.flags.f_contiguous, grad.flags.f_contiguous,
+                         [Ad.flags.f_contiguous for Ad in hess.Ad]))
+            return {"x0": x[:, 0]}
+
+        estimate_many(SIX_COMPONENTS, record, EVAL_BLOCK + 17, seed=0)
+        assert [rows for rows, *_ in seen] == [EVAL_BLOCK, 17]
+        for _, x_f, grad_f, Ad_f in seen:
+            assert x_f and grad_f and Ad_f == [True] * len(SIX_COMPONENTS.components)
+
+
 class TestPeakMemory:
     """One estimate holds a block of samples, derivatives and integrand
     temporaries, and one chunk-length array per quantity: 1 MiB each at

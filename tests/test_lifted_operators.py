@@ -132,7 +132,8 @@ class TestFirstVariationDensity:
         rng = np.random.default_rng(23)
         # quadrature on a coarse MC cloud: compare analytic pairing integrand
         # against a finite difference of I along F + eps G at fixed samples
-        x = Fm.sample(Fm.component_counts(200_000, rng), rng)
+        x, normals = np.empty((2, 200_000, 6))
+        Fm.sample(Fm.component_counts(200_000, rng), rng, out=x, normals=normals)
         Fv, Fg, Fh = Fm.eval(x)
         Gv, Gg, _ = G.eval(x)
         psi = ops.first_variation_density(Fv, Fg, Fh)

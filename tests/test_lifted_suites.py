@@ -101,7 +101,8 @@ class TestDissipationPairing:
         F = PAIRING_DENSITIES[name]
         pot = PowerLaw(gamma)
         rng = np.random.default_rng(7)
-        x = F.sample(F.component_counts(4096, rng), rng)
+        x, normals = np.empty((2, 4096, 6))
+        F.sample(F.component_counts(4096, rng), rng, out=x, normals=normals)
         F_val, grad, hess = F.eval(x)
         got = _dissipation_pairings(pot, x, F_val, grad, hess)
         p = Points(x)
@@ -129,10 +130,50 @@ class TestDissipationPairing:
         assert calls == []
         # the counter sees the frame route's matvecs
         rng = np.random.default_rng(8)
-        x = F.sample(F.component_counts(64, rng), rng)
+        x, normals = np.empty((2, 64, 6))
+        F.sample(F.component_counts(64, rng), rng, out=x, normals=normals)
         _, grad, hess = F.eval(x)
         ops.apply_QL(PowerLaw(-2.5), x, grad, hess, form="frames")
         assert len(calls) == 3
+
+
+def every_integrand(monkeypatch):
+    """(F, integrand, order) of every estimate the maxwell, derivatives and
+    dissipation suites make at seed 0, with no sample drawn."""
+    made = []
+
+    def recording(F, integrand, n_samples, seed, stream=0, order=2):
+        made.append((F, integrand, order))
+        return defaultdict(lambda: suites.McEstimate(0.0, 1.0))
+
+    monkeypatch.setattr(suites, "estimate_many", recording)
+    for run in (run_maxwell_suite, suites.run_derivatives_suite, run_dissipation_suite):
+        run(seed=0)
+    monkeypatch.undo()
+    return made
+
+
+def test_integrands_agree_on_column_major_and_c_ordered_blocks(monkeypatch):
+    # the blocks estimate_many hands an integrand are column-major; the same
+    # integrand on C-ordered copies, with a MixtureHessian rebuilt from a
+    # C-ordered Ad, gives the same values up to rounding
+    made = every_integrand(monkeypatch)
+    assert len(made) == 4 + 18 + 24
+    n = 512
+    for i, (F, integrand, order) in enumerate(made):
+        rng = np.random.default_rng(i)
+        x = np.empty(6 * n).reshape(6, n).T
+        F.sample(F.component_counts(n, rng), rng, out=x, normals=np.empty((n, 6)))
+        F_val, grad, hess = F.eval(x, order=order)
+        assert grad.flags.f_contiguous
+        oracle = None if hess is None else MixtureHessian(
+            hess.comp, np.ascontiguousarray(hess.Ad), hess.precisions)
+        got = integrand(x, F_val, grad, hess)
+        want = integrand(np.ascontiguousarray(x), F_val, np.ascontiguousarray(grad), oracle)
+        assert list(got) == list(want)
+        for name, values in want.items():
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(got[name] - values)) <= 1e-13 * scale, (i, name)
 
 
 class TestWindowAlgebra:

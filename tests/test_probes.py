@@ -106,6 +106,30 @@ def test_a_non_finite_ratio_fails_the_lemma(monkeypatch, capsys, tmp_path, side,
     assert row[-1] == ("nan" if side == 0 else "inf")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_derivative_fails_the_lemma(monkeypatch, capsys, tmp_path, value):
+    # a non-finite p'' at one node of every member on every grid: A5's
+    # D^2 f term, and so its rhs, is non-finite, and the lemma fails
+    # through the non-finite ratio and scaling rule instead of raising
+    derivatives = RadialMixture.derivatives
+
+    def planted(mix, r, order=2):
+        out = derivatives(mix, r, order)
+        if order >= 2:
+            out[2][len(r) // 2] = value
+        return out
+
+    monkeypatch.setattr(RadialMixture, "derivatives", planted)
+    [stats] = probe_inequality(["A5"], None, family_seed=0, n_members=4).stats
+    assert not stats.passed and not np.isfinite(stats.scaling_deviation)
+    assert not np.any(np.isfinite(stats.rhs)) and np.all(np.isfinite(stats.lhs))
+    assert main(["probe", "--lemma", "A5", "--members", "4", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("probe_A5 = fail")
+    rows = (tmp_path / "probes.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 * len(DEFAULT_LAMBDAS)
+    assert {row.split(",")[4] for row in rows[1:]} == {"nan" if np.isnan(value) else "inf"}
+
+
 def describe(lemma):
     """The (lhs, rhs, combine) description of a lemma at its default parameters."""
     return _LEMMAS[lemma](DEFAULT_PARAMS[lemma])
@@ -165,18 +189,17 @@ class TestSides:
             assert stats == alone
 
 
-def one_scale_norm(term, value, scale):
+def one_scale_norm(term, values, grid, scale):
     """|| <./scale>^m D f ||_{L^p} one scale at a time, with the weights
     recomputed on each call: the path the weight tables replace."""
-    grid = value.grid
     if term.kind in ("f", "conv"):
         w = (1.0 + (grid.centers / scale) ** 2) ** (0.5 * term.m)
-        g = w * np.abs(value.values)
+        g = w * np.abs(values)
         if term.p == np.inf:
             return float(g.max())
         return float(np.sum(grid.weights * g**term.p) ** (1.0 / term.p))
     w2 = (1.0 + (grid.centers / scale) ** 2) ** term.m
-    return float(np.sqrt(np.sum(grid.weights * w2 * value.values)))
+    return float(np.sqrt(np.sum(grid.weights * w2 * values)))
 
 
 def derivatives_oracle(mix, r, order):
@@ -238,18 +261,19 @@ class TestFastPathsKeepTheBits:
         terms = list(dict.fromkeys(t for lhs, rhs, _ in described for t in (lhs, *rhs)))
         tables = _weight_tables(terms, grid, DEFAULT_LAMBDAS)
         checked = 0
-        for key, value in probes._pointwise(mix, grid, {(t.kind, t.mu) for t in terms}):
+        for key, values in probes._pointwise(mix, grid, {(t.kind, t.mu) for t in terms}):
             for t, table in zip(terms, tables):
                 if (t.kind, t.mu) == key:
-                    got = t.norms(value, table, DEFAULT_LAMBDAS)
-                    want = [lam**t.exponent * one_scale_norm(t, value, lam)
+                    got = t.norms(values, grid, table, DEFAULT_LAMBDAS)
+                    want = [lam**t.exponent * one_scale_norm(t, values, grid, lam)
                             for lam in DEFAULT_LAMBDAS]
                     assert got.tolist() == want, t
                     checked += 1
         assert checked == len(terms)
         # at scale 1 the f terms are the grids' own weighted norms
         f = RadialField(grid, mix.derivatives(grid.centers, 0)[0])
-        assert one_scale_norm(Term("f", 3.0, 1.5), f, 1.0) == weighted_lp_norm(f, 3.0, 1.5)
+        assert (one_scale_norm(Term("f", 3.0, 1.5), f.values, grid, 1.0)
+                == weighted_lp_norm(f, 3.0, 1.5))
 
 
 class TestDerivedScalingLaws:
