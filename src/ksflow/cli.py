@@ -159,9 +159,10 @@ def cmd_probe(args) -> int:
 def cmd_compare_blowup(args) -> int:
     from .config import SIGMA_RULE, gaussian_vanishes, sigma_ok
     from .grids import FieldError
-    from .harness import BLOWUP_GRID, blowup_verdicts, compare_blowup
+    from .harness import BLOWUP_DTS, BLOWUP_GRID, blowup_verdicts, compare_blowup
     from .solver import SolverError
 
+    args.dt = args.dt or list(BLOWUP_DTS)
     if _first_bad_number([
         ("--amplitude", args.amplitude,
          math.isfinite(args.amplitude) and args.amplitude >= 0, "finite and >= 0"),
@@ -330,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "compare-blowup" and args.dt is None:
-        args.dt = [1e-4, 1e-5]
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

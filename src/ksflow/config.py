@@ -9,6 +9,7 @@ override a knob.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import get_type_hints
@@ -174,6 +175,10 @@ def parse_config_text(text: str) -> RunConfig:
     except (SolverError, FieldError) as exc:
         raise ConfigError(str(exc)) from exc
     cfg = RunConfig(solver=solver, **run_kwargs)
+    # the output files are named <scenario>.ckpt and so on, in the out directory
+    if cfg.scenario in ("", ".", "..") or {"/", os.sep, os.altsep} & set(cfg.scenario):
+        raise ConfigError(f"[run] scenario must be a plain file-name stem, "
+                          f"got {cfg.scenario!r}")
     if cfg.initial_kind not in ("gaussian", "zero"):
         raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
     _check_initial(cfg)

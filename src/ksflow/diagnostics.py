@@ -128,12 +128,12 @@ def snapshot_row(t, f: RadialField, gamma: float, a: np.ndarray, h: np.ndarray,
                  mass_drift=0.0, boundary_budget=0.0, halvings=0) -> dict:
     """The diagnostics row of f at time t from its coefficients a = a[f] and
     h = h[f], both arrays; the series columns are 0 until finalize_rows."""
-    zero = f.values.max() <= 0.0
+    linf = float(f.values.max())
     # the max-point monitor's inputs: Laplacian and h[f] at the argmax of f,
     # unless the argmax sits in the last two cells (boundary-affected)
     idx = int(np.argmax(f.values))
     boundary = idx >= f.grid.n_cells - 2
-    lap_at_max = 0.0 if zero or boundary else float(radial_laplacian(f).values[idx])
+    lap_at_max = 0.0 if boundary else float(radial_laplacian(f).values[idx])
     row = {
         "t": float(t),
         # the finite-volume mass (exact shell volumes) is the quantity the
@@ -146,11 +146,11 @@ def snapshot_row(t, f: RadialField, gamma: float, a: np.ndarray, h: np.ndarray,
         "linf_norm": weighted_lp_norm(f, np.inf, 0.0),
         "e4": integrate_radial(f, 4.0),
         "e6": integrate_radial(f, 6.0),
-        "ellipticity_ratio": 0.0 if zero else ellipticity_check(f, gamma, a)[0],
+        "ellipticity_ratio": ellipticity_check(f, gamma, a)[0],
         "h_bound_ratio": 0.0,
         "energy_residual": 0.0,
         "fisher_increment": 0.0,
-        "linf_envelope": float(f.values.max()) * min(float(t), 1.0) ** 0.75,
+        "linf_envelope": linf * min(float(t), 1.0) ** 0.75,
         # private bookkeeping, not emitted to CSV
         "_aff": float(np.sum(f.grid.weights * a * f.values)),
         "_mass_drift": float(mass_drift),
@@ -161,38 +161,51 @@ def snapshot_row(t, f: RadialField, gamma: float, a: np.ndarray, h: np.ndarray,
         "_lap_at_argmax": lap_at_max,
         "_h_at_argmax": float(h[idx]),
     }
-    if not zero:
+    if linf > 0.0:
         # h[f] is defined for all gamma in [-3, -2] even where the reaction
         # coefficient (2+gamma) vanishes, so the bound ratio is always recorded
         row["h_bound_ratio"] = 4.0 * np.pi if gamma == -3.0 else h_bound_check(f, gamma, h)
     return row
 
 
+def _rates(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The difference quotients of the column y against t: one-sided over
+    each step (t_{k-1}, t_k], k >= 1, and centred over (t_{k-1}, t_{k+1}) at
+    each interior row."""
+    return np.diff(y) / np.diff(t), (y[2:] - y[:-2]) / (t[2:] - t[:-2])
+
+
 def finalize_rows(traj: Trajectory, gamma: float):
-    """Fill the series-dependent columns (energy residual, Fisher increment)."""
-    t = np.array([row["t"] for row in traj.rows])
-    e2 = np.array([row["energy"] for row in traj.rows])
-    aff = np.array([row["_aff"] for row in traj.rows])
-    fisher = np.array([row["fisher"] for row in traj.rows])
-    n = len(t)
-    for k in range(n):
-        if n >= 2:
-            if 0 < k < n - 1:
-                rate = (e2[k + 1] - e2[k - 1]) / (t[k + 1] - t[k - 1])
-            elif k == 0:
-                rate = (e2[1] - e2[0]) / (t[1] - t[0])
-            else:
-                rate = (e2[-1] - e2[-2]) / (t[-1] - t[-2])
-            target = ENERGY_RATE_FACTOR * (5.0 + gamma) * aff[k]
-            if target > 0.0:
-                traj.rows[k]["energy_residual"] = abs(rate - target) / target
-        if k > 0:
-            traj.rows[k]["fisher_increment"] = fisher[k] - fisher[k - 1]
+    """Fill the series-dependent columns (energy residual, Fisher increment);
+    the energy rate is one-sided at the end rows, and a residual stays 0
+    where its rate target vanishes."""
+    step, centred = _rates(traj.column("t"), traj.column("energy"))
+    rate = np.concatenate([step[:1], centred, step[-1:]])
+    target = ENERGY_RATE_FACTOR * (5.0 + gamma) * traj.column("_aff")
+    residual = np.divide(np.abs(rate - target), target, out=np.zeros_like(target),
+                         where=target > 0.0)
+    fisher = traj.column("fisher")
+    increment = np.diff(fisher, prepend=fisher[:1])
+    for row, res, inc in zip(traj.rows, residual.tolist(), increment.tolist()):
+        row["energy_residual"] = res
+        row["fisher_increment"] = inc
 
 
 # ---------------------------------------------------------------------------
 # trajectory monitors
 # ---------------------------------------------------------------------------
+
+def _zero_run(traj: Trajectory) -> bool:
+    """The zero-field rule: a run whose first row has mass 0.0 holds f = 0
+    throughout, and the energy, ellipticity, h-bound, max-point and moment
+    monitors have nothing to check on it."""
+    return traj.rows[0]["mass"] == 0.0
+
+
+def _skip(name: str) -> dict:
+    """The verdict of monitor `name` when it has nothing to check."""
+    return {"monitor": name, "passed": True, "skipped": True}
+
 
 def _monotonicity_report(name, values):
     increments = np.diff(values)
@@ -222,18 +235,19 @@ def entropy_monotonicity_check(traj: Trajectory, gamma: float) -> dict:
 def energy_identity_residual(traj: Trajectory, gamma: float) -> dict:
     """Worst |centered dE_2/dt - 2(5+gamma) int a f| / (2(5+gamma) int a f).
 
-    Interior output times only (centered differences); skipped where the rate
-    target vanishes (zero field).  Reads the residuals finalize_rows stored.
+    Interior output times only (centered differences), so a run of two rows
+    is skipped, as is a zero run.  Reads the residuals finalize_rows stored.
     """
-    residuals = [row["energy_residual"] for row in traj.rows[1:-1]
-                 if ENERGY_RATE_FACTOR * (5.0 + gamma) * row["_aff"] > 0.0]
-    worst = float(max(residuals)) if residuals else 0.0
+    if _zero_run(traj):
+        return _skip("energy_identity")
+    residuals = traj.column("energy_residual")[1:-1]
+    worst = float(residuals.max(initial=0.0))
     return {
         "monitor": "energy_identity",
         "worst_residual": worst,
         "count": len(residuals),
-        "passed": (not residuals) or worst <= 1e-2,
-        "skipped": not residuals,
+        "passed": worst <= 1e-2,
+        "skipped": len(residuals) == 0,
     }
 
 
@@ -244,31 +258,21 @@ def maxpoint_growth_check(traj: Trajectory, gamma: float) -> dict:
 
     Boundary argmax locations are flagged and skipped.  Reads the snapshot rows.
     """
-    t = np.array(traj.column("t"))
-    lap_ok = True
-    growth_ok = True
-    skipped = 0
+    if _zero_run(traj):
+        return _skip("maxpoint_growth")
     maxima = traj.column("linf_norm")
     tol = MAXPOINT_TOL * max(maxima.max(), 1e-300)
-    for k, row in enumerate(traj.rows):
-        if row["_argmax_boundary"]:
-            skipped += 1
-            continue
-        if row["_lap_at_argmax"] > tol:
-            lap_ok = False
-        if 0 < k:
-            rate = (maxima[k] - maxima[k - 1]) / (t[k] - t[k - 1])
-            if 2.0 + gamma == 0.0:
-                reaction = 0.0
-            else:
-                reaction = -(2.0 + gamma) * row["_h_at_argmax"] * maxima[k]
-            if rate > reaction + tol + 1e-12:
-                growth_ok = False
+    interior = ~traj.column("_argmax_boundary")
+    lap_ok = not np.any(traj.column("_lap_at_argmax")[interior] > tol)
+    rate = _rates(traj.column("t"), maxima)[0]
+    h = traj.column("_h_at_argmax")[1:]
+    reaction = 0.0 if 2.0 + gamma == 0.0 else -(2.0 + gamma) * h * maxima[1:]
+    growth_ok = not np.any((rate > reaction + tol + 1e-12)[interior[1:]])
     return {
         "monitor": "maxpoint_growth",
         "laplacian_nonpositive_at_argmax": lap_ok,
         "growth_bounded_by_reaction": growth_ok,
-        "boundary_skips": skipped,
+        "boundary_skips": int(np.sum(~interior)),
         "passed": lap_ok and growth_ok,
     }
 
@@ -283,23 +287,18 @@ def moment_growth_check(traj: Trajectory, gamma: float) -> dict:
     energy identity, on both sides, and `worst_margin` is the least
     1e-2 bound - |rate - bound| (elsewhere the least bound - rate).
     """
-    t = np.array(traj.column("t"))
+    if _zero_run(traj):
+        return _skip("moment_growth_k4")
+    t = traj.column("t")
     e4 = traj.column("e4")
-    e2 = traj.column("energy")
-    sup_a = traj.column("_sup_a")
-    ok = True
-    margin = np.inf
-    for j in range(1, len(t) - 1):
-        rate = (e4[j + 1] - e4[j - 1]) / (t[j + 1] - t[j - 1])
-        bound = 20 * sup_a[j] * e2[j]
-        if gamma == -2.0:
-            margin = min(margin, 1e-2 * bound - abs(rate - bound))
-            if abs(rate - bound) > 1e-2 * bound:
-                ok = False
-        else:
-            margin = min(margin, bound - rate)
-            if rate > bound * (1.0 + MOMENT_TOL_REL) + 1e-12:
-                ok = False
+    rate = _rates(t, e4)[1]
+    bound = 20 * traj.column("_sup_a")[1:-1] * traj.column("energy")[1:-1]
+    if gamma == -2.0:
+        slack = 1e-2 * bound - np.abs(rate - bound)
+        ok = not np.any(np.abs(rate - bound) > 1e-2 * bound)
+    else:
+        slack = bound - rate
+        ok = not np.any(rate > bound * (1.0 + MOMENT_TOL_REL) + 1e-12)
     # fitted envelope constant over positive times
     mask = t > 0
     denom = e4[0] * t[mask] + t[mask] ** 2
@@ -307,7 +306,7 @@ def moment_growth_check(traj: Trajectory, gamma: float) -> dict:
     return {
         "monitor": "moment_growth_k4",
         "differential_bound_holds": ok,
-        "worst_margin": float(margin),
+        "worst_margin": float(slack.min(initial=np.inf)),
         "fitted_envelope_constant": fitted_c,
         "passed": ok and np.isfinite(fitted_c),
     }
@@ -346,7 +345,7 @@ def l3_bound_check(traj: Trajectory, gamma: float) -> dict:
     l3 = traj.column("l3_norm")
     fisher = traj.column("fisher")
     if fisher[0] <= 0.0 or l3[0] <= 0.0:
-        return {"monitor": "l3_fisher_bound", "passed": True, "skipped": True}
+        return _skip("l3_fisher_bound")
     gap = float(np.max(l3 / (L3_FISHER_CONSTANT * fisher)))
     bound = float(L3_FISHER_CONSTANT * fisher[0])
     worst = float(l3.max())
@@ -361,11 +360,9 @@ def l3_bound_check(traj: Trajectory, gamma: float) -> dict:
 
 def ellipticity_monitor(traj: Trajectory, gamma: float) -> dict:
     """min over the run of min_r a[f]/<r>^{2+gamma}, at least ELLIPTICITY_FLOOR."""
-    vals = traj.column("ellipticity_ratio")
-    live = vals[vals > 0.0]
-    if len(live) == 0:
-        return {"monitor": "ellipticity", "passed": True, "skipped": True}
-    worst = float(live.min())
+    if _zero_run(traj):
+        return _skip("ellipticity")
+    worst = float(traj.column("ellipticity_ratio").min())
     return {"monitor": "ellipticity", "run_min_ratio": worst,
             "passed": worst >= ELLIPTICITY_FLOOR}
 
@@ -373,14 +370,13 @@ def ellipticity_monitor(traj: Trajectory, gamma: float) -> dict:
 def h_bound_monitor(traj: Trajectory, gamma: float) -> dict:
     """sup h[f]/(M^{1+g/3} ||f||_oo^{-g/3}) <= C(g) (1 + 1e-12) along the run,
     C(g) = 3^{1+g/3} (4 pi)^{-g/3} the bathtub constant; exactly 4 pi at g=-3."""
+    if _zero_run(traj):
+        return _skip("h_bound")
     vals = traj.column("h_bound_ratio")
-    live = vals[vals > 0.0]
-    if len(live) == 0:
-        return {"monitor": "h_bound", "passed": True, "skipped": True}
-    worst = float(live.max())
+    worst = float(vals.max())
     ok = worst <= _h_sup_constant(gamma) * (1.0 + 1e-12)
     if gamma == -3.0:
-        ok = ok and float(np.max(np.abs(live - 4.0 * np.pi))) <= 1e-12 * 4.0 * np.pi
+        ok = ok and float(np.max(np.abs(vals - 4.0 * np.pi))) <= 1e-12 * 4.0 * np.pi
     return {"monitor": "h_bound", "run_max_ratio": worst, "passed": ok}
 
 

@@ -390,7 +390,6 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     mass0 = float(np.dot(stencil.volumes, vals))
     traj = Trajectory()
     boundary_budget = 0.0
-    zero_field = mass0 == 0.0
     halvings = 0
 
     a = radial_convolve(grid, vals, mu, out=stencil.a, work=stencil.work)
@@ -398,8 +397,7 @@ def run(config: SolverConfig, f_in: RadialField, checkpoint_path=None) -> Trajec
     traj.append(diagnostics.snapshot_row(0.0, f, gamma, a, h))
     h_max = h.max()
     for k in range(1, n_steps + 1):
-        if not zero_field:
-            boundary_budget += boundary_flux_estimate(grid, vals, a) * config.dt
+        boundary_budget += boundary_flux_estimate(grid, vals, a) * config.dt
         try:
             vals, rep = step(stencil, vals, a, h_max, config, mass0)
         except (FieldError, SolverError) as exc:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,9 @@ class TestConfig:
 
     @settings(deadline=None)
     @given(
-        scenario=st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True),
+        # '.' and '..' are no file-name stems (test_scenario_must_be_a_file_name_stem)
+        scenario=st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True).filter(
+            lambda name: name not in (".", "..")),
         seed=st.integers(-2**63, 2**63),
         gamma=st.floats(-3.0, -2.0),
         n_cells=st.integers(4, 4096),
@@ -203,22 +206,33 @@ class TestSimulate:
             outs.append((out / "smoke-diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    # recorded before the radial step moved into its stencil's buffers; the
-    # report names its output paths, so only its verdict block is pinned
-    @pytest.mark.parametrize("config, csv_sha, ckpt_sha, verdicts_sha", [
-        ("configs/reference.cfg",
+    # recorded before the radial step moved into its stencil's buffers (the
+    # heat run before the monitors read whole columns); the report names its
+    # output paths, so only its verdict block is pinned
+    @pytest.mark.parametrize("config, solver, csv_sha, ckpt_sha, verdicts_sha", [
+        ("configs/reference.cfg", {},
          "05166ae80d1c05cd841a3d84f2b32053b49a1cb7ffbb3db51294bae1d641369c",
          "e79ec81b96bd0190bc30cca6145b8d5543044e05fbfea52bd88fb684018de7df",
          "3d24483fae0d0f53e3b8dbb75a52a6d900d9195ecbbd950ce1dc5c24698ab3fa"),
-        ("perfbench/flow-wide.cfg",
+        ("perfbench/flow-wide.cfg", {},
          "34bedffd95f29e90d91bd6474f6725370da5c417f4cc091742b50748728705d9",
          "b6f5ddf5775742121dc1775e7bdf5aff5b30a19e31f9819210c34c62bb8bbc8e",
          "d0bc82be0d4ca8766f64b19297f69497e9da048e682ba262193f9d8f8cd395fa"),
-    ], ids=["reference", "flow-wide"])
-    def test_flow_outputs_bytes_as_recorded(self, tmp_path, config, csv_sha, ckpt_sha,
-                                            verdicts_sha):
+        # the heat flow: the two-sided moment identity and h[f] at mu = -2
+        ("configs/reference.cfg", {"gamma": -2.0, "t_end": 0.1},
+         "7939ee7a67ccb8eec3dc6d33c84d3283d5becacd50c0e2d4f760294bdc406a91",
+         "88f8501567b33be5e17982f6276a4beff9ffa0b06e72fa71916fe3e350574a68",
+         "bcadd845ec1bb6f945251cb3a9fb0f64b42e718faefdda051ecf281cab87636b"),
+    ], ids=["reference", "flow-wide", "heat"])
+    def test_flow_outputs_bytes_as_recorded(self, tmp_path, config, solver, csv_sha,
+                                            ckpt_sha, verdicts_sha):
         path = Path(__file__).parents[1] / config
-        scenario = load_config(path).scenario
+        cfg = load_config(path)
+        scenario = cfg.scenario
+        if solver:
+            path = tmp_path / "run.cfg"
+            cfg = replace(cfg, solver=replace(cfg.solver, **solver))
+            path.write_text("\n".join(cfg.echo_lines()) + "\n")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path),
                      "--quiet"]) == 0
         report = (tmp_path / f"{scenario}-report.txt").read_bytes()
@@ -227,6 +241,43 @@ class TestSimulate:
             (tmp_path / f"{scenario}-diagnostics.csv").read_bytes(),
             (tmp_path / f"{scenario}.ckpt").read_bytes(), verdicts)]
         assert got == [csv_sha, ckpt_sha, verdicts_sha]
+
+    def test_zero_run_verdicts_keep_their_names(self, tmp_path):
+        # the report used to name four zero-run skips by their [monitors] key
+        def verdicts(text):
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(text)
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == 0
+            report = (out / "smoke-report.txt").read_text()
+            block = report[report.index("## verdicts\n"):report.index("## files\n")]
+            return dict(line.split("  #")[0].split(" = ")
+                        for line in block.splitlines()[2:] if line)
+
+        gaussian = verdicts(REFERENCE_CONFIG)
+        zero = verdicts(REFERENCE_CONFIG.replace("kind = gaussian\nsigma = 1.0\nmass = 1.0\n",
+                                                 "kind = zero\n"))
+        assert list(zero) == list(gaussian) and len(zero) == len(DEFAULT_MONITORS)
+        assert {name for name, flag in zero.items() if flag == "skip"} == {
+            "energy_identity", "ellipticity", "h_bound", "maxpoint_growth",
+            "moment_growth_k4", "l3_fisher_bound", "linf_envelope"}
+
+    @pytest.mark.parametrize("scenario", ["", ".", "..", "../escaped", "a/b"])
+    def test_scenario_must_be_a_file_name_stem(self, tmp_path, capsys, scenario):
+        # '../escaped' wrote its outputs beside --out, 'a/b' ran and then
+        # failed to write its checkpoint, '' wrote '.ckpt'
+        cfg_path = tmp_path / "cfg" / "bad.cfg"
+        cfg_path.parent.mkdir()
+        cfg_path.write_text(REFERENCE_CONFIG.replace("scenario = smoke",
+                                                     f"scenario = {scenario}"))
+        out = tmp_path / "out" / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: [run] scenario must be a plain file-name stem, "
+                       f"got {scenario!r}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg"]
 
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--quiet"])

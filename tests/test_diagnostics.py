@@ -274,13 +274,29 @@ class TestTrajectoryMonitors:
             assert row["_lap_at_argmax"] == radial_laplacian(f).values[idx]
         assert dg.maxpoint_growth_check(traj, -2.5)["passed"]
 
+    def test_maxpoint_skips_boundary_rows(self):
+        # an argmax in the last two cells reads the zero-flux boundary: the
+        # row's Laplacian and growth are not checked, only counted
+        cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.02, output_stride=5)
+        traj = run(cfg, gaussian_field(cfg.grid(), sigma=1.0, mass=1.0))
+        row = traj.rows[2]
+        row["_lap_at_argmax"] = 1e-6 * row["linf_norm"]
+        row["linf_norm"] *= 1.1
+        rep = dg.maxpoint_growth_check(traj, -3.0)
+        assert not rep["laplacian_nonpositive_at_argmax"]
+        assert not rep["growth_bounded_by_reaction"]
+        row["_argmax_boundary"] = True
+        rep = dg.maxpoint_growth_check(traj, -3.0)
+        assert rep["passed"] and rep["boundary_skips"] == 1
+
     def test_moment_growth_zero_field(self):
+        # the zero-field rule: nothing to check, under the monitor's own name
         cfg = SolverConfig(gamma=-3.0, n_cells=128, dt=1e-3, t_end=0.01,
                            output_stride=5)
         f0 = RadialField(cfg.grid(), np.zeros(128))
         traj = run(cfg, f0)
         rep = dg.moment_growth_check(traj, -3.0)
-        assert rep["differential_bound_holds"]
+        assert rep == {"monitor": "moment_growth_k4", "passed": True, "skipped": True}
 
 
 class TestSampledFacts:
@@ -368,7 +384,7 @@ def _plant_e4_off_heat_identity(rows, offset):
 
 
 def _plant_ellipticity_below_floor(rows):
-    # the monitor's floor is 0.1; a ratio of 0 means a zero field and is skipped
+    # the monitor's floor is 0.1
     rows[len(rows) // 2]["ellipticity_ratio"] = 0.05
 
 

@@ -30,16 +30,17 @@ GRID = RadialGrid(1024, 12.0)
 GATED_MU = (-2.9, -2.5, -1.0, -0.5, -0.1)
 
 
-def _power_kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
-    """Dense W with (f * |.|^mu)(r_i) = sum_j W[i, j] f_j.
+def _power_kernel_matrix(grid: RadialGrid, mu: float, dtype=np.float64) -> np.ndarray:
+    """Dense W with (f * |.|^mu)(r_i) = sum_j W[i, j] f_j, evaluated in dtype
+    from the grid's centres and faces as stored.
 
     Entries integrate s [ (r+s)^{nu} - |r-s|^{nu} ] (nu = mu + 2) in closed
     form over each source cell, splitting the diagonal cell at s = r.
     """
     nu = mu + 2.0
-    r = grid.centers[:, None]            # (n, 1) targets
-    lo = grid.faces[:-1][None, :]        # (1, n) source cell bounds
-    hi = grid.faces[1:][None, :]
+    r = grid.centers.astype(dtype)[:, None]            # (n, 1) targets
+    lo = grid.faces[:-1].astype(dtype)[None, :]        # (1, n) source cell bounds
+    hi = grid.faces[1:].astype(dtype)[None, :]
 
     # int s (r+s)^nu ds, antiderivative (r+s)^{nu+2}/(nu+2) - r (r+s)^{nu+1}/(nu+1)
     def near_part(s):
@@ -61,7 +62,7 @@ def _power_kernel_matrix(grid: RadialGrid, mu: float) -> np.ndarray:
     lo_a = np.maximum(lo, r)
     hi_a = np.maximum(hi, r)
     b_part = (below(hi_b) - below(lo_b)) + (above(hi_a) - above(lo_a))
-    return (2.0 * np.pi / (r * nu)) * (a_part - b_part)
+    return (2.0 * (4.0 * np.arctan(dtype(1.0))) / (r * nu)) * (a_part - b_part)
 
 
 def dense_oracle(grid: RadialGrid, mu: float) -> np.ndarray:
@@ -327,6 +328,15 @@ class TestShellTheorem:
             outside = volumes[k] / r[k + 1:]
             assert np.all(np.abs(got[k + 1:] - outside) <= 1e-14 * outside)
             assert np.all(np.abs(got[:k] - shells[k]) <= 1e-14 * shells[k])
+
+    def test_matches_the_long_double_closed_form(self):
+        # the float64 dense oracle resolves this path only to ~1e-13
+        grid = RadialGrid(512, 12.0)
+        W = _power_kernel_matrix(grid, -1.0, np.longdouble)
+        for f in oracle_profiles(grid):
+            expected = W @ f.values.astype(np.longdouble)
+            got = radial_convolve(f.grid, f.values, -1.0)
+            assert np.max(np.abs(got - expected) / expected) <= 1e-14
 
     @settings(deadline=None, max_examples=60)
     @given(

@@ -57,17 +57,6 @@ KEEP_LINES = {
         "a numpy build that exports no dgtsv symbol; Stencil then raises",
     ("cli", "sys.exit(main())"):
         "`python -m ksflow.cli`; the commands call main in-process",
-    ("diagnostics.maxpoint_growth_check", "skipped += 1"):
-        "an argmax in the last two cells, where the Laplacian reads the "
-        "zero-flux boundary: no [initial] kind puts the maximum there",
-    ("diagnostics.maxpoint_growth_check", "continue"):
-        "an argmax in the last two cells, as above",
-    **dict.fromkeys([
-        ("diagnostics.maxpoint_growth_check", "lap_ok = False"),
-        ("diagnostics.maxpoint_growth_check", "growth_ok = False"),
-        ("diagnostics.moment_growth_check", "ok = False"),
-    ], "a fail flag that a clean run never sets; tests/test_diagnostics.py's "
-       "mutation table plants the defect that sets it"),
     **dict.fromkeys([
         ("lifted.frames.vf_divergence", "return np.zeros(n)"),
         ("lifted.frames.vf_divergence", "return np.full(n, 6.0)"),
@@ -160,16 +149,32 @@ def run_commands(tmp: Path) -> None:
     ok, bad = (0, 1), (2,)
     sim, csvs = tmp / "sim", tmp / "csv"
     csvs.mkdir()
-    commands = [(["simulate", "--config", str(tmp / "missing.cfg")], bad)]
-    for scenario, overrides, initial, codes in CONFIGS:
-        cfg = tmp / f"{scenario}.cfg"
+
+    def config(name, run, overrides, initial):
+        """The path of a simulate config written as `name`.cfg."""
+        path = tmp / f"{name}.cfg"
         solver = "\n".join(f"{k} = {v}" for k, v in {**SOLVER, **overrides}.items())
-        cfg.write_text(
-            f"# the reach config {scenario}\n\n[run]\nscenario = {scenario}\n"
+        path.write_text(
+            f"# the reach config {name}\n\n[run]\n{run}\n"
             f"[solver]\n{solver}\n[initial]\n{initial}\n"
             f"[monitors]\nenabled = {', '.join(DEFAULT_MONITORS)}\n")
-        commands.append((["simulate", "--config", str(cfg), "--out", str(sim), "--quiet"],
-                         codes))
+        return str(path)
+
+    commands = [(["simulate", "--config", str(tmp / "missing.cfg")], bad)]
+    for scenario, overrides, initial, codes in CONFIGS:
+        commands.append((["simulate", "--config",
+                          config(scenario, f"scenario = {scenario}", overrides, initial),
+                          "--out", str(sim), "--quiet"], codes))
+    gaussian = CONFIGS[0][2]
+    commands += [
+        # the output directory from [run] out, without --out
+        (["simulate", "--config",
+          config("outkey", f"scenario = outkey\nout = {tmp / 'outkey'}", {}, gaussian),
+          "--quiet"], ok),
+        # a scenario that is no file-name stem
+        (["simulate", "--config", config("escape", "scenario = ../escape", {}, gaussian),
+          "--out", str(sim), "--quiet"], bad),
+    ]
     commands += [
         (["verify-lifted", "--samples", "4096", "--out", str(tmp / "lifted"), "--quiet"], ok),
         # above the dissipation window: the sign and bound rows are skipped
@@ -187,6 +192,8 @@ def run_commands(tmp: Path) -> None:
           "--out", str(tmp / "blowup"), "--quiet"], ok),
         # the default dt pair; the twin blows up at both
         (["compare-blowup", "--amplitude", "1000", "--horizon", "0.002", "--quiet"], ok),
+        # zero data: the detector never fires, so the verdict fails
+        (["compare-blowup", "--amplitude", "0", "--horizon", "0.002", "--quiet"], (1,)),
         (["compare-blowup", "--sigma", "1e300", "--quiet"], bad),
         (["compare-blowup", "--horizon", "0.0015", "--dt", "1e-3", "--quiet"], bad),
         (["plot", "--csv", str(sim / "mass-diagnostics.csv"), "--columns", "fisher,entropy",
