@@ -7,8 +7,12 @@ Every integral against F is an expectation under exact mixture sampling:
 Sampling is chunked with a fixed chunk size; chunk c of logical stream s
 draws from numpy's SeedSequence(seed, spawn_key=(s, c)).  Chunk boundaries
 never depend on scheduling, and chunks are reduced in index order, so a given
-(seed, n_samples) pair is bit-for-bit reproducible and embarrassingly
-parallel in principle.
+(seed, n_samples) pair is bit-for-bit reproducible.  The chunks of one
+estimate run in parallel where POSIX fork exists (`_run_chunks`): one
+process per usable CPU, at most one per chunk, each chunk's (count, sum,
+M2) returned to the caller as exact floats and combined there in index
+order, so the worker count changes no bit.  Elsewhere, and in a process
+that runs other Python threads, they run serially.
 
 Independent left/right estimates of an identity use distinct stream ids, so
 "agreement within 3 standard errors" compares genuinely independent noise.
@@ -37,6 +41,10 @@ vector operations rather than a 3- or 6-element loop per row.
 
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +95,16 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
     into one array per quantity of chunk length, so a value may be a view of
     x or of the Hessian's arrays.  Returns name -> McEstimate.
 
+    The chunks run in this process and in forked workers (`_run_chunks`),
+    so the integrand need not be picklable, but any state it keeps beyond
+    its return values stays in the process that ran the chunk.  An exception
+    it raises in a worker is raised here as itself, as in a serial run.
+
     The value is the plain sum of g over all samples divided by n.  The
     variance comes from each chunk's (count, mean, M2), M2 computed in two
     passes within the chunk and the chunks combined in index order (Chan et
     al.), so it does not cancel when |mean| >> stderr the way
-    sum g^2 / n - mean^2 does.
+    sum g^2 / n - mean^2 does.  Which process ran a chunk changes no bit.
     """
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"n_samples must be in [1, {MAX_SAMPLES}], got {n_samples}")
@@ -101,39 +114,17 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
     # the drawn rows, their standard normals and the Hessian's arrays of one
     # block; every eval of this estimate writes its Hessian into hess_out.
     # A block of rows is a column-major view of x_out, so each coordinate is
-    # one contiguous run for every array derived from it
-    x_out = np.empty(6 * block_rows)
-    normals = np.empty((block_rows, 6))
-    hess_out = np.empty(7 * len(F.components) * block_rows) if order >= 2 else None
-    values: dict = {}    # name -> per-sample values of the current chunk
+    # one contiguous run for every array derived from it.  The last item
+    # maps name -> per-sample values of the current chunk
+    buffers = (np.empty(6 * block_rows), np.empty((block_rows, 6)),
+               np.empty(7 * len(F.components) * block_rows) if order >= 2 else None, {})
     sums: dict = {}
     moments: dict = {}   # name -> (count, mean, M2) of the chunks so far
-    drawn = 0
-    for c in range(n_chunks):
-        m = min(CHUNK_SIZE, n_samples - drawn)
-        rng = _chunk_rng(seed, stream, c)
-        # component k draws rows ends[k] .. ends[k + 1] - 1 of the chunk
-        ends = np.concatenate(([0], np.cumsum(F.component_counts(m, rng))))
-        for start in range(0, m, EVAL_BLOCK):
-            stop = min(start + EVAL_BLOCK, m)
-            rows = stop - start
-            x = F.sample(np.diff(np.clip(ends, start, stop)), rng,
-                         out=x_out[:6 * rows].reshape(6, rows).T, normals=normals[:rows])
-            derivs = F.eval(x, order=order, hess_out=hess_out)
-            for name, vals in integrand(x, *derivs).items():
-                if name not in values:
-                    values[name] = np.empty(min(CHUNK_SIZE, n_samples))
-                values[name][start:stop] = vals
-        for name, chunk_vals in values.items():
-            vals = chunk_vals[:m]
-            total = float(np.sum(vals))
+    for m, chunk in _run_chunks(lambda c: _chunk_moments(
+            F, integrand, n_samples, seed, stream, order, buffers, c), n_chunks):
+        for name, (total, m2_c) in chunk.items():
             sums[name] = sums.get(name, 0.0) + total
-            mean_c = total / m
-            vals -= mean_c
-            np.square(vals, out=vals)
-            m2_c = float(np.sum(vals))
-            moments[name] = _combine(moments.get(name), m, mean_c, m2_c)
-        drawn += m
+            moments[name] = _combine(moments.get(name), m, total / m, m2_c)
     out = {}
     for name in sums:
         var = moments[name][2] / n_samples
@@ -141,6 +132,134 @@ def estimate_many(F: Mixture6, integrand, n_samples: int, seed: int,
             value=mass * (sums[name] / n_samples),
             stderr=mass * float(np.sqrt(var / n_samples)),
         )
+    return out
+
+
+def _chunk_moments(F: Mixture6, integrand, n_samples: int, seed: int, stream: int,
+                   order: int, buffers: tuple, c: int) -> tuple:
+    """(m, {name: (total, M2)}) of chunk c's m samples: the sum of each
+    quantity and its centred sum of squares, in two passes over the chunk.
+
+    buffers = (x_out, normals, hess_out, values) are `estimate_many`'s,
+    reused by every chunk a process runs.
+    """
+    x_out, normals, hess_out, values = buffers
+    m = min(CHUNK_SIZE, n_samples - c * CHUNK_SIZE)
+    rng = _chunk_rng(seed, stream, c)
+    # component k draws rows ends[k] .. ends[k + 1] - 1 of the chunk
+    ends = np.concatenate(([0], np.cumsum(F.component_counts(m, rng))))
+    for start in range(0, m, EVAL_BLOCK):
+        stop = min(start + EVAL_BLOCK, m)
+        rows = stop - start
+        x = F.sample(np.diff(np.clip(ends, start, stop)), rng,
+                     out=x_out[:6 * rows].reshape(6, rows).T, normals=normals[:rows])
+        derivs = F.eval(x, order=order, hess_out=hess_out)
+        for name, vals in integrand(x, *derivs).items():
+            if name not in values:
+                # a process's first chunk is its longest: only the last is short
+                values[name] = np.empty(m)
+            values[name][start:stop] = vals
+    out = {}
+    for name, chunk_vals in values.items():
+        vals = chunk_vals[:m]
+        total = float(np.sum(vals))
+        vals -= total / m
+        np.square(vals, out=vals)
+        out[name] = (total, float(np.sum(vals)))
+    return m, out
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most processes among which
+    `_run_chunks` shares one estimate's chunks."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _run_chunks(run, n_chunks: int) -> list:
+    """[run(c) for c in range(n_chunks)], run(c) = (m, {name: (total, M2)}),
+    with the chunks shared among W = min(usable CPUs, n_chunks) processes.
+
+    Workers w = 1 .. W-1 are forked here, so they share the integrand's
+    closures without pickling them.  Worker w runs chunks w, w + W, ... and
+    writes their floats to a pipe, 8 bytes each, then leaves with os._exit.
+    This process runs chunks 0, W, ..., then reads each worker's pipe and
+    reaps it, in worker order, so the results are bit for bit those of
+    running every chunk here.  No worker is forked at W = 1: for one chunk,
+    on a platform without os.fork, and in a process that runs other Python
+    threads, whose locks a fork would copy held.
+
+    No worker outlives the call.  A worker's exception is raised here again,
+    the same type with the same arguments, so which process ran the failing
+    chunk does not show; one that does not survive pickling comes back as a
+    RuntimeError naming it.  A worker that dies before it has written its
+    chunks (killed, say) makes this process raise a RuntimeError.  If this
+    process raises, the workers still running are killed and reaped.
+    """
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(_usable_cpus(), n_chunks) if forks else 1
+    caller = os.getpid()
+    children = []   # (worker, pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the worker: its chunks' floats, or its pickled error, up the
+                # pipe.  It never unwinds into the caller's frames: every way
+                # out is os._exit, so its exception is sent, not raised
+                try:
+                    os.write(write_end, b"F" + np.array([
+                        [m, *itertools.chain(*chunk.values())]
+                        for m, chunk in _run_share(run, range(w, n_chunks, workers), caller)
+                    ]).tobytes())
+                except BaseException as exc:
+                    try:
+                        error = pickle.dumps(exc)
+                        pickle.loads(error)
+                    except Exception:
+                        error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    os.write(write_end, b"E" + error)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((w, pid, open(read_end, "rb")))
+        results = [None] * n_chunks
+        results[::workers] = _run_share(run, range(0, n_chunks, workers), caller)
+        names = list(results[0][1])   # every chunk's, in the integrand's order
+        width = 1 + 2 * len(names)
+        for w, _, pipe in children:
+            with pipe:
+                message = pipe.read()
+            chunks = range(w, n_chunks, workers)
+            if message[:1] == b"E":
+                raise pickle.loads(message[1:])
+            if message[:1] != b"F" or len(message) != 1 + 8 * width * len(chunks):
+                raise RuntimeError(f"estimate_many worker {w} ended after writing "
+                                   f"{len(message)} of {1 + 8 * width * len(chunks)} bytes")
+            rows = np.frombuffer(message, dtype=float, offset=1).reshape(-1, width)
+            for c, row in zip(chunks, rows.tolist()):
+                results[c] = (int(row[0]), {name: (row[1 + 2 * i], row[2 + 2 * i])
+                                            for i, name in enumerate(names)})
+        return results
+    finally:
+        for _, pid, pipe in children:
+            if not pipe.closed:   # this process raised before reading the worker
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _run_share(run, chunks: range, caller: int) -> list:
+    """[run(c) for c in chunks], one process's share of `_run_chunks`.  A
+    forked worker whose caller has died stops at its next chunk."""
+    out = []
+    for c in chunks:
+        if os.getpid() != caller and os.getppid() != caller:
+            os._exit(1)
+        out.append(run(c))
     return out
 
 

@@ -358,6 +358,21 @@ class TestSimulate:
 
 
 class TestVerifyLifted:
+    # recorded before the chunks of one estimate ran in forked workers, as the
+    # flows' outputs are pinned above; seed 0's failing item-1 row
+    # (gamma=-2.9:full_weight_derivative at 4096 samples) stays in the bytes
+    @pytest.mark.parametrize("argv, rc, csv_sha", [
+        (["--suite", "dissipation", "--gamma", "-2.5", "--samples", "262144"], 0,
+         "fbabe42d64e2304efff3972eac7faa05fbb8a0f778e2df31f728a832b9cc4f6a"),
+        (["--samples", "4096"], 1,
+         "b37dd0df4a55388e58e6daa922f602517d4bf43d7bf0365d27149a04811d6877"),
+    ], ids=["lifted-mc", "all-suites"])
+    def test_lifted_csv_bytes_as_recorded(self, tmp_path, argv, rc, csv_sha):
+        assert main(["verify-lifted", *argv, "--seed", "0", "--out", str(tmp_path),
+                     "--quiet"]) == rc
+        got = hashlib.sha256((tmp_path / "lifted.csv").read_bytes()).hexdigest()
+        assert got == csv_sha
+
     def test_frames_suite_exit_zero(self, tmp_path):
         rc = main(["verify-lifted", "--suite", "frames", "--out",
                    str(tmp_path), "--quiet"])

@@ -329,6 +329,27 @@ class TestShellTheorem:
             assert np.all(np.abs(got[k + 1:] - outside) <= 1e-14 * outside)
             assert np.all(np.abs(got[:k] - shells[k]) <= 1e-14 * shells[k])
 
+    @pytest.mark.parametrize("r_max", [12.0, 160.0])
+    @pytest.mark.parametrize("n_cells", [489, 512, 2048])
+    def test_self_cell_weights_match_the_long_double_closed_form(self, n_cells, r_max):
+        # the split diagonal cell's d_k carries about 1/n of each output, so
+        # the value gates here pass it scaled by 1 + 1e-13.  A unit spike's
+        # output in its own cell is d_k alone
+        grid = RadialGrid(n_cells, r_max)
+        want = _shell_weights_long(grid)[2]
+        values = np.zeros(n_cells)
+        got = np.empty(n_cells)
+        for k in range(n_cells):
+            values[k] = 1.0
+            got[k] = radial_convolve(grid, values, -1.0)[k]
+            values[k] = 0.0
+
+        def worst(diag):
+            return np.max(np.abs(diag.astype(np.longdouble) - want) / want)
+
+        assert worst(got) <= 1e-14
+        assert worst(got * (1.0 + 1e-13)) > 1e-14
+
     def test_matches_the_long_double_closed_form(self):
         # the float64 dense oracle resolves this path only to ~1e-13
         grid = RadialGrid(512, 12.0)

@@ -1,11 +1,15 @@
 import functools
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ksflow.kernels import PowerLaw
-from ksflow.lifted.frames import Points, vf_eval, vf_jacobian
+from ksflow.lifted import functionals
+from ksflow.lifted.frames import FrameError, Points, vf_eval, vf_jacobian
 from ksflow.lifted.functionals import (
     CHUNK_SIZE,
     EVAL_BLOCK,
@@ -20,11 +24,19 @@ from ksflow.lifted.functionals import (
 from ksflow.lifted.gaussians import (
     Gaussian6,
     Mixture6,
+    MixtureError,
     isotropic_gaussian,
     random_symmetric_mixture,
     tensor_product,
 )
 from ksflow.lifted.suites import _dissipation_pairings
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Every chunk runs in the test's process, where an integrand that
+    records what it sees can be watched: no worker is forked."""
+    monkeypatch.setattr(functionals, "_usable_cpus", lambda: 1)
 
 
 def convex_combination(F, G, theta):
@@ -244,6 +256,7 @@ WITH_AN_EMPTY_COMPONENT = Mixture6([
 
 
 class TestStreamedSampling:
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("F, n", [
         (SIX_COMPONENTS, CHUNK_SIZE + 1234),
         (WITH_AN_EMPTY_COMPONENT, 3 * EVAL_BLOCK + 17),
@@ -316,11 +329,13 @@ class TestColumnMajorBlocks:
             assert x_f and grad_f and Ad_f == [True] * len(SIX_COMPONENTS.components)
 
 
+@pytest.mark.usefixtures("one_process")
 class TestPeakMemory:
     """One estimate holds a block of samples, derivatives and integrand
     temporaries, and one chunk-length array per quantity: 1 MiB each at
     CHUNK_SIZE = 2^17.  Drawing the whole chunk first peaked at 18.75 MiB
-    (order 2) and 16.74 MiB (order 1) on this mixture."""
+    (order 2) and 16.74 MiB (order 1) on this mixture.  Both chunks run in
+    this process, where tracemalloc sees them."""
 
     @pytest.mark.parametrize("order, limit_mib", [(2, 9.0), (1, 6.0)])
     def test_traced_peak_at_two_chunks(self, order, limit_mib):
@@ -335,3 +350,126 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# chunks shared among forked workers
+# ---------------------------------------------------------------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def planted(where, action):
+    """An integrand that runs `action` on each block it evaluates in the
+    test's process (where="caller") or in a forked worker (where="worker"),
+    and returns x_0."""
+    caller = os.getpid()
+
+    def integrand(x, F_val, grad, hess):
+        if (os.getpid() == caller) == (where == "caller"):
+            action()
+        return {"x0": x[:, 0]}
+
+    return integrand
+
+
+def fail(message):
+    def action():
+        raise ValueError(message)
+
+    return action
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n", [CHUNK_SIZE + 1234, 3 * CHUNK_SIZE],
+                             ids=["partial-chunk", "three-chunks"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_estimates_equal_at_one_two_and_three_workers(self, monkeypatch, order, n):
+        F = random_symmetric_mixture(2, 41)
+        integrand = (two_quantities if order == 2
+                     else lambda x, F_val, grad, hess: {"I": _fisher_values(None, F_val, grad)})
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(functionals, "_usable_cpus", lambda: workers)
+            got.append(estimate_many(F, integrand, n, seed=3, stream=5, order=order))
+            assert_no_child_left()
+        assert [list(est) for est in got] == [list(got[0])] * 3
+        assert [repr(est) for est in got] == [repr(got[0])] * 3
+
+    @pytest.mark.parametrize("error", [ValueError("planted in a worker"),
+                                       FrameError("planted in a worker"),
+                                       MixtureError("planted in a worker")],
+                             ids=lambda e: type(e).__name__)
+    def test_a_worker_raises_as_the_caller_would(self, monkeypatch, error):
+        # chunk 1, one sample, runs in worker 1 at W = 2 and here at W = 1
+        def integrand(x, F_val, grad, hess):
+            if len(x) == 1:
+                raise error
+            return {"x0": x[:, 0]}
+
+        got = []
+        for workers in (2, 1):
+            monkeypatch.setattr(functionals, "_usable_cpus", lambda: workers)
+            with pytest.raises(type(error)) as raised:
+                estimate_many(isotropic_gaussian(), integrand, CHUNK_SIZE + 1, seed=0)
+            got.append((type(raised.value), raised.value.args))
+            assert_no_child_left()
+        assert got == [(type(error), error.args)] * 2
+
+    def test_an_error_that_cannot_be_pickled_comes_back_named(self, monkeypatch):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def action():
+            raise Unpicklable("planted", "in a worker")
+
+        monkeypatch.setattr(functionals, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="^Unpicklable: planted and in a worker$"):
+            estimate_many(isotropic_gaussian(), planted("worker", action),
+                          CHUNK_SIZE + 1, seed=0)
+        assert_no_child_left()
+
+    def test_a_worker_that_is_killed_makes_the_caller_raise(self, monkeypatch):
+        monkeypatch.setattr(functionals, "_usable_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match="worker 1 ended after writing 0 of 25 bytes"):
+            estimate_many(isotropic_gaussian(),
+                          planted("worker", lambda: os.kill(os.getpid(), signal.SIGKILL)),
+                          2 * CHUNK_SIZE + 1, seed=0)
+        assert_no_child_left()
+
+    def test_the_callers_exception_stops_every_worker(self, monkeypatch):
+        # the workers are in their first chunk when the caller raises in its own
+        monkeypatch.setattr(functionals, "_usable_cpus", lambda: 3)
+        with pytest.raises(ValueError, match="planted in the caller"):
+            estimate_many(isotropic_gaussian(), planted("caller", fail("planted in the caller")),
+                          3 * CHUNK_SIZE, seed=0)
+        assert_no_child_left()
+
+    def test_a_worker_whose_caller_has_died_stops(self, monkeypatch):
+        # os.getppid as the worker would see it once its caller had died
+        monkeypatch.setattr(functionals, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "getppid", lambda: -1)
+        with pytest.raises(RuntimeError, match="worker 1 ended after writing 0 of"):
+            estimate_many(isotropic_gaussian(), two_quantities, CHUNK_SIZE + 1, seed=0)
+        assert_no_child_left()
+
+    def test_a_process_running_other_threads_forks_no_worker(self, monkeypatch):
+        monkeypatch.setattr(functionals, "_usable_cpus", lambda: 2)
+        forked = estimate_many(isotropic_gaussian(), two_quantities, CHUNK_SIZE + 1, seed=0)
+
+        def fork():
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            serial = estimate_many(isotropic_gaussian(), two_quantities, CHUNK_SIZE + 1, seed=0)
+        finally:
+            release.set()
+            thread.join()
+        assert repr(serial) == repr(forked)

@@ -63,6 +63,20 @@ KEEP_LINES = {
     ], "the divergence of every field vf_eval defines, public beside vf_eval "
        "and vf_jacobian; the frames suite reads only div n"),
     **dict.fromkeys([
+        ("lifted.functionals._run_chunks", "try:"),
+        ("lifted.functionals._run_chunks", 'os.write(write_end, b"F" + np.array(['),
+        ("lifted.functionals._run_chunks", "error = pickle.dumps(exc)"),
+        ("lifted.functionals._run_chunks", "pickle.loads(error)"),
+        ("lifted.functionals._run_chunks",
+         'error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))'),
+        ("lifted.functionals._run_chunks", 'os.write(write_end, b"E" + error)'),
+        ("lifted.functionals._run_chunks", "os._exit(0)"),
+        ("lifted.functionals._run_share", "os._exit(1)"),
+    ], "runs in the forked worker, outside the parent's trace"),
+    ("lifted.functionals._run_chunks", "os.kill(pid, signal.SIGKILL)"):
+        "the caller raised while a worker ran; tests/test_lifted_functionals.py "
+        "plants that",
+    **dict.fromkeys([
         ("solver._apply_positivity",
          "if lowest < -_ROUNDOFF_FLOOR * max(floor_scale, 1e-300):"),
         ("solver._apply_positivity", "return np.maximum(values, 0.0, out=values)"),
